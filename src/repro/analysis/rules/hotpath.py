@@ -56,6 +56,7 @@ HOT_FUNCTIONS: tuple[str, ...] = (
     "repro.core.qvstore.NumpyQVStore.sarsa_update",
     "repro.sim.dram.Dram.access",
     "repro.sim.hierarchy.CacheHierarchy.process_fills",
+    "repro.sim.engine.MultiCoreEngine.run",
     "repro.sim.replacement.LruPolicy.victim",
     "repro.sim.replacement.LruPolicy.on_fill",
     "repro.sim.replacement.LruPolicy.on_hit",

@@ -207,12 +207,17 @@ class Cell:
         one prefix are validated at adoption time against the consumed
         records' CRC and the resuming run's drain history
         (:class:`repro.sim.engine.EngineState`), which is what makes the
-        shared namespace safe.
+        shared namespace safe.  The snapshot object layout
+        (:data:`repro.sim.engine.STATE_LAYOUT`) is folded in, so
+        snapshots pickled by an older layout are never listed.
         """
+        from repro.sim.engine import STATE_LAYOUT
+
         return fingerprint(
             {
                 "kind": "cell-prefix",
                 "trace": self.trace,
+                "state_layout": STATE_LAYOUT,
                 **self._prefetcher_payloads(),
                 "system": canonical(self.system.config),
             }

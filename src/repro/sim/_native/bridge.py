@@ -4,16 +4,21 @@ The native backend is stateless per span: :func:`replay_span` copies the
 entire simulation state (caches, MSHR, DRAM, core, and — when training —
 the full Pythia agent) into flat NumPy buffers, hands them to
 ``repro_replay_span`` in ``kernel.c``, and copies the result back into
-the Python objects.  The C kernel executes the exact operation sequence
-of :func:`repro.sim.batch.replay_span`, so the round trip is
-bit-identical: a span replayed natively leaves every counter, cache
-line, Q-value, and RNG word exactly where the batched (or scalar)
-backend would have left it, and checkpoints taken on either side of a
-native span restore interchangeably.
+the Python objects.  The caches already hold their state in flat
+per-slot lists (:mod:`repro.sim.cache`), so each list crosses as one
+NumPy conversion each way; only the line→slot dict and the per-set fill
+counts are rebuilt from the tags on the way back.  The C kernel executes
+the exact operation sequence of :func:`repro.sim.batch.replay_span`, so
+the round trip is bit-identical: a span replayed natively leaves every
+counter, cache line, Q-value, and RNG word exactly where the batched
+(or scalar) backend would have left it, and checkpoints taken on either
+side of a native span restore interchangeably.
 
-The ~10-15 ms import/export cost is amortized over the span, so short
-spans (telemetry windows, control chunks near boundaries) are delegated
-to the batched backend instead — same results, better constant factor.
+The round trip still costs ~15-20 ms per span for the default
+hierarchy (2-vCPU host; most of it the 32,768-slot LLC's list
+conversions).  It is amortized over the span, so short spans (telemetry
+windows, control chunks near boundaries) are delegated to the batched
+backend instead — same results, better constant factor.
 
 ``ctypes`` usage is confined to this package (``repro.sim._native``);
 the ``native`` lint rule enforces that boundary.
@@ -35,7 +40,7 @@ from repro.prefetchers.base import NoPrefetcher
 from repro.sim import batch
 from repro.sim._native import build
 from repro.sim.mshr import MshrEntry
-from repro.sim.replacement import LruPolicy, ShipMeta, ShipPolicy
+from repro.sim.replacement import LruPolicy, ShipPolicy
 from repro.types import LINES_PER_PAGE, PAGE_SHIFT_LINES
 
 #: Spans shorter than this are delegated to the batched backend: the
@@ -64,8 +69,8 @@ class _Args(ctypes.Structure):
         ("col_pc", _PTR), ("col_line", _PTR), ("col_load", _PTR),
         ("col_gap", _PTR), ("col_page", _PTR), ("col_offset", _PTR),
         # caches
-        ("cache_tag", _PTR * 3), ("cache_flags", _PTR * 3),
-        ("cache_fill_cycle", _PTR * 3), ("cache_meta_a", _PTR * 3),
+        ("cache_tag", _PTR * 3), ("cache_pf", _PTR * 3),
+        ("cache_used", _PTR * 3), ("cache_meta_a", _PTR * 3),
         ("cache_meta_b", _PTR * 3), ("cache_meta_c", _PTR * 3),
         ("cache_stats", _PTR * 3), ("cache_shct", _PTR * 3),
         # MSHR
@@ -213,38 +218,34 @@ def _pow2_at_least(n: int) -> int:
 _POLICY_FLAGS = {LruPolicy: 0, ShipPolicy: 1}
 
 
+def _u8(bits):
+    """A list of bools as a uint8 array (via ``bool_``: faster than a
+    direct per-element uint8 conversion)."""
+    return _np.array(bits, _np.bool_).view(_np.uint8)
+
+
+def _bits(arr):
+    """A 0/1 uint8 array back as a list of bools."""
+    return arr.view(_np.bool_).tolist()
+
+
 def _import_cache(a, keep, idx, cache):
-    """Copy one cache level into flat arrays and point the struct at them."""
-    nsets, ways = cache.num_sets, cache.ways
-    n = nsets * ways
-    policy = _POLICY_FLAGS[type(cache._policy)]
-    tag = _np.empty(n, _np.int64)
-    flags = _np.zeros(n, _np.uint8)
-    fillc = _np.empty(n, _np.int64)
-    meta_a = _np.zeros(n, _np.int64)
-    meta_b = _np.zeros(n, _np.int64)
-    meta_c = _np.zeros(n, _np.uint8)
-    i = 0
-    for s in range(nsets):
-        line_set = cache._sets[s]
-        meta_set = cache._meta[s]
-        for w in range(ways):
-            entry = line_set[w]
-            tag[i] = entry.tag
-            flags[i] = (
-                (1 if entry.valid else 0)
-                | (2 if entry.prefetched else 0)
-                | (4 if entry.used else 0)
-            )
-            fillc[i] = entry.fill_cycle
-            meta = meta_set[w]
-            if policy == 0:
-                meta_a[i] = meta
-            else:
-                meta_a[i] = meta.rrpv
-                meta_b[i] = meta.sig
-                meta_c[i] = 1 if meta.reused else 0
-            i += 1
+    """Convert one cache level's per-slot lists to arrays for the kernel."""
+    n = cache.num_sets * cache.ways
+    policy = cache._policy
+    ship = _POLICY_FLAGS[type(policy)]
+    tag = _np.array(cache._tag, _np.int64)
+    pf = _u8(cache._pf)
+    used = _u8(cache._used)
+    meta_a = _np.array(policy.meta_a, _np.int64)
+    if ship:
+        meta_b = _np.array(policy.meta_b, _np.int64)
+        meta_c = _u8(policy.meta_c)
+        shct = _np.array(policy._shct, _np.int64)
+    else:
+        meta_b = _np.zeros(n, _np.int64)
+        meta_c = _np.zeros(n, _np.uint8)
+        shct = _np.zeros(_SHIP_SHCT_SIZE, _np.int64)
     stats_obj = cache.stats
     stats = _np.array(
         [
@@ -263,68 +264,46 @@ def _import_cache(a, keep, idx, cache):
         ],
         _np.int64,
     )
-    if policy == 1:
-        shct = _np.array(cache._policy._shct, _np.int64)
-    else:
-        shct = _np.zeros(_SHIP_SHCT_SIZE, _np.int64)
-    keep += [tag, flags, fillc, meta_a, meta_b, meta_c, stats, shct]
+    keep += [tag, pf, used, meta_a, meta_b, meta_c, stats, shct]
     a.cache_tag[idx] = tag.ctypes.data
-    a.cache_flags[idx] = flags.ctypes.data
-    a.cache_fill_cycle[idx] = fillc.ctypes.data
+    a.cache_pf[idx] = pf.ctypes.data
+    a.cache_used[idx] = used.ctypes.data
     a.cache_meta_a[idx] = meta_a.ctypes.data
     a.cache_meta_b[idx] = meta_b.ctypes.data
     a.cache_meta_c[idx] = meta_c.ctypes.data
     a.cache_stats[idx] = stats.ctypes.data
     a.cache_shct[idx] = shct.ctypes.data
-    a.nsets[idx] = nsets
-    a.ways[idx] = ways
+    a.nsets[idx] = cache.num_sets
+    a.ways[idx] = cache.ways
     a.lat[idx] = cache.latency
     a.tick[idx] = cache._tick
-    a.policy[idx] = policy
-    return tag, flags, fillc, meta_a, meta_b, meta_c, stats, shct
+    a.policy[idx] = ship
+    return tag, pf, used, meta_a, meta_b, meta_c, stats, shct
 
 
 def _export_cache(a, idx, cache, bufs):
-    """Write one cache level's flat arrays back into the Python objects."""
-    tag, flags, fillc, meta_a, meta_b, meta_c, stats, shct = bufs
-    nsets, ways = cache.num_sets, cache.ways
-    policy = a.policy[idx]
-    tag_l = tag.tolist()
-    flags_l = flags.tolist()
-    fillc_l = fillc.tolist()
-    meta_a_l = meta_a.tolist()
-    meta_b_l = meta_b.tolist()
-    meta_c_l = meta_c.tolist()
-    i = 0
-    for s in range(nsets):
-        line_set = cache._sets[s]
-        meta_set = cache._meta[s]
-        tags_s: dict = {}
-        free_s: list = []
-        for w in range(ways):
-            entry = line_set[w]
-            fl = flags_l[i]
-            entry.tag = tag_l[i]
-            entry.valid = bool(fl & 1)
-            entry.prefetched = bool(fl & 2)
-            entry.used = bool(fl & 4)
-            entry.fill_cycle = fillc_l[i]
-            if policy == 0:
-                meta_set[w] = meta_a_l[i]
-            else:
-                meta_set[w] = ShipMeta(
-                    rrpv=meta_a_l[i], sig=meta_b_l[i], reused=bool(meta_c_l[i])
-                )
-            if fl & 1:
-                tags_s[entry.tag] = w
-            else:
-                # Ascending way order == a valid min-heap, and pops come
-                # out in the same order the scalar heap would produce.
-                free_s.append(w)
-            i += 1
-        cache._tags[s] = tags_s
-        cache._free[s] = free_s
-    stats_l = stats.tolist()
+    """Write one cache level's arrays back into its per-slot lists.
+
+    The lists are updated in place (the cache and its policy share
+    ``meta_a``); the residency dict and the per-set fill counts are
+    rebuilt from the tags.
+    """
+    tag, pf, used, meta_a, meta_b, meta_c, stats, shct = bufs
+    policy = cache._policy
+    cache._tag[:] = tag.tolist()
+    cache._pf[:] = _bits(pf)
+    cache._used[:] = _bits(used)
+    policy.meta_a[:] = meta_a.tolist()
+    if a.policy[idx]:
+        policy.meta_b[:] = meta_b.tolist()
+        policy.meta_c[:] = _bits(meta_c)
+        policy._shct[:] = shct.tolist()
+    resident = _np.flatnonzero(tag != -1)
+    cache._where.clear()
+    cache._where.update(zip(tag[resident].tolist(), resident.tolist()))
+    cache._filled[:] = (
+        (tag != -1).reshape(cache.num_sets, cache.ways).sum(axis=1).tolist()
+    )
     stats_obj = cache.stats
     (
         stats_obj.demand_accesses,
@@ -339,10 +318,8 @@ def _export_cache(a, idx, cache, bufs):
         stats_obj.useful_prefetches,
         stats_obj.useless_evictions,
         stats_obj.evictions,
-    ) = stats_l
+    ) = stats.tolist()
     cache._tick = a.tick[idx]
-    if policy == 1:
-        cache._policy._shct[:] = shct.tolist()
 
 
 # -- the backend entry point ------------------------------------------------

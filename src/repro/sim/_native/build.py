@@ -31,7 +31,7 @@ _LOG = logging.getLogger("repro.sim.native")
 
 #: CRC-32 of the committed ``kernel.c`` (the ``native`` lint rule
 #: recomputes this from the source and fails on drift).
-KERNEL_SOURCE_CRC = 0x76BC7BFC
+KERNEL_SOURCE_CRC = 0xF23BF393
 
 #: ``-ffp-contract=off`` is load-bearing: fused multiply-adds would
 #: round differently from Python's separate multiply and add, breaking

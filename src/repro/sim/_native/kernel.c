@@ -4,7 +4,8 @@
  * hierarchy exactly like repro.sim.batch.replay_span — same operations,
  * on the same state, in the same order — with every Python structure
  * imported into flat arrays by repro.sim._native.bridge before the call
- * and exported back after it.  Bit-identity with the Python kernels is
+ * and exported back after it (the caches' per-slot lists map one to one
+ * onto the cache_* arrays).  Bit-identity with the Python kernels is
  * the hard invariant: every double below is computed with the exact
  * operand order of the matching Python expression (IEEE-754 doubles ==
  * Python floats when op order matches; the build passes -ffp-contract=off
@@ -51,10 +52,11 @@ typedef struct ReplayArgs {
     const int64_t *col_gap;
     const int64_t *col_page;
     const int64_t *col_offset;
-    /* caches, [0]=L1 [1]=L2 [2]=LLC; arrays are nsets*ways, row-major */
-    int64_t *cache_tag[3];
-    uint8_t *cache_flags[3];      /* bit0 valid, bit1 prefetched, bit2 used */
-    int64_t *cache_fill_cycle[3];
+    /* caches, [0]=L1 [1]=L2 [2]=LLC; arrays are nsets*ways slots,
+     * slot = set * ways + way (Cache's flat per-slot lists) */
+    int64_t *cache_tag[3];        /* resident line, -1 == empty way */
+    uint8_t *cache_pf[3];         /* prefetched bit */
+    uint8_t *cache_used[3];       /* used bit */
     int64_t *cache_meta_a[3];     /* LRU tick or SHiP rrpv */
     int64_t *cache_meta_b[3];     /* SHiP sig */
     uint8_t *cache_meta_c[3];     /* SHiP reused */
@@ -158,7 +160,6 @@ enum {
     ST_EVICTIONS,
 };
 
-enum { FL_VALID = 1, FL_PREFETCHED = 2, FL_USED = 4 };
 enum { EQF_HAS_REWARD = 1, EQF_FILLED = 2 };
 enum { RW_AT = 0, RW_AL, RW_CL, RW_IN_HI, RW_IN_LO, RW_NP_HI, RW_NP_LO };
 enum { RA_AT = 0, RA_AL, RA_CL, RA_IN, RA_NP };
@@ -480,25 +481,27 @@ typedef struct {
 
 /* -- cache primitives ------------------------------------------------------ */
 
+/* Way holding *line* (Cache._where), or -1.  Lines are non-negative, so
+ * an empty way's -1 tag never matches. */
 static inline int64_t tag_find(const ReplayArgs *a, int lv, int64_t set,
                                int64_t line) {
     int64_t ways = a->ways[lv];
     const int64_t *tags = a->cache_tag[lv] + set * ways;
-    const uint8_t *flags = a->cache_flags[lv] + set * ways;
     for (int64_t w = 0; w < ways; w++) {
-        if ((flags[w] & FL_VALID) && tags[w] == line) {
+        if (tags[w] == line) {
             return w;
         }
     }
     return -1;
 }
 
-/* Lowest invalid way (the per-set free min-heap's pop), or -1 if full. */
+/* Lowest empty way (Cache._filled[set]: empty ways are the set's
+ * suffix), or -1 if the set is full. */
 static inline int64_t free_way(const ReplayArgs *a, int lv, int64_t set) {
     int64_t ways = a->ways[lv];
-    const uint8_t *flags = a->cache_flags[lv] + set * ways;
+    const int64_t *tags = a->cache_tag[lv] + set * ways;
     for (int64_t w = 0; w < ways; w++) {
-        if (!(flags[w] & FL_VALID)) {
+        if (tags[w] == -1) {
             return w;
         }
     }
@@ -574,16 +577,14 @@ static inline void ship_on_evict(const ReplayArgs *a, int lv, int64_t idx) {
 /* Cache.fill, demand flavor (batch.py's inlined L1/L2/LLC demand fill):
  * duplicate fills never downgrade, real pc, is_prefetch=False. */
 static void demand_fill(ReplayArgs *a, int lv, int64_t set, int64_t line,
-                        int64_t pc, int64_t fill_cycle) {
+                        int64_t pc) {
     a->tick[lv]++;
     int64_t ways = a->ways[lv];
     int64_t base = set * ways;
     int64_t way = tag_find(a, lv, set, line);
     if (way >= 0) {
-        uint8_t *fl = &a->cache_flags[lv][base + way];
-        if (!((*fl & FL_PREFETCHED) && (*fl & FL_USED))) {
-            *fl = (uint8_t)(*fl & ~FL_PREFETCHED);
-        }
+        int64_t idx = base + way;
+        a->cache_pf[lv][idx] = a->cache_pf[lv][idx] && a->cache_used[lv][idx];
         return;
     }
     int64_t *stats = a->cache_stats[lv];
@@ -594,8 +595,7 @@ static void demand_fill(ReplayArgs *a, int lv, int64_t set, int64_t line,
                      : ship_victim(a->cache_meta_a[lv] + base, ways);
         int64_t idx = base + way;
         stats[ST_EVICTIONS]++;
-        uint8_t fl = a->cache_flags[lv][idx];
-        if ((fl & FL_PREFETCHED) && !(fl & FL_USED)) {
+        if (a->cache_pf[lv][idx] && !a->cache_used[lv][idx]) {
             stats[ST_USELESS_EVICTIONS]++;
         }
         if (!is_lru) {
@@ -604,8 +604,8 @@ static void demand_fill(ReplayArgs *a, int lv, int64_t set, int64_t line,
     }
     int64_t idx = base + way;
     a->cache_tag[lv][idx] = line;
-    a->cache_flags[lv][idx] = FL_VALID | FL_USED;
-    a->cache_fill_cycle[lv][idx] = fill_cycle;
+    a->cache_pf[lv][idx] = 0;
+    a->cache_used[lv][idx] = 1;
     if (a->policy[lv] == POLICY_LRU) {
         a->cache_meta_a[lv][idx] = a->tick[lv];
     } else {
@@ -616,8 +616,7 @@ static void demand_fill(ReplayArgs *a, int lv, int64_t set, int64_t line,
 
 /* Cache.fill, prefetch-fill flavor (hierarchy.process_fills): pc=0,
  * as_prefetch semantics; returns the evicted useless tag or -1. */
-static int64_t fill_as(ReplayArgs *a, int lv, int64_t line, int64_t completion,
-                       int as_prefetch) {
+static int64_t fill_as(ReplayArgs *a, int lv, int64_t line, int as_prefetch) {
     a->tick[lv]++;
     int64_t set = imod(line, a->nsets[lv]);
     int64_t ways = a->ways[lv];
@@ -626,10 +625,9 @@ static int64_t fill_as(ReplayArgs *a, int lv, int64_t line, int64_t completion,
     int64_t useless_tag = -1;
     if (way >= 0) {
         if (!as_prefetch) {
-            uint8_t *fl = &a->cache_flags[lv][base + way];
-            if (!((*fl & FL_PREFETCHED) && (*fl & FL_USED))) {
-                *fl = (uint8_t)(*fl & ~FL_PREFETCHED);
-            }
+            int64_t idx = base + way;
+            a->cache_pf[lv][idx] =
+                a->cache_pf[lv][idx] && a->cache_used[lv][idx];
         }
         return useless_tag;
     }
@@ -641,8 +639,7 @@ static int64_t fill_as(ReplayArgs *a, int lv, int64_t line, int64_t completion,
                      : ship_victim(a->cache_meta_a[lv] + base, ways);
         int64_t idx = base + way;
         stats[ST_EVICTIONS]++;
-        uint8_t fl = a->cache_flags[lv][idx];
-        if ((fl & FL_PREFETCHED) && !(fl & FL_USED)) {
+        if (a->cache_pf[lv][idx] && !a->cache_used[lv][idx]) {
             stats[ST_USELESS_EVICTIONS]++;
             useless_tag = a->cache_tag[lv][idx];
         }
@@ -652,9 +649,8 @@ static int64_t fill_as(ReplayArgs *a, int lv, int64_t line, int64_t completion,
     }
     int64_t idx = base + way;
     a->cache_tag[lv][idx] = line;
-    a->cache_flags[lv][idx] =
-        (uint8_t)(FL_VALID | (as_prefetch ? FL_PREFETCHED : FL_USED));
-    a->cache_fill_cycle[lv][idx] = completion;
+    a->cache_pf[lv][idx] = (uint8_t)(as_prefetch != 0);
+    a->cache_used[lv][idx] = (uint8_t)(as_prefetch == 0);
     if (a->policy[lv] == POLICY_LRU) {
         a->cache_meta_a[lv][idx] = a->tick[lv];
     } else {
@@ -1134,9 +1130,9 @@ static void process_fills(Ctx *x, int64_t now) {
         map_del(&x->infl, line);
         int as_prefetch = !map_has(&x->merged, line);
         map_del(&x->merged, line);
-        int64_t useless_tag = fill_as(a, LLC, line, completion, as_prefetch);
+        int64_t useless_tag = fill_as(a, LLC, line, as_prefetch);
         (void)useless_tag; /* on_prefetch_useless is a no-op for Pythia */
-        fill_as(a, L2, line, completion, as_prefetch);
+        fill_as(a, L2, line, as_prefetch);
         if (a->train) {
             eq_mark_filled(x, line); /* Pythia.on_prefetch_fill */
         }
@@ -1473,9 +1469,8 @@ int64_t repro_replay_span(ReplayArgs *a) {
                 ship_on_hit(a, L1, idx);
             }
             st1[ST_DEMAND_HITS]++;
-            uint8_t fl = a->cache_flags[L1][idx];
-            if ((fl & FL_PREFETCHED) && !(fl & FL_USED)) {
-                a->cache_flags[L1][idx] = (uint8_t)(fl | FL_USED);
+            if (a->cache_pf[L1][idx] && !a->cache_used[L1][idx]) {
+                a->cache_used[L1][idx] = 1;
                 st1[ST_USEFUL_PREFETCHES]++;
             }
             completion = now + l1_lat;
@@ -1575,7 +1570,7 @@ int64_t repro_replay_span(ReplayArgs *a) {
             /* L2 demand lookup (Cache.lookup, inlined). */
             a->tick[L2]++;
             st2[ST_DEMAND_ACCESSES]++;
-            int64_t fill_l1, fill_l2;
+            int fill_l1, fill_l2;
             way = tag_find(a, L2, s2, line);
             if (way >= 0) {
                 int64_t idx = s2 * a->ways[L2] + way;
@@ -1585,15 +1580,14 @@ int64_t repro_replay_span(ReplayArgs *a) {
                     ship_on_hit(a, L2, idx);
                 }
                 st2[ST_DEMAND_HITS]++;
-                uint8_t fl = a->cache_flags[L2][idx];
-                if ((fl & FL_PREFETCHED) && !(fl & FL_USED)) {
-                    a->cache_flags[L2][idx] = (uint8_t)(fl | FL_USED);
+                if (a->cache_pf[L2][idx] && !a->cache_used[L2][idx]) {
+                    a->cache_used[L2][idx] = 1;
                     st2[ST_USEFUL_PREFETCHES]++;
                     /* on_demand_hit_prefetched is a no-op for Pythia */
                 }
                 completion = now + l2_lat;
-                fill_l1 = now;
-                fill_l2 = -1;
+                fill_l1 = 1;
+                fill_l2 = 0;
             } else {
                 st2[ST_DEMAND_MISSES]++;
                 if (is_load) {
@@ -1613,8 +1607,8 @@ int64_t repro_replay_span(ReplayArgs *a) {
                     st3[ST_USEFUL_PREFETCHES]++;
                     int64_t base = now + llc_lat;
                     completion = in_comp > base ? in_comp : base;
-                    fill_l1 = completion;
-                    fill_l2 = -1;
+                    fill_l1 = 1;
+                    fill_l2 = 0;
                 } else {
                     /* LLC demand lookup (Cache.lookup, inlined). */
                     a->tick[LLC]++;
@@ -1628,14 +1622,13 @@ int64_t repro_replay_span(ReplayArgs *a) {
                             ship_on_hit(a, LLC, idx);
                         }
                         st3[ST_DEMAND_HITS]++;
-                        uint8_t fl = a->cache_flags[LLC][idx];
-                        if ((fl & FL_PREFETCHED) && !(fl & FL_USED)) {
-                            a->cache_flags[LLC][idx] = (uint8_t)(fl | FL_USED);
+                        if (a->cache_pf[LLC][idx] && !a->cache_used[LLC][idx]) {
+                            a->cache_used[LLC][idx] = 1;
                             st3[ST_USEFUL_PREFETCHES]++;
                         }
                         completion = now + llc_lat;
-                        fill_l1 = now;
-                        fill_l2 = now;
+                        fill_l1 = 1;
+                        fill_l2 = 1;
                     } else {
                         st3[ST_DEMAND_MISSES]++;
                         if (is_load) {
@@ -1647,8 +1640,8 @@ int64_t repro_replay_span(ReplayArgs *a) {
                             int64_t base = now + llc_lat;
                             int64_t m_comp = a->mshr_comp[m];
                             completion = m_comp > base ? m_comp : base;
-                            fill_l1 = -1;
-                            fill_l2 = -1;
+                            fill_l1 = 0;
+                            fill_l2 = 0;
                         } else {
                             if (a->mshr_count >= mshr_capacity) {
                                 /* Structural stall. */
@@ -1685,27 +1678,27 @@ int64_t repro_replay_span(ReplayArgs *a) {
                                       &a->mshrh_count, completion, line);
                             a->mshr_allocations++;
                             /* LLC demand fill (Cache.fill, inlined). */
-                            demand_fill(a, LLC, s3, line, pc, completion);
-                            fill_l1 = completion;
-                            fill_l2 = completion;
+                            demand_fill(a, LLC, s3, line, pc);
+                            fill_l1 = 1;
+                            fill_l2 = 1;
                         }
                     }
 
                     /* L2 demand fill (Cache.fill, inlined). */
-                    if (fill_l2 >= 0) {
-                        demand_fill(a, L2, s2, line, pc, fill_l2);
+                    if (fill_l2) {
+                        demand_fill(a, L2, s2, line, pc);
                     }
                 }
 
                 /* NOTE: in batch.py the L2 fill sits inside the L2-miss
-                 * branch; the merge path skips it via fill_l2 = -1.  The
+                 * branch; the merge path skips it via fill_l2 = 0.  The
                  * structure above mirrors that: the merge path never
                  * reaches the L2 fill. */
             }
 
             /* L1 demand fill (Cache.fill, inlined). */
-            if (fill_l1 >= 0) {
-                demand_fill(a, L1, s1, line, pc, fill_l1);
+            if (fill_l1) {
+                demand_fill(a, L1, s1, line, pc);
             }
         }
 

@@ -155,14 +155,17 @@ def replay_span(hierarchy, core, cols, start, stop, stamp=None) -> None:
 
     l1, l2, llc = hierarchy.l1, hierarchy.l2, hierarchy.llc
     l1_lat, l2_lat, llc_lat = l1.latency, l2.latency, llc.latency
-    l1_sets, l1_meta, l1_tags, l1_free = l1._sets, l1._meta, l1._tags, l1._free
-    l2_sets, l2_meta, l2_tags, l2_free = l2._sets, l2._meta, l2._tags, l2._free
-    llc_sets, llc_meta, llc_tags, llc_free = llc._sets, llc._meta, llc._tags, llc._free
+    l1_tag, l1_pf, l1_used, l1_meta = l1._tag, l1._pf, l1._used, l1._meta_a
+    l2_tag, l2_pf, l2_used, l2_meta = l2._tag, l2._pf, l2._used, l2._meta_a
+    llc_tag, llc_pf, llc_used, llc_meta = llc._tag, llc._pf, llc._used, llc._meta_a
+    l1_where, l2_where, llc_where = l1._where, l2._where, llc._where
+    l1_filled, l2_filled, llc_filled = l1._filled, l2._filled, llc._filled
     l1_stats, l2_stats, llc_stats = l1.stats, l2.stats, llc.stats
     l1_is_lru, l2_is_lru = l1._policy_is_lru, l2._policy_is_lru
     llc_is_lru = llc._policy_is_lru
     l1_policy, l2_policy, llc_policy = l1._policy, l2._policy, llc._policy
     l1_nsets, l2_nsets, llc_nsets = l1.num_sets, l2.num_sets, llc.num_sets
+    l1_ways, l2_ways, llc_ways = l1.ways, l2.ways, llc.ways
 
     mshr = hierarchy.mshr
     mshr_heap = mshr._by_completion
@@ -220,16 +223,15 @@ def replay_span(hierarchy, core, cols, start, stop, stamp=None) -> None:
                 # L1 demand lookup (Cache.lookup, inlined).
                 l1._tick += 1
                 l1_stats.demand_accesses += 1
-                way = l1_tags[s1].get(line)
-                if way is not None:
-                    entry = l1_sets[s1][way]
+                slot = l1_where.get(line)
+                if slot is not None:
                     if l1_is_lru:
-                        l1_meta[s1][way] = l1._tick
+                        l1_meta[slot] = l1._tick
                     else:
-                        l1_policy.on_hit(l1_meta[s1], way, pc, l1._tick)
+                        l1_policy.on_hit(slot, pc, l1._tick)
                     l1_stats.demand_hits += 1
-                    if entry.prefetched and not entry.used:
-                        entry.used = True
+                    if l1_pf[slot] and not l1_used[slot]:
+                        l1_used[slot] = True
                         l1_stats.useful_prefetches += 1
                     completion = now + l1_lat
                 else:
@@ -269,24 +271,21 @@ def replay_span(hierarchy, core, cols, start, stop, stamp=None) -> None:
                                     continue
                                 if pf >> pshift != page:
                                     continue
-                                if pf in l2_tags[pf % l2_nsets]:
+                                if pf in l2_where:
                                     continue
-                                sp = pf % llc_nsets
-                                if pf in llc_tags[sp]:
+                                if pf in llc_where:
                                     continue
                                 if pf in inflight:
                                     continue
                                 # LLC prefetch lookup (Cache.lookup, inlined).
                                 llc._tick += 1
                                 llc_stats.prefetch_accesses += 1
-                                wp = llc_tags[sp].get(pf)
+                                wp = llc_where.get(pf)
                                 if wp is not None:
                                     if llc_is_lru:
-                                        llc_meta[sp][wp] = llc._tick
+                                        llc_meta[wp] = llc._tick
                                     else:
-                                        llc_policy.on_hit(
-                                            llc_meta[sp], wp, 0, llc._tick
-                                        )
+                                        llc_policy.on_hit(wp, 0, llc._tick)
                                     llc_stats.prefetch_hits += 1
                                     pf_comp = now + llc_lat
                                 elif mshr_entries.get(pf) is not None:
@@ -316,21 +315,20 @@ def replay_span(hierarchy, core, cols, start, stop, stamp=None) -> None:
                     # L2 demand lookup (Cache.lookup, inlined).
                     l2._tick += 1
                     l2_stats.demand_accesses += 1
-                    way = l2_tags[s2].get(line)
-                    if way is not None:
-                        entry = l2_sets[s2][way]
+                    slot = l2_where.get(line)
+                    if slot is not None:
                         if l2_is_lru:
-                            l2_meta[s2][way] = l2._tick
+                            l2_meta[slot] = l2._tick
                         else:
-                            l2_policy.on_hit(l2_meta[s2], way, pc, l2._tick)
+                            l2_policy.on_hit(slot, pc, l2._tick)
                         l2_stats.demand_hits += 1
-                        if entry.prefetched and not entry.used:
-                            entry.used = True
+                        if l2_pf[slot] and not l2_used[slot]:
+                            l2_used[slot] = True
                             l2_stats.useful_prefetches += 1
                             on_demand_hit_prefetched(line, now)
                         completion = now + l2_lat
-                        fill_l1 = now
-                        fill_l2 = -1
+                        fill_l1 = True
+                        fill_l2 = False
                     else:
                         l2_stats.demand_misses += 1
                         if is_load:
@@ -347,29 +345,26 @@ def replay_span(hierarchy, core, cols, start, stop, stamp=None) -> None:
                             on_demand_hit_prefetched(line, now)
                             base = now + llc_lat
                             completion = in_comp if in_comp > base else base
-                            fill_l1 = completion
-                            fill_l2 = -1
+                            fill_l1 = True
+                            fill_l2 = False
                         else:
                             # LLC demand lookup (Cache.lookup, inlined).
                             llc._tick += 1
                             llc_stats.demand_accesses += 1
-                            way = llc_tags[s3].get(line)
-                            if way is not None:
-                                entry = llc_sets[s3][way]
+                            slot = llc_where.get(line)
+                            if slot is not None:
                                 if llc_is_lru:
-                                    llc_meta[s3][way] = llc._tick
+                                    llc_meta[slot] = llc._tick
                                 else:
-                                    llc_policy.on_hit(
-                                        llc_meta[s3], way, pc, llc._tick
-                                    )
+                                    llc_policy.on_hit(slot, pc, llc._tick)
                                 llc_stats.demand_hits += 1
-                                if entry.prefetched and not entry.used:
-                                    entry.used = True
+                                if llc_pf[slot] and not llc_used[slot]:
+                                    llc_used[slot] = True
                                     llc_stats.useful_prefetches += 1
                                     on_demand_hit_prefetched(line, now)
                                 completion = now + llc_lat
-                                fill_l1 = now
-                                fill_l2 = now
+                                fill_l1 = True
+                                fill_l2 = True
                             else:
                                 llc_stats.demand_misses += 1
                                 if is_load:
@@ -380,8 +375,8 @@ def replay_span(hierarchy, core, cols, start, stop, stamp=None) -> None:
                                     base = now + llc_lat
                                     m_comp = m_entry.completion
                                     completion = m_comp if m_comp > base else base
-                                    fill_l1 = -1
-                                    fill_l2 = -1
+                                    fill_l1 = False
+                                    fill_l2 = False
                                 else:
                                     if len(mshr_entries) >= mshr_capacity:
                                         # Structural stall (scalar path kept:
@@ -416,126 +411,116 @@ def replay_span(hierarchy, core, cols, start, stop, stamp=None) -> None:
 
                                     # LLC demand fill (Cache.fill, inlined).
                                     llc._tick += 1
-                                    tags3 = llc_tags[s3]
-                                    way = tags3.get(line)
-                                    if way is not None:
-                                        entry = llc_sets[s3][way]
-                                        entry.prefetched = (
-                                            entry.prefetched and entry.used
-                                        )
+                                    slot = llc_where.get(line)
+                                    if slot is not None:
+                                        llc_pf[slot] = llc_pf[slot] and llc_used[slot]
                                     else:
-                                        free3 = llc_free[s3]
-                                        meta3 = llc_meta[s3]
-                                        if free3:
-                                            way = heappop(free3)
-                                            entry = llc_sets[s3][way]
+                                        filled = llc_filled[s3]
+                                        base = s3 * llc_ways
+                                        if filled < llc_ways:
+                                            slot = base + filled
+                                            llc_filled[s3] = filled + 1
                                         else:
-                                            way = (
-                                                meta3.index(min(meta3))
+                                            slot = (
+                                                llc_meta.index(
+                                                    min(llc_meta[base : base + llc_ways]),
+                                                    base,
+                                                )
                                                 if llc_is_lru
-                                                else llc_policy.victim(meta3)
+                                                else llc_policy.victim(
+                                                    base, base + llc_ways
+                                                )
                                             )
-                                            entry = llc_sets[s3][way]
                                             llc_stats.evictions += 1
-                                            if entry.prefetched and not entry.used:
+                                            if llc_pf[slot] and not llc_used[slot]:
                                                 llc_stats.useless_evictions += 1
                                             if not llc_is_lru:
-                                                llc_policy.on_evict(
-                                                    meta3, way, entry.used
-                                                )
-                                            del tags3[entry.tag]
-                                        tags3[line] = way
-                                        entry.tag = line
-                                        entry.valid = True
-                                        entry.prefetched = False
-                                        entry.used = True
-                                        entry.fill_cycle = completion
+                                                llc_policy.on_evict(slot)
+                                            del llc_where[llc_tag[slot]]
+                                        llc_where[line] = slot
+                                        llc_tag[slot] = line
+                                        llc_pf[slot] = False
+                                        llc_used[slot] = True
                                         if llc_is_lru:
-                                            meta3[way] = llc._tick
+                                            llc_meta[slot] = llc._tick
                                         else:
                                             llc_policy.on_fill(
-                                                meta3, way, pc, False, llc._tick
+                                                slot, pc, False, llc._tick
                                             )
                                         llc_stats.fills += 1
-                                    fill_l1 = completion
-                                    fill_l2 = completion
+                                    fill_l1 = True
+                                    fill_l2 = True
 
                         # L2 demand fill (Cache.fill, inlined).
-                        if fill_l2 >= 0:
+                        if fill_l2:
                             l2._tick += 1
-                            tags2 = l2_tags[s2]
-                            way = tags2.get(line)
-                            if way is not None:
-                                entry = l2_sets[s2][way]
-                                entry.prefetched = entry.prefetched and entry.used
+                            slot = l2_where.get(line)
+                            if slot is not None:
+                                l2_pf[slot] = l2_pf[slot] and l2_used[slot]
                             else:
-                                free2 = l2_free[s2]
-                                meta2 = l2_meta[s2]
-                                if free2:
-                                    way = heappop(free2)
-                                    entry = l2_sets[s2][way]
+                                filled = l2_filled[s2]
+                                base = s2 * l2_ways
+                                if filled < l2_ways:
+                                    slot = base + filled
+                                    l2_filled[s2] = filled + 1
                                 else:
-                                    way = (
-                                        meta2.index(min(meta2))
+                                    slot = (
+                                        l2_meta.index(
+                                            min(l2_meta[base : base + l2_ways]), base
+                                        )
                                         if l2_is_lru
-                                        else l2_policy.victim(meta2)
+                                        else l2_policy.victim(base, base + l2_ways)
                                     )
-                                    entry = l2_sets[s2][way]
                                     l2_stats.evictions += 1
-                                    if entry.prefetched and not entry.used:
+                                    if l2_pf[slot] and not l2_used[slot]:
                                         l2_stats.useless_evictions += 1
                                     if not l2_is_lru:
-                                        l2_policy.on_evict(meta2, way, entry.used)
-                                    del tags2[entry.tag]
-                                tags2[line] = way
-                                entry.tag = line
-                                entry.valid = True
-                                entry.prefetched = False
-                                entry.used = True
-                                entry.fill_cycle = fill_l2
+                                        l2_policy.on_evict(slot)
+                                    del l2_where[l2_tag[slot]]
+                                l2_where[line] = slot
+                                l2_tag[slot] = line
+                                l2_pf[slot] = False
+                                l2_used[slot] = True
                                 if l2_is_lru:
-                                    meta2[way] = l2._tick
+                                    l2_meta[slot] = l2._tick
                                 else:
-                                    l2_policy.on_fill(meta2, way, pc, False, l2._tick)
+                                    l2_policy.on_fill(slot, pc, False, l2._tick)
                                 l2_stats.fills += 1
 
                     # L1 demand fill (Cache.fill, inlined).
-                    if fill_l1 >= 0:
+                    if fill_l1:
                         l1._tick += 1
-                        tags1 = l1_tags[s1]
-                        way = tags1.get(line)
-                        if way is not None:
-                            entry = l1_sets[s1][way]
-                            entry.prefetched = entry.prefetched and entry.used
+                        slot = l1_where.get(line)
+                        if slot is not None:
+                            l1_pf[slot] = l1_pf[slot] and l1_used[slot]
                         else:
-                            free1 = l1_free[s1]
-                            meta1 = l1_meta[s1]
-                            if free1:
-                                way = heappop(free1)
-                                entry = l1_sets[s1][way]
+                            filled = l1_filled[s1]
+                            base = s1 * l1_ways
+                            if filled < l1_ways:
+                                slot = base + filled
+                                l1_filled[s1] = filled + 1
                             else:
-                                way = (
-                                    meta1.index(min(meta1))
+                                slot = (
+                                    l1_meta.index(
+                                        min(l1_meta[base : base + l1_ways]), base
+                                    )
                                     if l1_is_lru
-                                    else l1_policy.victim(meta1)
+                                    else l1_policy.victim(base, base + l1_ways)
                                 )
-                                entry = l1_sets[s1][way]
                                 l1_stats.evictions += 1
-                                if entry.prefetched and not entry.used:
+                                if l1_pf[slot] and not l1_used[slot]:
                                     l1_stats.useless_evictions += 1
                                 if not l1_is_lru:
-                                    l1_policy.on_evict(meta1, way, entry.used)
-                                del tags1[entry.tag]
-                            tags1[line] = way
-                            entry.tag = line
-                            entry.valid = True
-                            entry.prefetched = False
-                            entry.used = True
-                            entry.fill_cycle = fill_l1
+                                    l1_policy.on_evict(slot)
+                                del l1_where[l1_tag[slot]]
+                            l1_where[line] = slot
+                            l1_tag[slot] = line
+                            l1_pf[slot] = False
+                            l1_used[slot] = True
                             if l1_is_lru:
-                                meta1[way] = l1._tick
+                                l1_meta[slot] = l1._tick
                             else:
-                                l1_policy.on_fill(meta1, way, pc, False, l1._tick)
+                                l1_policy.on_fill(slot, pc, False, l1._tick)
                             l1_stats.fills += 1
 
                 # -- CoreModel.issue_load(completion), inlined --------------

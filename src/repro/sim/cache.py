@@ -6,22 +6,30 @@ That bookkeeping is what lets the metrics layer compute the paper's
 coverage and overprediction numbers, and what lets prefetchers receive
 "prefetch line was useful/useless" feedback.
 
-The data structures are organized for the simulator's per-record hot
-path: each set carries a tag→way dict beside the way list, so
-``lookup``/``probe``/``fill`` resolve residency in O(1) instead of a
-linear way scan, and invalid ways sit in a per-set min-heap so fills
-consume them lowest-index-first without building a validity list per
-fill.  Replacement policies therefore only ever see full sets
-(:mod:`repro.sim.replacement`).
+State is flat, one entry per *slot* (``slot = set * ways + way``), in
+plain lists the native kernel receives as arrays of the same shape:
+
+* ``_tag`` — the resident line, or ``-1`` for an empty way (lines are
+  non-negative);
+* ``_pf`` / ``_used`` — the prefetched and used bits;
+* the replacement policy's ``meta_a`` (and, for SHiP, ``meta_b`` /
+  ``meta_c``) per-slot metadata (:mod:`repro.sim.replacement`).
+
+Two derived indexes complete it: one cache-wide ``_where`` dict maps each
+resident line to its slot, so ``lookup``/``probe``/``fill`` resolve
+residency in O(1), and ``_filled`` counts each set's filled ways.  Lines
+are never invalidated, so a set's empty ways are always the suffix
+``[filled, ways)`` and a fill into a non-full set takes
+``set * ways + filled`` — the lowest empty way.  Replacement policies
+therefore only ever see full sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from repro.sim.config import CacheGeometry
-from repro.sim.replacement import make_policy
+from repro.sim.replacement import LruPolicy, make_policy
 from repro.types import prefetch_accuracy as _prefetch_accuracy
 
 
@@ -58,17 +66,6 @@ class CacheStats:
     def prefetch_accuracy(self) -> float:
         """Fraction of prefetch fills later touched by a demand access."""
         return _prefetch_accuracy(self.useful_prefetches, self.useless_evictions)
-
-
-@dataclass(slots=True)
-class _Line:
-    """One way of one set (slotted: millions live per simulation)."""
-
-    tag: int = -1
-    valid: bool = False
-    prefetched: bool = False
-    used: bool = False
-    fill_cycle: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,43 +120,24 @@ class Cache:
         self.ways = geometry.ways
         self.latency = geometry.latency
         self.stats = CacheStats()
-        self._policy = make_policy(geometry.replacement)
+        slots = self.num_sets * self.ways
+        self._tag: list[int] = [-1] * slots
+        self._pf: list[bool] = [False] * slots
+        self._used: list[bool] = [False] * slots
+        self._where: dict[int, int] = {}
+        self._filled: list[int] = [0] * self.num_sets
+        self._policy = make_policy(geometry.replacement, slots)
         # LRU's touch bookkeeping is one int store; inlining it saves a
         # Python call on every lookup hit and fill (L1/L2 are LRU).
-        from repro.sim.replacement import LruPolicy
-
         self._policy_is_lru = type(self._policy) is LruPolicy
-        self._sets: list[list[_Line]] = [
-            [_Line() for _ in range(self.ways)] for _ in range(self.num_sets)
-        ]
-        self._meta: list[list] = [
-            [self._policy.new_meta() for _ in range(self.ways)]
-            for _ in range(self.num_sets)
-        ]
-        # Per-set tag→way index: O(1) residency checks beside the way list.
-        self._tags: list[dict[int, int]] = [{} for _ in range(self.num_sets)]
-        # Per-set min-heaps of invalid ways: fills take the lowest index
-        # first, matching the historical "first invalid way" victim rule.
-        self._free: list[list[int]] = [
-            list(range(self.ways)) for _ in range(self.num_sets)
-        ]
+        self._meta_a = self._policy.meta_a
         self._tick = 0
-
-    def _index(self, line: int) -> int:
-        return line % self.num_sets
-
-    def _find(self, line: int) -> tuple[int, int] | None:
-        set_idx = line % self.num_sets
-        way = self._tags[set_idx].get(line)
-        if way is None:
-            return None
-        return set_idx, way
 
     # -- public API ---------------------------------------------------------
 
     def probe(self, line: int) -> bool:
         """Check presence without touching stats or replacement state."""
-        return line in self._tags[line % self.num_sets]
+        return line in self._where
 
     def lookup(self, line: int, pc: int, is_load: bool, is_prefetch: bool) -> LookupResult:
         """Access the cache; updates stats and replacement state.
@@ -169,14 +147,13 @@ class Cache:
         """
         self._tick += 1
         stats = self.stats
-        set_idx = line % self.num_sets
-        way = self._tags[set_idx].get(line)
+        slot = self._where.get(line)
         if is_prefetch:
             stats.prefetch_accesses += 1
         else:
             stats.demand_accesses += 1
 
-        if way is None:
+        if slot is None:
             if is_prefetch:
                 stats.prefetch_misses += 1
             else:
@@ -185,27 +162,26 @@ class Cache:
                     stats.load_misses += 1
             return _MISS
 
-        entry = self._sets[set_idx][way]
         if self._policy_is_lru:
-            self._meta[set_idx][way] = self._tick
+            self._meta_a[slot] = self._tick
         else:
-            self._policy.on_hit(self._meta[set_idx], way, pc, self._tick)
+            self._policy.on_hit(slot, pc, self._tick)
         if not is_prefetch:
             stats.demand_hits += 1
-            if entry.prefetched:
-                if not entry.used:
-                    entry.used = True
+            if self._pf[slot]:
+                if not self._used[slot]:
+                    self._used[slot] = True
                     stats.useful_prefetches += 1
                     return _HIT_FIRST_USE
                 return _HIT_PREFETCHED
             return _HIT
         stats.prefetch_hits += 1
-        return _HIT_PREFETCHED if entry.prefetched else _HIT
+        return _HIT_PREFETCHED if self._pf[slot] else _HIT
 
-    def fill(self, line: int, pc: int, is_prefetch: bool, cycle: int = 0) -> EvictedLine | None:
+    def fill(self, line: int, pc: int, is_prefetch: bool) -> EvictedLine | None:
         """Insert *line*, evicting a victim if the set is full.
 
-        Returns the evicted line's bookkeeping (or ``None`` if an invalid
+        Returns the evicted line's bookkeeping (or ``None`` if an empty
         way was used).  Filling a line already present only refreshes its
         metadata.
 
@@ -215,68 +191,61 @@ class Cache:
         prefetch fills.  Change all three together.
         """
         self._tick += 1
-        set_idx = line % self.num_sets
-        tags = self._tags[set_idx]
-        meta = self._meta[set_idx]
-        existing = tags.get(line)
-        if existing is not None:
+        where = self._where
+        pf = self._pf
+        used = self._used
+        slot = where.get(line)
+        if slot is not None:
             # Duplicate fill (e.g. a demand fill racing a prefetch fill):
             # refresh but never downgrade a demand-fetched line to a
             # prefetched one.
-            entry = self._sets[set_idx][existing]
             if not is_prefetch:
-                entry.prefetched = entry.prefetched and entry.used
+                pf[slot] = pf[slot] and used[slot]
             return None
 
-        free = self._free[set_idx]
+        set_idx = line % self.num_sets
+        filled = self._filled[set_idx]
+        ways = self.ways
         evicted: EvictedLine | None = None
         is_lru = self._policy_is_lru
-        if free:
-            way = heappop(free)
-            entry = self._sets[set_idx][way]
+        if filled < ways:
+            slot = set_idx * ways + filled
+            self._filled[set_idx] = filled + 1
         else:
-            # The is_lru arm inlines LruPolicy.victim (evictions happen
-            # on nearly every post-warmup fill); keep the two in sync.
-            way = meta.index(min(meta)) if is_lru else self._policy.victim(meta)
-            entry = self._sets[set_idx][way]
+            base = set_idx * ways
+            if is_lru:
+                # Inlines LruPolicy.victim (evictions happen on nearly
+                # every post-warmup fill); keep the two in sync.
+                meta = self._meta_a
+                slot = meta.index(min(meta[base : base + ways]), base)
+            else:
+                slot = self._policy.victim(base, base + ways)
             self.stats.evictions += 1
-            if entry.prefetched and not entry.used:
+            if pf[slot] and not used[slot]:
                 self.stats.useless_evictions += 1
             if not is_lru:  # LRU's on_evict is a no-op
-                self._policy.on_evict(meta, way, entry.used)
-            evicted = EvictedLine(entry.tag, entry.prefetched, entry.used)
-            del tags[entry.tag]
+                self._policy.on_evict(slot)
+            victim = self._tag[slot]
+            evicted = EvictedLine(victim, pf[slot], used[slot])
+            del where[victim]
 
-        tags[line] = way
-        entry.tag = line
-        entry.valid = True
-        entry.prefetched = is_prefetch
-        entry.used = not is_prefetch
-        entry.fill_cycle = cycle
+        where[line] = slot
+        self._tag[slot] = line
+        pf[slot] = is_prefetch
+        used[slot] = not is_prefetch
         if is_lru:
-            meta[way] = self._tick
+            self._meta_a[slot] = self._tick
         else:
-            self._policy.on_fill(meta, way, pc, is_prefetch, self._tick)
+            self._policy.on_fill(slot, pc, is_prefetch, self._tick)
         self.stats.fills += 1
         if is_prefetch:
             self.stats.prefetch_fills += 1
         return evicted
 
-    def invalidate(self, line: int) -> bool:
-        """Remove *line* if present; returns True if it was present."""
-        set_idx = line % self.num_sets
-        way = self._tags[set_idx].pop(line, None)
-        if way is None:
-            return False
-        self._sets[set_idx][way] = _Line()
-        self._meta[set_idx][way] = self._policy.new_meta()
-        heappush(self._free[set_idx], way)
-        return True
-
     @property
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""
-        return sum(len(tags) for tags in self._tags)
+        return len(self._where)
 
     @property
     def capacity_lines(self) -> int:

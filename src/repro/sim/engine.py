@@ -46,7 +46,6 @@ from __future__ import annotations
 import dataclasses
 import gc
 import pickle
-import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
@@ -404,17 +403,16 @@ def _run_core(
 # --------------------------------------------------------------------------
 
 
-def _prefix_crc(records: Sequence[TraceRecord], stop: int, crc: int = 0, start: int = 0) -> int:
-    """CRC32 over ``records[start:stop]``, continuing from *crc*.
-
-    Byte-compatible with :attr:`repro.sim.trace.Trace.content_stamp`, so
-    a checkpoint's prefix stamp can be validated against any trace that
-    claims to share the consumed prefix (e.g. the same workload
-    generated at a longer length).
-    """
-    for r in islice(records, start, stop):
-        crc = zlib.crc32(b"%x %x %d %d;" % (r.pc, r.line, r.is_load, r.gap), crc)
-    return crc
+#: Version of the simulator object layout pickled into
+#: :attr:`EngineState.payload`.  Bump it whenever a change alters what a
+#: checkpoint's ``(hierarchy, core)`` pickle holds, so snapshots of an
+#: older layout are never offered for adoption:
+#: :meth:`repro.api.experiment.Cell.prefix_fingerprint` folds it into
+#: the checkpoint namespace key.  Result fingerprints do not see it — a
+#: layout change that keeps results bit-identical keeps every stored
+#: result.  Layout 2: flat per-slot cache lists (layout 1 held per-way
+#: line and SHiP metadata objects).
+STATE_LAYOUT = 2
 
 
 @dataclass(slots=True)
@@ -1029,20 +1027,28 @@ class MultiCoreEngine:
     # -- run ---------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        num_cores = self.config.num_cores
         quota = self.records_per_core
-        cores, measured = self.cores, self.measured
+        cores, measured, marks = self.cores, self.measured, self.marks
         window = self.telemetry_window
         controlled = window or self.progress is not None or self.cancel is not None
+        # Cores still short of their quota, in index order; a core leaves
+        # once it reaches the quota, so the pick below never rebuilds it.
+        active = [i for i in range(len(cores)) if measured[i] < quota]
+        step = self._step
         with _gc_paused():
-            while any(m < quota for m in measured):
-                active = [i for i in range(num_cores) if measured[i] < quota]
-                core_idx = min(active, key=lambda i: cores[i].cycle)
-                self._step(core_idx)
+            while active:
+                # The earliest core steps next; ties go to the lowest index.
+                core_idx = active[0]
+                earliest = cores[core_idx].cycle
+                for i in active:
+                    if cores[i].cycle < earliest:
+                        core_idx = i
+                        earliest = cores[i].cycle
+                step(core_idx)
+                if measured[core_idx] >= quota:
+                    active.remove(core_idx)
                 if controlled:
-                    just_warmed = self._warming and all(
-                        m is not None for m in self.marks
-                    )
+                    just_warmed = self._warming and None not in marks
                     if window and self.steps % window == 0:
                         # A row ending at the warmup transition is still
                         # all-warmup: the flag is cleared only after it.
@@ -1055,7 +1061,8 @@ class MultiCoreEngine:
                     if just_warmed:
                         self._warming = False
                     if self.cancel is not None and self.cancel():
-                        raise SimulationCancelled(self.steps)
+                        # Raising leaves the loop: one allocation per run.
+                        raise SimulationCancelled(self.steps)  # repro: ignore[hotpath]
                     if self.progress is not None and self.steps % _CONTROL_CHUNK == 0:
                         self.progress(min(measured), quota)
 

@@ -103,14 +103,12 @@ class CacheHierarchy:
         l2 = self.l2
         llc_stats = llc.stats
         l2_stats = l2.stats
-        llc_sets, llc_meta, llc_tags, llc_free = (
-            llc._sets, llc._meta, llc._tags, llc._free,
-        )
-        l2_sets, l2_meta, l2_tags, l2_free = (
-            l2._sets, l2._meta, l2._tags, l2._free,
-        )
-        llc_nsets = llc.num_sets
-        l2_nsets = l2.num_sets
+        llc_tag, llc_pf, llc_used = llc._tag, llc._pf, llc._used
+        llc_where, llc_filled, llc_meta = llc._where, llc._filled, llc._meta_a
+        l2_tag, l2_pf, l2_used = l2._tag, l2._pf, l2._used
+        l2_where, l2_filled, l2_meta = l2._where, l2._filled, l2._meta_a
+        llc_nsets, llc_ways = llc.num_sets, llc.ways
+        l2_nsets, l2_ways = l2.num_sets, l2.ways
         llc_is_lru = llc._policy_is_lru
         l2_is_lru = l2._policy_is_lru
         llc_policy = llc._policy
@@ -126,43 +124,40 @@ class CacheHierarchy:
             # line earns the useless callback (fired after the fill's
             # bookkeeping completes, as the method-call path did).
             llc._tick += 1
-            set_idx = line % llc_nsets
-            tags = llc_tags[set_idx]
-            way = tags.get(line)
+            slot = llc_where.get(line)
             useless_tag = -1
-            if way is not None:
+            if slot is not None:
                 if not as_prefetch:
-                    entry = llc_sets[set_idx][way]
-                    entry.prefetched = entry.prefetched and entry.used
+                    llc_pf[slot] = llc_pf[slot] and llc_used[slot]
             else:
-                meta = llc_meta[set_idx]
-                free = llc_free[set_idx]
-                if free:
-                    way = heappop(free)
-                    entry = llc_sets[set_idx][way]
+                set_idx = line % llc_nsets
+                filled = llc_filled[set_idx]
+                if filled < llc_ways:
+                    slot = set_idx * llc_ways + filled
+                    llc_filled[set_idx] = filled + 1
                 else:
-                    way = (
-                        meta.index(min(meta)) if llc_is_lru
-                        else llc_policy.victim(meta)
+                    base = set_idx * llc_ways
+                    slot = (
+                        llc_meta.index(min(llc_meta[base : base + llc_ways]), base)
+                        if llc_is_lru
+                        else llc_policy.victim(base, base + llc_ways)
                     )
-                    entry = llc_sets[set_idx][way]
                     llc_stats.evictions += 1
-                    if entry.prefetched and not entry.used:
+                    victim = llc_tag[slot]
+                    if llc_pf[slot] and not llc_used[slot]:
                         llc_stats.useless_evictions += 1
-                        useless_tag = entry.tag
+                        useless_tag = victim
                     if not llc_is_lru:
-                        llc_policy.on_evict(meta, way, entry.used)
-                    del tags[entry.tag]
-                tags[line] = way
-                entry.tag = line
-                entry.valid = True
-                entry.prefetched = as_prefetch
-                entry.used = not as_prefetch
-                entry.fill_cycle = completion
+                        llc_policy.on_evict(slot)
+                    del llc_where[victim]
+                llc_where[line] = slot
+                llc_tag[slot] = line
+                llc_pf[slot] = as_prefetch
+                llc_used[slot] = not as_prefetch
                 if llc_is_lru:
-                    meta[way] = llc._tick
+                    llc_meta[slot] = llc._tick
                 else:
-                    llc_policy.on_fill(meta, way, 0, as_prefetch, llc._tick)
+                    llc_policy.on_fill(slot, 0, as_prefetch, llc._tick)
                 llc_stats.fills += 1
                 if as_prefetch:
                     llc_stats.prefetch_fills += 1
@@ -171,41 +166,37 @@ class CacheHierarchy:
 
             # L2 fill (same shape; the caller discards the eviction).
             l2._tick += 1
-            set_idx = line % l2_nsets
-            tags = l2_tags[set_idx]
-            way = tags.get(line)
-            if way is not None:
+            slot = l2_where.get(line)
+            if slot is not None:
                 if not as_prefetch:
-                    entry = l2_sets[set_idx][way]
-                    entry.prefetched = entry.prefetched and entry.used
+                    l2_pf[slot] = l2_pf[slot] and l2_used[slot]
             else:
-                meta = l2_meta[set_idx]
-                free = l2_free[set_idx]
-                if free:
-                    way = heappop(free)
-                    entry = l2_sets[set_idx][way]
+                set_idx = line % l2_nsets
+                filled = l2_filled[set_idx]
+                if filled < l2_ways:
+                    slot = set_idx * l2_ways + filled
+                    l2_filled[set_idx] = filled + 1
                 else:
-                    way = (
-                        meta.index(min(meta)) if l2_is_lru
-                        else l2_policy.victim(meta)
+                    base = set_idx * l2_ways
+                    slot = (
+                        l2_meta.index(min(l2_meta[base : base + l2_ways]), base)
+                        if l2_is_lru
+                        else l2_policy.victim(base, base + l2_ways)
                     )
-                    entry = l2_sets[set_idx][way]
                     l2_stats.evictions += 1
-                    if entry.prefetched and not entry.used:
+                    if l2_pf[slot] and not l2_used[slot]:
                         l2_stats.useless_evictions += 1
                     if not l2_is_lru:
-                        l2_policy.on_evict(meta, way, entry.used)
-                    del tags[entry.tag]
-                tags[line] = way
-                entry.tag = line
-                entry.valid = True
-                entry.prefetched = as_prefetch
-                entry.used = not as_prefetch
-                entry.fill_cycle = completion
+                        l2_policy.on_evict(slot)
+                    del l2_where[l2_tag[slot]]
+                l2_where[line] = slot
+                l2_tag[slot] = line
+                l2_pf[slot] = as_prefetch
+                l2_used[slot] = not as_prefetch
                 if l2_is_lru:
-                    meta[way] = l2._tick
+                    l2_meta[slot] = l2._tick
                 else:
-                    l2_policy.on_fill(meta, way, 0, as_prefetch, l2._tick)
+                    l2_policy.on_fill(slot, 0, as_prefetch, l2._tick)
                 l2_stats.fills += 1
                 if as_prefetch:
                     l2_stats.prefetch_fills += 1
@@ -246,7 +237,7 @@ class CacheHierarchy:
         if l2_result.hit:
             if l2_result.first_use_of_prefetch:
                 self.prefetcher.on_demand_hit_prefetched(line, now)
-            self._l1_fill(line, pc, False, now)
+            self._l1_fill(line, pc, False)
             return now + self._l2_latency
 
         # An in-flight prefetch covering this line counts as a (late)
@@ -262,15 +253,15 @@ class CacheHierarchy:
             stats.useful_prefetches += 1
             self.prefetcher.on_demand_hit_prefetched(line, now)
             completion = max(inflight, now + self._llc_latency)
-            self._l1_fill(line, pc, False, completion)
+            self._l1_fill(line, pc, False)
             return completion
 
         llc_result = self._llc_lookup(line, pc, record.is_load, False)
         if llc_result.hit:
             if llc_result.first_use_of_prefetch:
                 self.prefetcher.on_demand_hit_prefetched(line, now)
-            self._l2_fill(line, pc, False, now)
-            self._l1_fill(line, pc, False, now)
+            self._l2_fill(line, pc, False)
+            self._l1_fill(line, pc, False)
             return now + self._llc_latency
 
         entry = self.mshr.outstanding(line)
@@ -287,9 +278,9 @@ class CacheHierarchy:
 
         completion = self.dram.access(line, now + self._llc_latency, is_prefetch=False)
         self.mshr.allocate(line, completion, is_prefetch=False)
-        self._llc_fill(line, pc, False, completion)
-        self._l2_fill(line, pc, False, completion)
-        self._l1_fill(line, pc, False, completion)
+        self._llc_fill(line, pc, False)
+        self._l2_fill(line, pc, False)
+        self._l1_fill(line, pc, False)
         return completion
 
     # -- prefetcher plumbing ------------------------------------------------------
@@ -323,7 +314,7 @@ class CacheHierarchy:
             # L1 prefetches fill the whole stack immediately on completion;
             # for simplicity they use the same pending-fill path plus an
             # eager L1 fill (timeliness at L1 is second-order here).
-            self.l1.fill(line, record.pc, is_prefetch=True, cycle=completion)
+            self.l1.fill(line, record.pc, is_prefetch=True)
 
     def _issue_prefetches(self, candidates: list[int], trigger_line: int, now: int) -> None:
         issued = 0

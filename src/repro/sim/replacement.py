@@ -1,14 +1,17 @@
 """Cache replacement policies: LRU and SHiP.
 
 The paper's LLC uses SHiP (Signature-based Hit Predictor, Wu et al.,
-MICRO 2011) while L1 and L2 uses LRU.  Both policies operate on a per-set
-list of ways; the cache stores per-way metadata and delegates victim
-selection and promotion decisions here.
+MICRO 2011) while L1 and L2 uses LRU.  A policy owns its per-way
+metadata as flat per-slot lists parallel to the cache's tag list
+(``slot = set * ways + way``; see :class:`repro.sim.cache.Cache`) and
+split the way the native kernel splits it: ``meta_a`` (LRU tick or
+SHiP RRPV), and for SHiP ``meta_b`` (signature) and ``meta_c`` (reused
+bit).  The cache calls the policy with a slot; victim selection takes
+the set's slot range ``[base, end)``.
 
-Victim selection only ever sees *full* sets: the cache satisfies fills
-from its per-set free-way pool first (see :class:`repro.sim.cache.Cache`),
-so policies no longer rescan a ``valid`` list per fill.  SHiP keeps its
-RRIP aging incremental — one pass computes the distance to the next
+Victim selection only ever sees *full* sets: the cache fills a set's
+empty ways first (see :class:`repro.sim.cache.Cache`).  SHiP keeps its
+RRIP aging incremental — one pass finds the distance to the next
 RRPV-saturated way and ages every way by that amount at once, instead of
 looping scan-and-increment rounds.
 """
@@ -16,70 +19,61 @@ looping scan-and-increment rounds.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 
 class ReplacementPolicy(ABC):
     """Interface for a per-cache replacement policy.
 
-    The cache calls :meth:`on_fill` when a line is inserted,
-    :meth:`on_hit` when a line is re-referenced, and :meth:`victim` to
-    choose the way to evict in a full set.  ``meta`` is the per-way
-    metadata list for the set, parallel to the tag array.  Metadata
-    objects are mutated in place across a way's lifetime — policies must
-    fully reinitialize them in :meth:`on_fill`.
+    The cache calls :meth:`on_fill` when a line is inserted into a
+    slot, :meth:`on_hit` when it is re-referenced, :meth:`victim` to
+    choose the slot to evict from a full set, and :meth:`on_evict`
+    just before that slot is refilled.  A policy is built for the
+    cache's slot count (``num_sets * ways``); ``meta_a`` holds one int
+    per slot, and :meth:`on_fill` must fully reinitialize a slot's
+    metadata.
     """
 
-    @abstractmethod
-    def new_meta(self) -> object:
-        """Return fresh metadata for an empty way."""
+    meta_a: list[int]
 
     @abstractmethod
-    def on_fill(self, meta: list, way: int, pc: int, is_prefetch: bool, tick: int) -> None:
-        """Record a fill into *way*."""
+    def on_fill(self, slot: int, pc: int, is_prefetch: bool, tick: int) -> None:
+        """Record a fill into *slot*."""
 
     @abstractmethod
-    def on_hit(self, meta: list, way: int, pc: int, tick: int) -> None:
-        """Record a hit on *way*."""
+    def on_hit(self, slot: int, pc: int, tick: int) -> None:
+        """Record a hit on *slot*."""
 
     @abstractmethod
-    def victim(self, meta: list) -> int:
-        """Choose the way to evict from a full set."""
+    def victim(self, base: int, end: int) -> int:
+        """Choose the slot to evict from the full set ``[base, end)``."""
 
-    def on_evict(self, meta: list, way: int, was_reused: bool) -> None:
-        """Optional hook invoked when *way* is evicted."""
+    def on_evict(self, slot: int) -> None:
+        """Optional hook invoked when *slot* is evicted."""
 
 
 class LruPolicy(ReplacementPolicy):
     """Classic least-recently-used replacement.
 
-    Metadata per way is the tick of the last touch; the victim is the way
-    with the smallest tick, found with a C-level ``min`` over the int
-    list rather than a Python scan.
+    ``meta_a`` is the tick of each slot's last touch; the victim is the
+    slot with the smallest tick, found with a C-level ``min`` over the
+    set's slice rather than a Python scan.
     """
 
-    def new_meta(self) -> int:
-        return 0
+    def __init__(self, slots: int) -> None:
+        self.meta_a = [0] * slots
 
-    def on_fill(self, meta: list, way: int, pc: int, is_prefetch: bool, tick: int) -> None:
-        meta[way] = tick
+    def on_fill(self, slot: int, pc: int, is_prefetch: bool, tick: int) -> None:
+        self.meta_a[slot] = tick
 
-    def on_hit(self, meta: list, way: int, pc: int, tick: int) -> None:
-        meta[way] = tick
+    def on_hit(self, slot: int, pc: int, tick: int) -> None:
+        self.meta_a[slot] = tick
 
-    def victim(self, meta: list) -> int:
-        # Cache.fill inlines this expression on its eviction path for
-        # speed; change both together.
-        return meta.index(min(meta))
-
-
-@dataclass(slots=True)
-class ShipMeta:
-    """Per-way SHiP state: re-reference interval, signature, reuse bit."""
-
-    rrpv: int
-    sig: int
-    reused: bool
+    def victim(self, base: int, end: int) -> int:
+        # The replay paths inline this expression on their eviction
+        # paths for speed; change them together.  The first slot at or
+        # after *base* holding the set's minimum lies inside the set.
+        meta = self.meta_a
+        return meta.index(min(meta[base:end]), base)
 
 
 class ShipPolicy(ReplacementPolicy):
@@ -90,74 +84,69 @@ class ShipPolicy(ReplacementPolicy):
     to be re-referenced; unpromising signatures insert at distant re-
     reference interval (RRPV max) so they are evicted quickly.  This is
     the LLC policy in the paper's baseline (Table 5).
+
+    Per slot: ``meta_a`` is the RRPV, ``meta_b`` the fill signature and
+    ``meta_c`` the reused bit.
     """
 
     RRPV_MAX = 3
     SHCT_SIZE = 1024
     SHCT_MAX = 7
 
-    def __init__(self) -> None:
+    def __init__(self, slots: int) -> None:
+        self.meta_a = [self.RRPV_MAX] * slots
+        self.meta_b = [0] * slots
+        self.meta_c = [False] * slots
         self._shct = [self.SHCT_MAX // 2] * self.SHCT_SIZE
 
     def _signature(self, pc: int) -> int:
         return (pc ^ (pc >> 10)) % self.SHCT_SIZE
 
-    def new_meta(self) -> ShipMeta:
-        return ShipMeta(rrpv=self.RRPV_MAX, sig=0, reused=False)
-
-    def on_fill(self, meta: list, way: int, pc: int, is_prefetch: bool, tick: int) -> None:
+    def on_fill(self, slot: int, pc: int, is_prefetch: bool, tick: int) -> None:
         sig = self._signature(pc)
-        counter = self._shct[sig]
-        entry = meta[way]
         # Unpromising signatures (counter == 0) insert at distant RRPV;
         # prefetches are also inserted at distant RRPV so useless
         # prefetches leave quickly (standard SHiP prefetch handling).
-        if counter == 0 or is_prefetch:
-            entry.rrpv = self.RRPV_MAX
+        if self._shct[sig] == 0 or is_prefetch:
+            self.meta_a[slot] = self.RRPV_MAX
         else:
-            entry.rrpv = self.RRPV_MAX - 1
-        entry.sig = sig
-        entry.reused = False
+            self.meta_a[slot] = self.RRPV_MAX - 1
+        self.meta_b[slot] = sig
+        self.meta_c[slot] = False
 
-    def on_hit(self, meta: list, way: int, pc: int, tick: int) -> None:
-        entry = meta[way]
-        entry.rrpv = 0
-        if not entry.reused:
-            entry.reused = True
-            sig = entry.sig
+    def on_hit(self, slot: int, pc: int, tick: int) -> None:
+        self.meta_a[slot] = 0
+        if not self.meta_c[slot]:
+            self.meta_c[slot] = True
+            sig = self.meta_b[slot]
             if self._shct[sig] < self.SHCT_MAX:
                 self._shct[sig] += 1
 
-    def victim(self, meta: list) -> int:
+    def victim(self, base: int, end: int) -> int:
         # Equivalent to the textbook "scan for RRPV_MAX, else age all by
-        # one and rescan" loop: the way that saturates first is the
-        # lowest-indexed way holding the maximum RRPV, and every way
-        # ages by the same saturation distance.
-        best_way = 0
-        best_rrpv = meta[0].rrpv
-        for way in range(1, len(meta)):
-            rrpv = meta[way].rrpv
-            if rrpv > best_rrpv:
-                best_rrpv = rrpv
-                best_way = way
-        age = self.RRPV_MAX - best_rrpv
+        # one and rescan" loop: the slot that saturates first is the
+        # lowest-indexed slot holding the maximum RRPV, and every slot
+        # of the set ages by the same saturation distance.
+        rrpv = self.meta_a
+        best = max(rrpv[base:end])
+        victim = rrpv.index(best, base)
+        age = self.RRPV_MAX - best
         if age > 0:
-            for entry in meta:
-                entry.rrpv += age
-        return best_way
+            for slot in range(base, end):
+                rrpv[slot] += age
+        return victim
 
-    def on_evict(self, meta: list, way: int, was_reused: bool) -> None:
-        entry = meta[way]
-        if not entry.reused:
-            sig = entry.sig
+    def on_evict(self, slot: int) -> None:
+        if not self.meta_c[slot]:
+            sig = self.meta_b[slot]
             if self._shct[sig] > 0:
                 self._shct[sig] -= 1
 
 
-def make_policy(name: str) -> ReplacementPolicy:
-    """Instantiate a replacement policy by config name."""
+def make_policy(name: str, slots: int) -> ReplacementPolicy:
+    """Instantiate a replacement policy by config name for *slots* slots."""
     if name == "lru":
-        return LruPolicy()
+        return LruPolicy(slots)
     if name == "ship":
-        return ShipPolicy()
+        return ShipPolicy(slots)
     raise ValueError(f"unknown replacement policy: {name!r}")

@@ -438,6 +438,25 @@ def test_warmup_records_fingerprint_semantics():
     assert absolute.prefix_fingerprint() == fractional.prefix_fingerprint()
 
 
+def test_state_layout_salts_checkpoint_keys_only(monkeypatch):
+    """A new snapshot layout moves the checkpoint namespace (old
+    snapshots are never listed) but keeps every result fingerprint."""
+    from repro.api import Cell
+    from repro.sim import engine
+
+    cell = Cell(
+        trace="spec06/lbm-1",
+        prefetcher=PrefetcherSpec.of("pythia"),
+        system=SystemSpec.of("1c"),
+        trace_length=LENGTH,
+        warmup_fraction=0.2,
+    )
+    result_key, prefix_key = cell.fingerprint(), cell.prefix_fingerprint()
+    monkeypatch.setattr(engine, "STATE_LAYOUT", engine.STATE_LAYOUT + 1)
+    assert cell.prefix_fingerprint() != prefix_key
+    assert cell.fingerprint() == result_key
+
+
 def test_baseline_not_resimulated_for_telemetry(session):
     """Telemetry requests must not re-simulate cached baselines: the
     baseline's timeline is unreachable through the API, so the pairing

@@ -80,14 +80,6 @@ def test_duplicate_fill_keeps_line():
     assert cache.occupancy == 1
 
 
-def test_invalidate():
-    cache = small_cache()
-    cache.fill(9, pc=0, is_prefetch=False)
-    assert cache.invalidate(9)
-    assert not cache.probe(9)
-    assert not cache.invalidate(9)
-
-
 def test_prefetch_lookup_stats():
     cache = small_cache()
     cache.lookup(3, pc=0, is_load=False, is_prefetch=True)

@@ -1,10 +1,11 @@
 """Property-based invariants for the cache model and replacement policies.
 
-The PR 2 hot-path rework replaced the cache's linear way scans with
-tag→way dicts, free-way heaps, and inlined LRU bookkeeping; these tests
-pin the structural invariants that rework must preserve, by driving
-random (seeded, stdlib ``random``) operation sequences against
-:class:`repro.sim.cache.Cache` and checking after every step:
+The cache keeps its state in flat per-slot lists (``slot = set * ways +
+way``) beside a cache-wide line→slot dict and a per-set count of filled
+ways (:mod:`repro.sim.cache`).  These tests pin that layout's
+structural invariants by driving random (seeded, stdlib ``random``)
+operation sequences against :class:`repro.sim.cache.Cache` and checking
+after every step:
 
 * occupancy never exceeds capacity, per-set residency never exceeds the
   way count;
@@ -12,19 +13,23 @@ random (seeded, stdlib ``random``) operation sequences against
 * every eviction's victim was resident immediately before the fill —
   for LRU, it is exactly the least-recently-touched line of the set
   (checked against an independent shadow model);
-* the tag→way index, the way array, and the free-way heap stay mutually
-  consistent.
+* the line→slot dict, the tag list, and the per-set fill counts stay
+  mutually consistent, and each set's empty ways are its suffix.
+
+A size pin bounds a default LLC's pickled footprint, which is what
+checkpoints store (``tests/test_engine.py`` pins a whole snapshot).
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
 from repro.sim.cache import Cache
-from repro.sim.config import CacheGeometry
-from repro.sim.replacement import LruPolicy, ShipMeta, ShipPolicy
+from repro.sim.config import CacheGeometry, SystemConfig
+from repro.sim.replacement import LruPolicy, ShipPolicy
 from repro.types import LINE_SIZE
 
 pytestmark = pytest.mark.quick
@@ -43,23 +48,34 @@ def small_cache(replacement: str, sets: int = 8, ways: int = 4) -> Cache:
     return Cache("T", geometry)
 
 
+def set_tags(cache: Cache, set_idx: int) -> list[int]:
+    base = set_idx * cache.ways
+    return cache._tag[base : base + cache.ways]
+
+
 def assert_structurally_consistent(cache: Cache) -> None:
-    """Tag index ↔ way array ↔ free heap agreement, and capacity bounds."""
+    """Dict ↔ tag list ↔ per-set count agreement, and capacity bounds."""
+    ways = cache.ways
+    assert len(cache._tag) == len(cache._pf) == len(cache._used)
+    assert len(cache._tag) == cache.capacity_lines
+    for line, slot in cache._where.items():
+        assert cache._tag[slot] == line
+        assert slot // ways == line % cache.num_sets
     for set_idx in range(cache.num_sets):
-        tags = cache._tags[set_idx]
-        ways = cache._sets[set_idx]
-        free = set(cache._free[set_idx])
-        assert len(tags) <= cache.ways
-        for tag, way in tags.items():
-            assert ways[way].valid and ways[way].tag == tag
-            assert way not in free
-        # Every way is either indexed or free (never both, never neither).
-        assert len(tags) + len(free) == cache.ways
+        filled = cache._filled[set_idx]
+        tags = set_tags(cache, set_idx)
+        assert 0 <= filled <= ways
+        # Filled ways are the prefix, empty ways (tag -1) the suffix.
+        assert tags[filled:] == [-1] * (ways - filled)
+        for way, tag in enumerate(tags[:filled]):
+            assert tag != -1
+            assert cache._where[tag] == set_idx * ways + way
+    assert len(cache._where) == sum(cache._filled) == cache.occupancy
     assert cache.occupancy <= cache.capacity_lines
 
 
 def resident_lines(cache: Cache, set_idx: int) -> set[int]:
-    return set(cache._tags[set_idx])
+    return {tag for tag in set_tags(cache, set_idx) if tag != -1}
 
 
 @pytest.mark.parametrize("replacement", ["lru", "ship"])
@@ -69,12 +85,11 @@ def test_random_op_sequence_invariants(replacement, seed):
     cache = small_cache(replacement)
     # A working set ~4x capacity keeps sets full and evictions frequent.
     lines = [rng.randrange(cache.capacity_lines * 4) for _ in range(64)]
-    for step in range(1500):
+    for _ in range(1500):
         line = rng.choice(lines)
         set_idx = line % cache.num_sets
         before = resident_lines(cache, set_idx)
-        op = rng.random()
-        if op < 0.45:
+        if rng.random() < 0.5:
             evictions_before = cache.stats.evictions
             occupancy_before = cache.occupancy
             result = cache.lookup(
@@ -88,11 +103,10 @@ def test_random_op_sequence_invariants(replacement, seed):
             # A hit never evicts.
             if result.hit:
                 assert cache.stats.evictions == evictions_before
-        elif op < 0.9:
+        else:
             was_resident = line in before
             evicted = cache.fill(
-                line, pc=rng.randrange(1 << 12),
-                is_prefetch=rng.random() < 0.3, cycle=step,
+                line, pc=rng.randrange(1 << 12), is_prefetch=rng.random() < 0.3
             )
             after = resident_lines(cache, set_idx)
             assert line in after
@@ -107,10 +121,6 @@ def test_random_op_sequence_invariants(replacement, seed):
                 assert len(before) == cache.ways
             else:
                 assert after == before | {line}
-        else:
-            present = cache.invalidate(line)
-            assert present == (line in before)
-            assert resident_lines(cache, set_idx) == before - {line}
         assert_structurally_consistent(cache)
 
 
@@ -122,7 +132,7 @@ def test_lru_victim_is_least_recently_touched(seed):
     rng = random.Random(seed)
     cache = small_cache("lru", sets=4, ways=4)
     shadow: dict[int, list[int]] = {i: [] for i in range(cache.num_sets)}  # MRU last
-    for step in range(1200):
+    for _ in range(1200):
         line = rng.randrange(cache.capacity_lines * 3)
         set_idx = line % cache.num_sets
         order = shadow[set_idx]
@@ -132,14 +142,10 @@ def test_lru_victim_is_least_recently_touched(seed):
                 order.remove(line)
                 order.append(line)
         else:
-            evicted = cache.fill(line, pc=0x400, is_prefetch=False, cycle=step)
+            evicted = cache.fill(line, pc=0x400, is_prefetch=False)
             if line in order:
+                # Duplicate fills do not touch recency.
                 assert evicted is None
-                # Cache.fill refreshes a resident line's metadata only on
-                # the LRU inline path via _tick; duplicate fills do not
-                # call the policy.  The shadow mirrors residency, not
-                # recency, for this case — and fill() indeed leaves
-                # recency untouched for duplicates, so nothing to do.
             else:
                 if evicted is not None:
                     assert order and evicted.line == order[0]
@@ -149,57 +155,69 @@ def test_lru_victim_is_least_recently_touched(seed):
 
 
 def test_lru_policy_victim_matches_min_scan():
-    policy = LruPolicy()
-    meta = [5, 3, 9, 3]
+    policy = LruPolicy(8)
+    # Two sets of four slots; the first set's smaller ticks must not
+    # leak into the second set's victim search.
+    policy.meta_a[:] = [0, 0, 0, 0, 5, 3, 9, 3]
     # Victim is the lowest tick; ties break to the lowest way index,
-    # matching the inlined ``meta.index(min(meta))`` in Cache.fill.
-    assert policy.victim(meta) == 1
+    # matching the inlined ``meta.index(min(meta[base:end]), base)``.
+    assert policy.victim(4, 8) == 5
+    assert policy.victim(0, 4) == 0
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_ship_victim_always_resident_and_aging_saturates(seed):
-    """SHiP's victim must be a resident way of the full set, and the
-    one-pass aging must leave the victim at RRPV max with every way aged
-    by the same distance."""
+    """SHiP's victim must be a slot of the full set, and the one-pass
+    aging must leave the victim at RRPV max with every slot of that set
+    — and no other — aged by the same distance."""
     rng = random.Random(seed)
-    policy = ShipPolicy()
     ways = 4
-    meta = [policy.new_meta() for _ in range(ways)]
-    for way in range(ways):
-        policy.on_fill(meta, way, pc=rng.randrange(1 << 12), is_prefetch=False, tick=way)
+    policy = ShipPolicy(2 * ways)
+    base, end = ways, 2 * ways  # the second set; the first is a bystander
+    for slot in range(2 * ways):
+        policy.on_fill(slot, pc=rng.randrange(1 << 12), is_prefetch=False, tick=slot)
     for step in range(400):
         if rng.random() < 0.5:
-            policy.on_hit(meta, rng.randrange(ways), pc=rng.randrange(1 << 12), tick=step)
-        before = [m.rrpv for m in meta]
-        victim = policy.victim(meta)
-        assert 0 <= victim < ways
+            policy.on_hit(rng.randrange(2 * ways), pc=rng.randrange(1 << 12), tick=step)
+        before = policy.meta_a[base:end]
+        bystander = policy.meta_a[:base]
+        victim = policy.victim(base, end)
+        assert base <= victim < end
         age = ShipPolicy.RRPV_MAX - max(before)
-        assert meta[victim].rrpv == ShipPolicy.RRPV_MAX
-        assert [m.rrpv for m in meta] == [r + age for r in before]
-        # The victim is the lowest-indexed way holding the max RRPV.
-        assert victim == before.index(max(before))
-        policy.on_evict(meta, victim, meta[victim].reused)
+        assert policy.meta_a[victim] == ShipPolicy.RRPV_MAX
+        assert policy.meta_a[base:end] == [r + age for r in before]
+        assert policy.meta_a[:base] == bystander
+        # The victim is the lowest-indexed slot holding the max RRPV.
+        assert victim - base == before.index(max(before))
+        policy.on_evict(victim)
         policy.on_fill(
-            meta, victim, pc=rng.randrange(1 << 12),
+            victim, pc=rng.randrange(1 << 12),
             is_prefetch=rng.random() < 0.3, tick=step,
         )
 
 
 def test_ship_shct_counters_stay_bounded():
     rng = random.Random(9)
-    policy = ShipPolicy()
-    meta = [policy.new_meta() for _ in range(4)]
-    for way in range(4):
-        policy.on_fill(meta, way, pc=way, is_prefetch=False, tick=0)
+    policy = ShipPolicy(4)
+    for slot in range(4):
+        policy.on_fill(slot, pc=slot, is_prefetch=False, tick=0)
     for step in range(2000):
         op = rng.random()
-        way = rng.randrange(4)
+        slot = rng.randrange(4)
         if op < 0.4:
-            policy.on_hit(meta, way, pc=rng.randrange(64), tick=step)
+            policy.on_hit(slot, pc=rng.randrange(64), tick=step)
         elif op < 0.7:
-            policy.on_evict(meta, way, meta[way].reused)
-            policy.on_fill(meta, way, pc=rng.randrange(64), is_prefetch=False, tick=step)
+            policy.on_evict(slot)
+            policy.on_fill(slot, pc=rng.randrange(64), is_prefetch=False, tick=step)
         else:
-            policy.victim(meta)
+            policy.victim(0, 4)
         assert all(0 <= c <= ShipPolicy.SHCT_MAX for c in policy._shct)
-        assert all(isinstance(m, ShipMeta) and m.rrpv >= 0 for m in meta)
+        assert all(0 <= r <= ShipPolicy.RRPV_MAX for r in policy.meta_a)
+
+
+def test_default_llc_pickles_small():
+    """A fresh 2 MB SHiP LLC (32,768 slots) is flat lists, not objects:
+    it pickles to under 0.6 MB (the per-way object layout took 2.36 MB)."""
+    llc = Cache("LLC", SystemConfig().llc)
+    assert llc.capacity_lines == 32_768
+    assert len(pickle.dumps(llc, protocol=pickle.HIGHEST_PROTOCOL)) < 600_000

@@ -271,6 +271,22 @@ class TestEngineStateRoundTrip:
         assert after != before  # update visible through the views
 
 
+class TestStateLayout:
+    def test_checkpoint_payload_size_pinned(self):
+        """The flat cache layout keeps a pythia snapshot under 1 MB
+        (the per-way object layout pickled this state to 3.43 MB)."""
+        sink = MemorySink()
+        SimulationEngine(
+            registry.cached_trace("spec06/gemsfdtd-1", 3_000),
+            prefetcher=registry.create("pythia"),
+            warmup_records=600,
+            checkpoints=sink,
+            checkpoint_every=3_000,
+        ).run()
+        state = sink.states[(3_000, (600,))]
+        assert state.size_bytes < 1_000_000
+
+
 class TestCheckpointResume:
     @pytest.mark.parametrize("spec", ["pythia-numpy", "spp"])
     def test_extension_resumes_bit_identical(self, spec):
