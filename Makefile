@@ -31,6 +31,9 @@
 #   make lint-changed - same checker, but only over the files git
 #                    reports as modified/untracked (plus the cross-file
 #                    passes); the cache covers the rest.
+#   make sanitize  - the native single-core and lockstep suites against an
+#                    AddressSanitizer + UndefinedBehaviorSanitizer build of
+#                    kernel.c (scripts/sanitize.py; needs libasan/libubsan).
 #   make coverage  - line coverage of src/repro/api + src/repro/workloads
 #                    (stdlib tracer, term-missing report) checked against
 #                    the floor in scripts/coverage_floor.json; re-record
@@ -40,7 +43,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: quick sweep-smoke resume-smoke stress-smoke test bench perfbench profile lint lint-changed coverage all
+.PHONY: quick sweep-smoke resume-smoke stress-smoke test bench perfbench profile lint lint-changed sanitize coverage all
 
 quick:
 	$(PY) -m pytest -m quick -q
@@ -71,6 +74,9 @@ lint:
 
 lint-changed:
 	$(PY) -m repro.analysis --changed
+
+sanitize:
+	$(PY) scripts/sanitize.py
 
 coverage:
 	$(PY) scripts/coverage.py

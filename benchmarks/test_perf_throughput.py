@@ -15,7 +15,11 @@ per-record loop it must stay bit-identical to
 is present (the rows are ``null`` otherwise, with a visible notice, so
 the bench degrades exactly like the engine does).  The native SPP row
 is informational only: the kernel does not support SPP, so that cell
-pins the per-cell fallback at batched-level throughput.  Schema 3.
+pins the per-cell fallback at batched-level throughput.  Schema 4 adds
+``lockstep_records_per_s``: a fixed homogeneous four-core
+``spec06/lbm`` pythia mix (``MultiCoreEngine``, every core replaying
+``MIX_RECORDS`` records) on the Python lockstep loop and on the native
+one.
 
 The ``SEED_RECORDS_PER_S`` constants are the pre-PR-2 seed throughput
 measured un-instrumented on an otherwise-idle machine (commit
@@ -91,6 +95,16 @@ NATIVE_REGRESSION_FLOORS = {"none": 150_000, "pythia": 90_000, "pythia_200k": 90
 #: this multiple of the batched row on the reference runner.
 NATIVE_MIN_SPEEDUP_VS_BATCHED = 2.0
 
+#: The lockstep row's mix: MIX_CORES copies of MIX_TRACE with pythia on
+#: every core, each core replaying MIX_RECORDS records (warmup included).
+MIX_TRACE = "spec06/lbm"
+MIX_CORES = 4
+MIX_RECORDS = 10_000
+
+#: REPRO_PERF_STRICT with a C compiler: the native lockstep loop must
+#: hold at least this multiple of the Python loop's records/s.
+LOCKSTEP_MIN_SPEEDUP = 3.0
+
 #: Machine-independent sanity floor, records/s: catches a hot loop
 #: that has collapsed (e.g. an accidental O(n) re-scan) on any box.
 SANITY_FLOOR = 2_000
@@ -123,6 +137,28 @@ def _measure(backend: str, repeats: int) -> dict[str, float]:
     return rates
 
 
+def _lockstep_throughput(backend: str, repeats: int) -> float:
+    """Best-of-*repeats* lockstep steps/s for the mix row on *backend*
+    (``"scalar"``: the Python loop; ``"native"``: the kernel)."""
+    from repro.sim.engine import MultiCoreEngine
+    from repro.workloads.mixes import homogeneous_mix_names
+
+    traces = [
+        registry.cached_trace(name, MIX_RECORDS)
+        for name in homogeneous_mix_names(MIX_TRACE, MIX_CORES)
+    ]
+    config = replace(registry.system(f"{MIX_CORES}c"), replay_backend=backend)
+    best = 0.0
+    for _ in range(repeats):
+        engine = MultiCoreEngine(
+            traces, config, lambda: registry.create("pythia"), WARMUP
+        )
+        start = time.perf_counter()
+        engine.run()
+        best = max(best, engine.steps / (time.perf_counter() - start))
+    return best
+
+
 @pytest.mark.quick
 def test_perf_smoke() -> None:
     """Sub-second sanity: the hot loop sustains real throughput at all."""
@@ -138,9 +174,11 @@ def test_perf_throughput() -> None:
     # Scalar rows ride along for the trajectory (and as the honest
     # denominator for the batched speedup); one repeat bounds bench time.
     scalar_rates = _measure("scalar", repeats=1)
+    lockstep = {"python": _lockstep_throughput("scalar", repeats=1), "native": None}
     native_rates = None
     if _native.available():
         native_rates = _measure("native", repeats=2)
+        lockstep["native"] = _lockstep_throughput("native", repeats=2)
     else:
         print(
             "NOTICE: native replay kernel unavailable (no C compiler?); "
@@ -149,7 +187,7 @@ def test_perf_throughput() -> None:
 
     payload = {
         "bench": "perf_throughput",
-        "schema": 3,
+        "schema": 4,
         "cell": {
             "trace": TRACE,
             "length": LENGTH,
@@ -178,6 +216,22 @@ def test_perf_throughput() -> None:
             else None
         ),
         "pythia_200k_floor_records_per_s": PYTHIA_200K_FLOOR,
+        "lockstep_cell": {
+            "trace": MIX_TRACE,
+            "cores": MIX_CORES,
+            "records_per_core": MIX_RECORDS,
+            "prefetcher": "pythia",
+            "warmup_fraction": WARMUP,
+            "system": f"{MIX_CORES}c",
+        },
+        "lockstep_records_per_s": {
+            k: (round(v) if v is not None else None) for k, v in lockstep.items()
+        },
+        "lockstep_native_speedup": (
+            round(lockstep["native"] / lockstep["python"], 2)
+            if lockstep["native"] is not None
+            else None
+        ),
     }
     if os.environ.get("REPRO_WRITE_BENCH"):
         BENCH_FILE.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -187,6 +241,7 @@ def test_perf_throughput() -> None:
                 "records_per_s": payload["records_per_s"],
                 "scalar_records_per_s": payload["scalar_records_per_s"],
                 "native_records_per_s": payload["native_records_per_s"],
+                "lockstep_records_per_s": payload["lockstep_records_per_s"],
             },
             indent=2,
             sort_keys=True,
@@ -211,6 +266,10 @@ def test_perf_throughput() -> None:
             assert rate > SANITY_FLOOR, (
                 f"{name} native throughput collapsed: {rate:,.0f} records/s"
             )
+    for loop, rate in lockstep.items():
+        assert rate is None or rate > SANITY_FLOOR, (
+            f"{loop} lockstep throughput collapsed: {rate:,.0f} records/s"
+        )
 
     if os.environ.get("REPRO_PERF_STRICT"):
         for name, floor in REGRESSION_FLOORS.items():
@@ -232,4 +291,9 @@ def test_perf_throughput() -> None:
             assert ratio >= NATIVE_MIN_SPEEDUP_VS_BATCHED, (
                 f"native pythia is only {ratio:.2f}x batched "
                 f"(acceptance requires >={NATIVE_MIN_SPEEDUP_VS_BATCHED}x)"
+            )
+            ratio = lockstep["native"] / lockstep["python"]
+            assert ratio >= LOCKSTEP_MIN_SPEEDUP, (
+                f"native lockstep is only {ratio:.2f}x the Python loop "
+                f"(requires >={LOCKSTEP_MIN_SPEEDUP}x)"
             )

@@ -37,11 +37,8 @@ def main(argv: list[str] | None = None) -> int:
 
     directory = Path(args.cache_dir) if args.cache_dir else build.cache_dir()
     if args.force:
-        import zlib
-
-        crc = zlib.crc32(build.kernel_source_path().read_bytes()) & 0xFFFFFFFF
-        stale = directory / f"kernel-{crc:08x}.so"
-        stale.unlink(missing_ok=True)
+        source = build.kernel_source_path().read_bytes()
+        build.object_path(source, directory).unlink(missing_ok=True)
 
     so = build.build(directory=directory)
     if so is None:

@@ -35,6 +35,11 @@
 # summary line prints its wall time; warm reruns hit
 # scripts/lint_cache.json and re-parse nothing.
 #
+# When the compiler ships the AddressSanitizer runtime, the sanitizer
+# tier (`make sanitize`, scripts/sanitize.py) re-runs the native
+# single-core and lockstep suites against an ASan + UBSan build of
+# kernel.c; otherwise it prints a NOTICE and is skipped.
+#
 # The final step re-runs the API/workloads-facing suites under the
 # stdlib coverage tracer (scripts/coverage.py) and fails the build if
 # line coverage of src/repro/api or src/repro/workloads drops below the
@@ -56,4 +61,9 @@ python -m repro.analysis src/repro benchmarks scripts tests
 python -m pytest -m quick -q --ignore=benchmarks/test_sweep_smoke.py --ignore=benchmarks/test_resume_smoke.py --ignore=tests/test_store_concurrency.py
 python -m pytest tests -q -m "not quick"
 python -m pytest benchmarks/test_perf_throughput.py -q -m "not quick"
+if [ -f "$(gcc -print-file-name=libasan.so 2>/dev/null)" ]; then
+    python scripts/sanitize.py
+else
+    echo "ci: NOTICE: no libasan runtime — sanitizer tier (make sanitize) skipped"
+fi
 python scripts/coverage.py

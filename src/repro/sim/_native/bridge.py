@@ -1,24 +1,37 @@
-"""ctypes bridge between the engine and the compiled replay kernel.
+"""ctypes bridge between the engines and the compiled replay kernel.
 
-The native backend is stateless per span: :func:`replay_span` copies the
-entire simulation state (caches, MSHR, DRAM, core, and — when training —
-the full Pythia agent) into flat NumPy buffers, hands them to
-``repro_replay_span`` in ``kernel.c``, and copies the result back into
-the Python objects.  The caches already hold their state in flat
-per-slot lists (:mod:`repro.sim.cache`), so each list crosses as one
-NumPy conversion each way; only the line→slot dict and the per-set fill
-counts are rebuilt from the tags on the way back.  The C kernel executes
-the exact operation sequence of :func:`repro.sim.batch.replay_span`, so
-the round trip is bit-identical: a span replayed natively leaves every
-counter, cache line, Q-value, and RNG word exactly where the batched
-(or scalar) backend would have left it, and checkpoints taken on either
-side of a native span restore interchangeably.
+The native backend is stateless per call.  :func:`replay_span` (one core,
+one record span) and :func:`replay_lockstep` (a whole multi-core mix)
+copy the simulation state into flat NumPy buffers, hand them to
+``kernel.c``, and copy the result back into the Python objects.  The
+state splits the way the kernel's argument structs do, and each half has
+one import and one export shared by both entry points:
 
-The round trip still costs ~15-20 ms per span for the default
+* :func:`_import_core` / :func:`_export_core` — one core's private state
+  (``_CoreArgs``): trace columns, L1 and L2, MSHR, prefetch fill queues,
+  core model, and — when training — the full Pythia agent;
+* :func:`_import_shared` / :func:`_export_shared` — what the cores share
+  (``_SharedArgs``): the LLC and DRAM.
+
+Both are built over one cache sub-struct (``_CacheArgs``).  The caches
+already hold their state in flat per-slot lists (:mod:`repro.sim.cache`),
+so each list crosses as one NumPy conversion each way; only the
+line→slot dict and the per-set fill counts are rebuilt from the tags on
+the way back.  The C kernel executes the exact operation sequence of
+:func:`repro.sim.batch.replay_span` (and, for mixes, of
+``MultiCoreEngine.run``), so the round trip is bit-identical: a span
+replayed natively leaves every counter, cache line, Q-value, and RNG word
+exactly where the batched (or scalar) loop would have left it, and
+checkpoints taken on either side of a native span restore
+interchangeably.
+
+A single-core span still costs ~15-20 ms of copying for the default
 hierarchy (2-vCPU host; most of it the 32,768-slot LLC's list
 conversions).  It is amortized over the span, so short spans (telemetry
 windows, control chunks near boundaries) are delegated to the batched
-backend instead — same results, better constant factor.
+backend instead — same results, better constant factor.  A mix needs no
+such threshold: its whole run is one call, so the copy is paid once per
+cell.
 
 ``ctypes`` usage is confined to this package (``repro.sim._native``);
 the ``native`` lint rule enforces that boundary.
@@ -27,6 +40,7 @@ the ``native`` lint rule enforces that boundary.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import random
 from collections import deque
 
@@ -39,6 +53,7 @@ from repro.core.qvstore import NumpyQVStore
 from repro.prefetchers.base import NoPrefetcher
 from repro.sim import batch
 from repro.sim._native import build
+from repro.sim.cache import CacheStats
 from repro.sim.mshr import MshrEntry
 from repro.sim.replacement import LruPolicy, ShipPolicy
 from repro.types import LINES_PER_PAGE, PAGE_SHIFT_LINES
@@ -52,27 +67,62 @@ _I64 = ctypes.c_int64
 _DBL = ctypes.c_double
 _PTR = ctypes.c_void_p
 
-_SHIP_SHCT_SIZE = 1024
 _PT_HIST = 4  # _PageHistory deque maxlen
 _LAST_PCS = 3  # FeatureExtractor._last_pcs maxlen
+#: CacheStats field order, which the kernel's stats arrays follow.
+_STAT_FIELDS = tuple(f.name for f in dataclasses.fields(CacheStats))
+#: Words per core in the lockstep mark arrays (kernel.c MARK_I64/F64).
+_MARK_I64 = 31
+_MARK_F64 = 2
 
 
-class _Args(ctypes.Structure):
-    """Mirror of ``ReplayArgs`` in kernel.c — keep field order in sync.
+class _CacheArgs(ctypes.Structure):
+    """Mirror of ``CacheArgs`` in kernel.c — keep field order in sync.
 
     Every member is 8 bytes on LP64, so the two layouts agree with no
-    padding; ``repro_abi_sizeof`` double-checks at load time.
+    padding (here and in the structs below); ``repro_abi_sizeof``
+    double-checks at load time.
     """
+
+    _fields_ = [
+        ("tag", _PTR), ("pf", _PTR), ("used", _PTR),
+        ("meta_a", _PTR), ("meta_b", _PTR), ("meta_c", _PTR),
+        ("stats", _PTR), ("shct", _PTR),
+        ("nsets", _I64), ("ways", _I64), ("lat", _I64),
+        ("tick", _I64), ("policy", _I64),
+    ]
+
+
+class _SharedArgs(ctypes.Structure):
+    """Mirror of ``SharedArgs`` in kernel.c: the LLC and DRAM."""
+
+    _fields_ = [
+        ("llc", _CacheArgs),
+        ("ev_ts", _PTR), ("ev_busy", _PTR),
+        ("ch_bus_free", _PTR), ("ch_demand_bus_free", _PTR),
+        ("ch_bank_free", _PTR), ("ch_open_row", _PTR),
+        ("ch_row_hits", _PTR), ("ch_row_misses", _PTR),
+        ("bucket_cycles", _PTR),
+        ("ev_head", _I64), ("ev_count", _I64), ("ev_cap", _I64),
+        ("channels", _I64), ("banks", _I64), ("row_size_lines", _I64),
+        ("row_hit_lat", _I64), ("row_miss_lat", _I64),
+        ("util_window", _I64),
+        ("dram_total", _I64), ("dram_demand", _I64), ("dram_prefetch", _I64),
+        ("last_bucket_cycle", _I64),
+        ("cycles_per_transfer", _DBL),
+        ("window_busy", _DBL), ("busy_cycles", _DBL),
+    ]
+
+
+class _CoreArgs(ctypes.Structure):
+    """Mirror of ``CoreArgs`` in kernel.c: one core's private state."""
 
     _fields_ = [
         # trace columns
         ("col_pc", _PTR), ("col_line", _PTR), ("col_load", _PTR),
         ("col_gap", _PTR), ("col_page", _PTR), ("col_offset", _PTR),
-        # caches
-        ("cache_tag", _PTR * 3), ("cache_pf", _PTR * 3),
-        ("cache_used", _PTR * 3), ("cache_meta_a", _PTR * 3),
-        ("cache_meta_b", _PTR * 3), ("cache_meta_c", _PTR * 3),
-        ("cache_stats", _PTR * 3), ("cache_shct", _PTR * 3),
+        # private caches
+        ("l1", _CacheArgs), ("l2", _CacheArgs),
         # MSHR
         ("mshr_line", _PTR), ("mshr_comp", _PTR), ("mshr_ispf", _PTR),
         ("mshrh_comp", _PTR), ("mshrh_line", _PTR),
@@ -80,12 +130,6 @@ class _Args(ctypes.Structure):
         ("pend_comp", _PTR), ("pend_line", _PTR),
         ("infl_line", _PTR), ("infl_comp", _PTR),
         ("merged_line", _PTR),
-        # DRAM
-        ("ev_ts", _PTR), ("ev_busy", _PTR),
-        ("ch_bus_free", _PTR), ("ch_demand_bus_free", _PTR),
-        ("ch_bank_free", _PTR), ("ch_open_row", _PTR),
-        ("ch_row_hits", _PTR), ("ch_row_misses", _PTR),
-        ("bucket_cycles", _PTR),
         # core
         ("out_issued", _PTR), ("out_comp", _PTR),
         # Pythia
@@ -97,22 +141,16 @@ class _Args(ctypes.Structure):
         ("pt_offsets", _PTR), ("pt_dlen", _PTR), ("pt_olen", _PTR),
         ("last_pcs", _PTR), ("mt", _PTR), ("plane_shifts", _PTR),
         # int64 scalars
+        ("trace_len", _I64),
         ("start", _I64), ("stop", _I64), ("processed", _I64),
         ("width", _I64), ("rob_size", _I64), ("instructions", _I64),
+        ("cycle_int", _I64),
         ("out_head", _I64), ("out_count", _I64), ("out_cap", _I64),
-        ("nsets", _I64 * 3), ("ways", _I64 * 3), ("lat", _I64 * 3),
-        ("tick", _I64 * 3), ("policy", _I64 * 3),
         ("mshr_count", _I64), ("mshr_cap", _I64),
         ("mshrh_count", _I64), ("mshrh_cap", _I64),
         ("pend_count", _I64), ("pend_cap", _I64),
         ("infl_count", _I64), ("infl_cap", _I64),
         ("merged_count", _I64), ("merged_cap", _I64),
-        ("ev_head", _I64), ("ev_count", _I64), ("ev_cap", _I64),
-        ("channels", _I64), ("banks", _I64), ("row_size_lines", _I64),
-        ("row_hit_lat", _I64), ("row_miss_lat", _I64),
-        ("util_window", _I64),
-        ("dram_total", _I64), ("dram_demand", _I64), ("dram_prefetch", _I64),
-        ("last_bucket_cycle", _I64),
         ("pf_issued", _I64), ("pf_dropped", _I64), ("late_merges", _I64),
         ("mshr_allocations", _I64), ("mshr_stalls", _I64),
         ("max_degree", _I64), ("page_shift", _I64), ("lines_per_page", _I64),
@@ -126,16 +164,29 @@ class _Args(ctypes.Structure):
         ("agent_updates", _I64), ("agent_explorations", _I64),
         # doubles
         ("cycle", _DBL), ("stall_cycles", _DBL),
-        ("cycles_per_transfer", _DBL),
-        ("window_busy", _DBL), ("busy_cycles", _DBL),
         ("hi_thresh", _DBL), ("epsilon", _DBL), ("alpha", _DBL),
         ("gamma", _DBL),
     ]
 
 
-def abi_size() -> int:
-    """Size the C side must report for the argument struct."""
-    return ctypes.sizeof(_Args)
+class _LockstepArgs(ctypes.Structure):
+    """Mirror of ``LockstepArgs`` in kernel.c: the engine's loop state."""
+
+    _fields_ = [
+        ("cores", _PTR), ("shared", _PTR),
+        ("cursors", _PTR), ("warm_remaining", _PTR), ("measured", _PTR),
+        ("marked", _PTR), ("mark_i64", _PTR), ("mark_f64", _PTR),
+        ("ncores", _I64), ("quota", _I64), ("steps", _I64),
+    ]
+
+
+#: The structs ``repro_abi_sizeof(which)`` reports, by *which*.
+_ABI_STRUCTS = (_CoreArgs, _SharedArgs, _LockstepArgs)
+
+
+def abi_sizes() -> tuple[int, ...]:
+    """Sizes the C side must report for the argument structs."""
+    return tuple(ctypes.sizeof(struct) for struct in _ABI_STRUCTS)
 
 
 # -- kernel handle ----------------------------------------------------------
@@ -150,7 +201,9 @@ def get_lib():
         # is a redundant build()/dlopen of the same cached object.
         _lib_state[0] = True  # repro: ignore[concurrency]
         lib = build.load()
-        if lib is not None and lib.repro_abi_sizeof() != abi_size():
+        if lib is not None and tuple(
+            lib.repro_abi_sizeof(which) for which in range(len(_ABI_STRUCTS))
+        ) != abi_sizes():
             build.log_fallback_once("kernel ABI size mismatch")
             lib = None
         _lib_state[1] = lib  # repro: ignore[concurrency]
@@ -171,8 +224,8 @@ def supports(hierarchy) -> bool:
 
     Anything else — L1 prefetchers, exotic replacement policies or
     prefetcher subclasses, non-basic Pythia feature vectors — falls
-    back to the batched backend per cell, exactly as batched falls back
-    to scalar.
+    back to the batched backend per cell (single-core) or to the Python
+    lockstep loop (mixes).
     """
     if hierarchy.l1_prefetcher is not None:
         return False
@@ -229,100 +282,502 @@ def _bits(arr):
     return arr.view(_np.bool_).tolist()
 
 
-def _import_cache(a, keep, idx, cache):
-    """Convert one cache level's per-slot lists to arrays for the kernel."""
-    n = cache.num_sets * cache.ways
+def _attach(args, bufs: dict, name: str, arr):
+    """Point ``args.<name>`` at *arr*, kept alive in *bufs* under *name*."""
+    bufs[name] = arr
+    setattr(args, name, arr.ctypes.data)
+    return arr
+
+
+def _headroom(config) -> int:
+    """Spare slots given to every variable-size array at import: more
+    than one record can add, so the kernel rarely has to return rc=1."""
+    return 4 * config.max_prefetch_degree + 256
+
+
+def _grow(args, bufs: dict, names, count: str, cap: str, new_cap: int) -> None:
+    """Reallocate the arrays *names* (``count`` entries used) to *new_cap*."""
+    used = getattr(args, count)
+    setattr(args, cap, new_cap)
+    for name in names:
+        old = bufs[name]
+        new = _np.zeros(new_cap, old.dtype)
+        new[:used] = old[:used]
+        _attach(args, bufs, name, new)
+
+
+# -- caches -----------------------------------------------------------------
+
+
+def _import_cache(k: _CacheArgs, cache) -> dict:
+    """Convert one cache level's per-slot lists to arrays for the kernel.
+
+    LRU caches leave the SHiP-only arrays null: the kernel touches them
+    only on its SHiP paths.
+    """
+    bufs: dict = {}
     policy = cache._policy
     ship = _POLICY_FLAGS[type(policy)]
-    tag = _np.array(cache._tag, _np.int64)
-    pf = _u8(cache._pf)
-    used = _u8(cache._used)
-    meta_a = _np.array(policy.meta_a, _np.int64)
+    _attach(k, bufs, "tag", _np.array(cache._tag, _np.int64))
+    _attach(k, bufs, "pf", _u8(cache._pf))
+    _attach(k, bufs, "used", _u8(cache._used))
+    _attach(k, bufs, "meta_a", _np.array(policy.meta_a, _np.int64))
     if ship:
-        meta_b = _np.array(policy.meta_b, _np.int64)
-        meta_c = _u8(policy.meta_c)
-        shct = _np.array(policy._shct, _np.int64)
-    else:
-        meta_b = _np.zeros(n, _np.int64)
-        meta_c = _np.zeros(n, _np.uint8)
-        shct = _np.zeros(_SHIP_SHCT_SIZE, _np.int64)
-    stats_obj = cache.stats
-    stats = _np.array(
-        [
-            stats_obj.demand_accesses,
-            stats_obj.demand_hits,
-            stats_obj.demand_misses,
-            stats_obj.load_misses,
-            stats_obj.prefetch_accesses,
-            stats_obj.prefetch_hits,
-            stats_obj.prefetch_misses,
-            stats_obj.fills,
-            stats_obj.prefetch_fills,
-            stats_obj.useful_prefetches,
-            stats_obj.useless_evictions,
-            stats_obj.evictions,
-        ],
-        _np.int64,
+        _attach(k, bufs, "meta_b", _np.array(policy.meta_b, _np.int64))
+        _attach(k, bufs, "meta_c", _u8(policy.meta_c))
+        _attach(k, bufs, "shct", _np.array(policy._shct, _np.int64))
+    stats = cache.stats
+    _attach(
+        k, bufs, "stats",
+        _np.array([getattr(stats, name) for name in _STAT_FIELDS], _np.int64),
     )
-    keep += [tag, pf, used, meta_a, meta_b, meta_c, stats, shct]
-    a.cache_tag[idx] = tag.ctypes.data
-    a.cache_pf[idx] = pf.ctypes.data
-    a.cache_used[idx] = used.ctypes.data
-    a.cache_meta_a[idx] = meta_a.ctypes.data
-    a.cache_meta_b[idx] = meta_b.ctypes.data
-    a.cache_meta_c[idx] = meta_c.ctypes.data
-    a.cache_stats[idx] = stats.ctypes.data
-    a.cache_shct[idx] = shct.ctypes.data
-    a.nsets[idx] = cache.num_sets
-    a.ways[idx] = cache.ways
-    a.lat[idx] = cache.latency
-    a.tick[idx] = cache._tick
-    a.policy[idx] = ship
-    return tag, pf, used, meta_a, meta_b, meta_c, stats, shct
+    k.nsets = cache.num_sets
+    k.ways = cache.ways
+    k.lat = cache.latency
+    k.tick = cache._tick
+    k.policy = ship
+    return bufs
 
 
-def _export_cache(a, idx, cache, bufs):
+#: Slots converted per step when copying an array back into its list,
+#: so an export never holds a full-size temporary list (a mix's shared
+#: LLC has 131,072 slots).
+_EXPORT_CHUNK = 8192
+
+
+def _copy_back(target: list, arr, convert=_np.ndarray.tolist) -> None:
+    """Overwrite list *target* with array *arr*'s values, chunk by chunk."""
+    for start in range(0, len(target), _EXPORT_CHUNK):
+        stop = start + _EXPORT_CHUNK
+        target[start:stop] = convert(arr[start:stop])
+
+
+def _export_cache(k: _CacheArgs, cache, bufs: dict) -> None:
     """Write one cache level's arrays back into its per-slot lists.
 
     The lists are updated in place (the cache and its policy share
-    ``meta_a``); the residency dict and the per-set fill counts are
-    rebuilt from the tags.
+    ``meta_a``); the residency dict, keyed by the tag list's own int
+    objects, and the per-set fill counts are rebuilt from the tags.
+    Each array leaves *bufs* once copied, so the arrays are freed as the
+    export goes.
     """
-    tag, pf, used, meta_a, meta_b, meta_c, stats, shct = bufs
     policy = cache._policy
-    cache._tag[:] = tag.tolist()
-    cache._pf[:] = _bits(pf)
-    cache._used[:] = _bits(used)
-    policy.meta_a[:] = meta_a.tolist()
-    if a.policy[idx]:
-        policy.meta_b[:] = meta_b.tolist()
-        policy.meta_c[:] = _bits(meta_c)
-        policy._shct[:] = shct.tolist()
-    resident = _np.flatnonzero(tag != -1)
+    tag = bufs.pop("tag")
+    occupied = tag != -1
+    cache._filled[:] = occupied.reshape(cache.num_sets, cache.ways).sum(axis=1).tolist()
+    resident = _np.flatnonzero(occupied).tolist()
+    del occupied
+    tags = cache._tag
+    _copy_back(tags, tag)
+    del tag
     cache._where.clear()
-    cache._where.update(zip(tag[resident].tolist(), resident.tolist()))
-    cache._filled[:] = (
-        (tag != -1).reshape(cache.num_sets, cache.ways).sum(axis=1).tolist()
+    cache._where.update(zip(map(tags.__getitem__, resident), resident))
+    del resident
+    _copy_back(cache._pf, bufs.pop("pf"), _bits)
+    _copy_back(cache._used, bufs.pop("used"), _bits)
+    _copy_back(policy.meta_a, bufs.pop("meta_a"))
+    if k.policy:
+        _copy_back(policy.meta_b, bufs.pop("meta_b"))
+        _copy_back(policy.meta_c, bufs.pop("meta_c"), _bits)
+        policy._shct[:] = bufs.pop("shct").tolist()
+    stats = cache.stats
+    for name, value in zip(_STAT_FIELDS, bufs.pop("stats").tolist()):
+        setattr(stats, name, value)
+    cache._tick = k.tick
+
+
+# -- shared state: LLC + DRAM -----------------------------------------------
+
+
+def _import_shared(s: _SharedArgs, llc, dram, headroom: int) -> dict:
+    """Import the LLC and DRAM every core of a run shares."""
+    bufs: dict = {"llc": _import_cache(s.llc, llc)}
+    events = dram._events
+    s.ev_head = 0
+    s.ev_count = len(events)
+    s.ev_cap = _pow2_at_least(len(events) + headroom)
+    ev_ts = _attach(s, bufs, "ev_ts", _np.zeros(s.ev_cap, _np.int64))
+    ev_busy = _attach(s, bufs, "ev_busy", _np.zeros(s.ev_cap, _np.float64))
+    if events:
+        ev_ts[: len(events)], ev_busy[: len(events)] = zip(*events)
+    channels = dram._channels
+    for name, dtype, values in (
+        ("ch_bus_free", _np.float64, [ch._bus_free for ch in channels]),
+        ("ch_demand_bus_free", _np.float64, [ch._demand_bus_free for ch in channels]),
+        ("ch_bank_free", _np.float64, [t for ch in channels for t in ch._bank_free]),
+        ("ch_open_row", _np.int64, [r for ch in channels for r in ch._open_row]),
+        ("ch_row_hits", _np.int64, [ch.row_hits for ch in channels]),
+        ("ch_row_misses", _np.int64, [ch.row_misses for ch in channels]),
+        ("bucket_cycles", _np.float64, dram._bucket_cycles),
+    ):
+        _attach(s, bufs, name, _np.array(values, dtype))
+    s.channels = len(channels)
+    s.banks = dram.config.banks_per_channel
+    s.row_size_lines = dram.config.row_size_lines
+    s.row_hit_lat = dram.config.row_hit_latency
+    s.row_miss_lat = dram.config.row_miss_latency
+    s.util_window = dram._window
+    s.dram_total = dram.total_requests
+    s.dram_demand = dram.demand_requests
+    s.dram_prefetch = dram.prefetch_requests
+    s.last_bucket_cycle = dram._last_bucket_cycle
+    s.cycles_per_transfer = dram.config.cycles_per_transfer
+    s.window_busy = dram._window_busy
+    s.busy_cycles = dram.busy_cycles
+    return bufs
+
+
+def _grow_shared(s: _SharedArgs, bufs: dict, headroom: int) -> None:
+    """Grow the DRAM event ring (linearized at export, so head == 0)."""
+    new_cap = _pow2_at_least(max(2 * s.ev_cap, s.ev_count + headroom))
+    _grow(s, bufs, ("ev_ts", "ev_busy"), "ev_count", "ev_cap", new_cap)
+
+
+def _export_shared(s: _SharedArgs, llc, dram, bufs: dict) -> None:
+    """Write the shared LLC and DRAM arrays back into their objects."""
+    _export_cache(s.llc, llc, bufs.pop("llc"))
+    events = dram._events
+    events.clear()
+    n = s.ev_count
+    events.extend(zip(bufs["ev_ts"][:n].tolist(), bufs["ev_busy"][:n].tolist()))
+    banks = s.banks
+    bus_free = bufs["ch_bus_free"].tolist()
+    demand_bus_free = bufs["ch_demand_bus_free"].tolist()
+    bank_free = bufs["ch_bank_free"].tolist()
+    open_row = bufs["ch_open_row"].tolist()
+    row_hits = bufs["ch_row_hits"].tolist()
+    row_misses = bufs["ch_row_misses"].tolist()
+    for c, ch in enumerate(dram._channels):
+        ch._bus_free = bus_free[c]
+        ch._demand_bus_free = demand_bus_free[c]
+        ch._bank_free[:] = bank_free[c * banks : (c + 1) * banks]
+        ch._open_row[:] = open_row[c * banks : (c + 1) * banks]
+        ch.row_hits = row_hits[c]
+        ch.row_misses = row_misses[c]
+    dram._bucket_cycles[:] = bufs["bucket_cycles"].tolist()
+    dram.total_requests = s.dram_total
+    dram.demand_requests = s.dram_demand
+    dram.prefetch_requests = s.dram_prefetch
+    dram._last_bucket_cycle = s.last_bucket_cycle
+    dram._window_busy = s.window_busy
+    dram.busy_cycles = s.busy_cycles
+
+
+# -- per-core state ---------------------------------------------------------
+
+#: Variable-size per-core arrays: (arrays, count field, capacity field).
+_CORE_FAMILIES = (
+    (("pend_comp", "pend_line"), "pend_count", "pend_cap"),
+    (("mshrh_comp", "mshrh_line"), "mshrh_count", "mshrh_cap"),
+    (("infl_line", "infl_comp"), "infl_count", "infl_cap"),
+    (("merged_line",), "merged_count", "merged_cap"),
+)
+
+
+def _import_core(c: _CoreArgs, hierarchy, core, cols, headroom: int) -> dict:
+    """Import one core's private state: columns, L1/L2, MSHR, fill queues,
+    core model and (when training) the Pythia agent."""
+    bufs: dict = {
+        "l1": _import_cache(c.l1, hierarchy.l1),
+        "l2": _import_cache(c.l2, hierarchy.l2),
+    }
+
+    # -- trace columns ------------------------------------------------------
+    _attach(c, bufs, "col_pc", cols.pc)
+    _attach(c, bufs, "col_line", cols.line)
+    _attach(c, bufs, "col_load", cols.is_load.view(_np.uint8))
+    _attach(c, bufs, "col_gap", cols.gap)
+    _attach(c, bufs, "col_page", cols.page)
+    _attach(c, bufs, "col_offset", cols.offset)
+    c.trace_len = cols.length
+
+    # -- MSHR entries, then the variable-size families ----------------------
+    mshr = hierarchy.mshr
+    entries = list(mshr._entries.values())
+    c.mshr_cap = mshr.capacity
+    c.mshr_count = len(entries)
+    for name, dtype, values in (
+        ("mshr_line", _np.int64, [e.line for e in entries]),
+        ("mshr_comp", _np.int64, [e.completion for e in entries]),
+        ("mshr_ispf", _np.uint8, [e.is_prefetch for e in entries]),
+    ):
+        _attach(c, bufs, name, _np.zeros(mshr.capacity, dtype))[: len(values)] = values
+    c.mshr_allocations = mshr.allocations
+    c.mshr_stalls = mshr.stalls
+    sources = (
+        hierarchy._pending_fills,
+        mshr._by_completion,
+        hierarchy._inflight_prefetch.items(),
+        [(line,) for line in hierarchy._merged_inflight],
     )
-    stats_obj = cache.stats
+    for (names, count, cap), rows in zip(_CORE_FAMILIES, sources):
+        rows = list(rows)
+        setattr(c, count, len(rows))
+        setattr(c, cap, len(rows) + headroom)
+        for k, name in enumerate(names):
+            array = _attach(c, bufs, name, _np.zeros(len(rows) + headroom, _np.int64))
+            array[: len(rows)] = [row[k] for row in rows]
+
+    # -- core ---------------------------------------------------------------
+    outstanding = core._outstanding
+    c.width = core._width
+    c.rob_size = core._rob_size
+    c.instructions = core.instructions
+    c.cycle = core.cycle
+    c.cycle_int = type(core.cycle) is int
+    c.stall_cycles = core.stall_cycles
+    c.out_head = 0
+    c.out_count = len(outstanding)
+    c.out_cap = _pow2_at_least(core._rob_size + 8)
+    issued = _attach(c, bufs, "out_issued", _np.zeros(c.out_cap, _np.int64))
+    comp = _attach(c, bufs, "out_comp", _np.zeros(c.out_cap, _np.int64))
+    if outstanding:
+        issued[: len(outstanding)], comp[: len(outstanding)] = zip(*outstanding)
+
+    # -- hierarchy scalars --------------------------------------------------
+    c.pf_issued = hierarchy.prefetches_issued
+    c.pf_dropped = hierarchy.prefetches_dropped
+    c.late_merges = hierarchy.late_prefetch_merges
+    c.max_degree = hierarchy.config.max_prefetch_degree
+    c.hi_thresh = hierarchy.config.high_bw_threshold
+    c.page_shift = PAGE_SHIFT_LINES
+    c.lines_per_page = LINES_PER_PAGE
+
+    c.train = 1 if hierarchy._train_l2 else 0
+    if c.train:
+        _import_agent(c, bufs, hierarchy.prefetcher)
+    return bufs
+
+
+def _import_agent(c: _CoreArgs, bufs: dict, prefetcher) -> None:
+    """Import Pythia's Q-table, EQ, page table, PC history and RNG."""
+    config = prefetcher.config
+    agent = prefetcher.agent
+    extractor = prefetcher.extractor
+    nfeat = len(config.features)
+    _attach(c, bufs, "qcells", agent.qvstore.export_table())
+    _attach(c, bufs, "act_deltas", _np.array(config.actions, _np.int64))
+    _attach(c, bufs, "act_counts", _np.array(prefetcher.action_counts, _np.int64))
+    rewards = config.rewards
+    _attach(
+        c, bufs, "rw",
+        _np.array(
+            [
+                rewards.accurate_timely,
+                rewards.accurate_late,
+                rewards.coverage_loss,
+                rewards.inaccurate_high_bw,
+                rewards.inaccurate_low_bw,
+                rewards.no_prefetch_high_bw,
+                rewards.no_prefetch_low_bw,
+            ],
+            _np.float64,
+        ),
+    )
+    assigned = prefetcher.rewards_assigned
+    _attach(
+        c, bufs, "rw_assigned",
+        _np.array(
+            [
+                assigned["accurate_timely"],
+                assigned["accurate_late"],
+                assigned["coverage_loss"],
+                assigned["inaccurate"],
+                assigned["no_prefetch"],
+            ],
+            _np.int64,
+        ),
+    )
+    eq = agent.eq
+    c.eq_cap = eq.capacity
+    c.eq_head = 0
+    c.eq_count = len(eq._fifo)
+    eq_state = _attach(c, bufs, "eq_state", _np.zeros(c.eq_cap * nfeat, _np.int64))
+    eq_action = _attach(c, bufs, "eq_action", _np.zeros(c.eq_cap, _np.int64))
+    eq_line = _attach(c, bufs, "eq_line", _np.full(c.eq_cap, -1, _np.int64))
+    eq_reward = _attach(c, bufs, "eq_reward", _np.zeros(c.eq_cap, _np.float64))
+    eq_flags = _attach(c, bufs, "eq_flags", _np.zeros(c.eq_cap, _np.uint8))
+    for i, entry in enumerate(eq._fifo):
+        eq_state[i * nfeat : (i + 1) * nfeat] = entry.state
+        eq_action[i] = entry.action
+        if entry.prefetch_line is not None:
+            eq_line[i] = entry.prefetch_line
+        flags = 0
+        if entry.reward is not None:
+            flags |= 1
+            eq_reward[i] = entry.reward
+        if entry.filled:
+            flags |= 2
+        eq_flags[i] = flags
+    c.ptab_cap = extractor.page_table_size
+    c.ptab_count = len(extractor._pages)
+    pt_page = _attach(c, bufs, "pt_page", _np.zeros(c.ptab_cap, _np.int64))
+    pt_lastoff = _attach(c, bufs, "pt_lastoff", _np.zeros(c.ptab_cap, _np.int64))
+    pt_deltas = _attach(c, bufs, "pt_deltas", _np.zeros(c.ptab_cap * _PT_HIST, _np.int64))
+    pt_offsets = _attach(c, bufs, "pt_offsets", _np.zeros(c.ptab_cap * _PT_HIST, _np.int64))
+    pt_dlen = _attach(c, bufs, "pt_dlen", _np.zeros(c.ptab_cap, _np.uint8))
+    pt_olen = _attach(c, bufs, "pt_olen", _np.zeros(c.ptab_cap, _np.uint8))
+    for i, (page, hist) in enumerate(extractor._pages.items()):
+        pt_page[i] = page
+        pt_lastoff[i] = hist.last_offset
+        base = i * _PT_HIST
+        pt_deltas[base : base + len(hist.deltas)] = list(hist.deltas)
+        pt_dlen[i] = len(hist.deltas)
+        pt_offsets[base : base + len(hist.offsets)] = list(hist.offsets)
+        pt_olen[i] = len(hist.offsets)
+    last_pcs = _attach(c, bufs, "last_pcs", _np.zeros(_LAST_PCS, _np.int64))
+    c.lastpc_count = len(extractor._last_pcs)
+    last_pcs[: c.lastpc_count] = list(extractor._last_pcs)
+    version, words, bufs["rng_gauss"] = agent._rng.getstate()
+    if version != 3:  # pragma: no cover - CPython always uses 3
+        raise RuntimeError(f"unsupported Random state version {version}")
+    _attach(c, bufs, "mt", _np.array(words[:624], _np.uint32))
+    c.mt_index = words[624]
+    _attach(c, bufs, "plane_shifts", _np.array(config.plane_shifts, _np.int64))
+    c.nact = config.num_actions
+    c.nfeat = nfeat
+    c.nplanes = config.num_planes
+    c.plane_entries = config.plane_entries
+    c.agent_updates = agent.updates
+    c.agent_explorations = agent.explorations
+    c.epsilon = agent._epsilon
+    c.alpha = config.alpha
+    c.gamma = config.gamma
+
+
+def _grow_core(c: _CoreArgs, bufs: dict, headroom: int) -> None:
+    """Grow every variable-size per-core family (copying inside NumPy)."""
+    for names, count, cap in _CORE_FAMILIES:
+        new_cap = max(2 * getattr(c, cap), getattr(c, count) + headroom)
+        _grow(c, bufs, names, count, cap, new_cap)
+
+
+def _export_core(c: _CoreArgs, hierarchy, core, bufs: dict) -> None:
+    """Write one core's arrays back into its hierarchy, core and agent."""
+    _export_cache(c.l1, hierarchy.l1, bufs.pop("l1"))
+    _export_cache(c.l2, hierarchy.l2, bufs.pop("l2"))
+
+    # -- MSHR / pending / inflight / merged ---------------------------------
+    mshr = hierarchy.mshr
+    n = c.mshr_count
+    mshr._entries.clear()
+    for line, comp, ispf in zip(
+        bufs["mshr_line"][:n].tolist(),
+        bufs["mshr_comp"][:n].tolist(),
+        bufs["mshr_ispf"][:n].tolist(),
+    ):
+        mshr._entries[line] = MshrEntry(line, comp, bool(ispf))
+    n = c.mshrh_count
+    mshr._by_completion[:] = zip(
+        bufs["mshrh_comp"][:n].tolist(), bufs["mshrh_line"][:n].tolist()
+    )
+    mshr.allocations = c.mshr_allocations
+    mshr.stalls = c.mshr_stalls
+    n = c.pend_count
+    hierarchy._pending_fills[:] = zip(
+        bufs["pend_comp"][:n].tolist(), bufs["pend_line"][:n].tolist()
+    )
+    n = c.infl_count
+    inflight = hierarchy._inflight_prefetch
+    inflight.clear()
+    inflight.update(
+        zip(bufs["infl_line"][:n].tolist(), bufs["infl_comp"][:n].tolist())
+    )
+    merged = hierarchy._merged_inflight
+    merged.clear()
+    merged.update(bufs["merged_line"][: c.merged_count].tolist())
+
+    # -- core: a ROB stall leaves CoreModel.cycle an int, as in Python ------
+    core.cycle = int(c.cycle) if c.cycle_int else c.cycle
+    core.instructions = c.instructions
+    core.stall_cycles = c.stall_cycles
+    outstanding = core._outstanding
+    outstanding.clear()
+    n = c.out_count
+    outstanding.extend(
+        zip(bufs["out_issued"][:n].tolist(), bufs["out_comp"][:n].tolist())
+    )
+
+    # -- hierarchy counters -------------------------------------------------
+    hierarchy.prefetches_issued = c.pf_issued
+    hierarchy.prefetches_dropped = c.pf_dropped
+    hierarchy.late_prefetch_merges = c.late_merges
+
+    if c.train:
+        _export_agent(c, bufs, hierarchy.prefetcher)
+
+
+def _export_agent(c: _CoreArgs, bufs: dict, prefetcher) -> None:
+    agent = prefetcher.agent
+    extractor = prefetcher.extractor
+    nfeat = c.nfeat
+    agent.qvstore.import_table(bufs["qcells"])
+    prefetcher.action_counts[:] = bufs["act_counts"].tolist()
+    assigned = prefetcher.rewards_assigned
     (
-        stats_obj.demand_accesses,
-        stats_obj.demand_hits,
-        stats_obj.demand_misses,
-        stats_obj.load_misses,
-        stats_obj.prefetch_accesses,
-        stats_obj.prefetch_hits,
-        stats_obj.prefetch_misses,
-        stats_obj.fills,
-        stats_obj.prefetch_fills,
-        stats_obj.useful_prefetches,
-        stats_obj.useless_evictions,
-        stats_obj.evictions,
-    ) = stats.tolist()
-    cache._tick = a.tick[idx]
+        assigned["accurate_timely"],
+        assigned["accurate_late"],
+        assigned["coverage_loss"],
+        assigned["inaccurate"],
+        assigned["no_prefetch"],
+    ) = bufs["rw_assigned"].tolist()
+    agent.updates = c.agent_updates
+    agent.explorations = c.agent_explorations
+    eq = agent.eq
+    fifo = eq._fifo
+    by_line = eq._by_line
+    fifo.clear()
+    by_line.clear()
+    n = c.eq_count
+    state_l = bufs["eq_state"][: n * nfeat].tolist()
+    action_l = bufs["eq_action"][:n].tolist()
+    line_l = bufs["eq_line"][:n].tolist()
+    reward_l = bufs["eq_reward"][:n].tolist()
+    flags_l = bufs["eq_flags"][:n].tolist()
+    for i in range(n):
+        flags = flags_l[i]
+        line = line_l[i]
+        entry = EqEntry(
+            state=tuple(state_l[i * nfeat : (i + 1) * nfeat]),
+            action=action_l[i],
+            prefetch_line=line if line >= 0 else None,
+            reward=reward_l[i] if flags & 1 else None,
+            filled=bool(flags & 2),
+        )
+        fifo.append(entry)
+        if entry.prefetch_line is not None:
+            # Oldest-to-newest with overwrite == most recent wins,
+            # the invariant insert() maintains.
+            by_line[entry.prefetch_line] = entry
+    pages = extractor._pages
+    pages.clear()
+    n = c.ptab_count
+    page_l = bufs["pt_page"][:n].tolist()
+    lastoff_l = bufs["pt_lastoff"][:n].tolist()
+    dlen_l = bufs["pt_dlen"][:n].tolist()
+    olen_l = bufs["pt_olen"][:n].tolist()
+    deltas_l = bufs["pt_deltas"][: n * _PT_HIST].tolist()
+    offsets_l = bufs["pt_offsets"][: n * _PT_HIST].tolist()
+    for i in range(n):
+        base = i * _PT_HIST
+        pages[page_l[i]] = _PageHistory(
+            last_offset=lastoff_l[i],
+            deltas=deque(deltas_l[base : base + dlen_l[i]], maxlen=_PT_HIST),
+            offsets=deque(offsets_l[base : base + olen_l[i]], maxlen=_PT_HIST),
+        )
+    extractor._last_pcs.clear()
+    extractor._last_pcs.extend(bufs["last_pcs"][: c.lastpc_count].tolist())
+    agent._rng.setstate(
+        (3, tuple(bufs["mt"].tolist()) + (c.mt_index,), bufs["rng_gauss"])
+    )
 
 
-# -- the backend entry point ------------------------------------------------
+def _check(rc: int, where: str) -> None:
+    if rc not in (0, 1):
+        raise RuntimeError(f"native replay kernel failed (rc={rc}) {where}")
+
+
+# -- the backend entry points ------------------------------------------------
 
 
 def replay_span(hierarchy, core, cols, start, stop, stamp=None) -> None:
@@ -344,465 +799,109 @@ def replay_span(hierarchy, core, cols, start, stop, stamp=None) -> None:
         batch.replay_span(hierarchy, core, cols, start, stop, stamp=stamp)
         return
 
-    keep: list = []  # buffers that must outlive the C call
-    a = _Args()
-    a.start = start
-    a.stop = stop
-
-    # -- trace columns ------------------------------------------------------
-    load_u8 = cols.is_load.view(_np.uint8)
-    keep.append(load_u8)
-    a.col_pc = cols.pc.ctypes.data
-    a.col_line = cols.line.ctypes.data
-    a.col_load = load_u8.ctypes.data
-    a.col_gap = cols.gap.ctypes.data
-    a.col_page = cols.page.ctypes.data
-    a.col_offset = cols.offset.ctypes.data
-
-    # -- caches -------------------------------------------------------------
-    cache_bufs = [
-        _import_cache(a, keep, idx, cache)
-        for idx, cache in enumerate((hierarchy.l1, hierarchy.l2, hierarchy.llc))
-    ]
-
-    # -- MSHR ---------------------------------------------------------------
-    mshr = hierarchy.mshr
-    mshr_cap = mshr.capacity
-    mshr_line = _np.zeros(mshr_cap, _np.int64)
-    mshr_comp = _np.zeros(mshr_cap, _np.int64)
-    mshr_ispf = _np.zeros(mshr_cap, _np.uint8)
-    for i, (line, entry) in enumerate(mshr._entries.items()):
-        mshr_line[i] = line
-        mshr_comp[i] = entry.completion
-        mshr_ispf[i] = 1 if entry.is_prefetch else 0
-    a.mshr_count = len(mshr._entries)
-    a.mshr_cap = mshr_cap
-    heap = mshr._by_completion
-    a.mshrh_count = len(heap)
-    a.mshrh_cap = len(heap) + 4 * hierarchy.config.max_prefetch_degree + 256
-    mshrh_comp = _np.zeros(a.mshrh_cap, _np.int64)
-    mshrh_line = _np.zeros(a.mshrh_cap, _np.int64)
-    for i, (comp, line) in enumerate(heap):
-        mshrh_comp[i] = comp
-        mshrh_line[i] = line
-    a.mshr_allocations = mshr.allocations
-    a.mshr_stalls = mshr.stalls
-
-    # -- pending fills / inflight / merged ----------------------------------
-    pending = hierarchy._pending_fills
-    a.pend_count = len(pending)
-    a.pend_cap = len(pending) + 4 * hierarchy.config.max_prefetch_degree + 256
-    pend_comp = _np.zeros(a.pend_cap, _np.int64)
-    pend_line = _np.zeros(a.pend_cap, _np.int64)
-    for i, (comp, line) in enumerate(pending):
-        pend_comp[i] = comp
-        pend_line[i] = line
-    inflight = hierarchy._inflight_prefetch
-    a.infl_count = len(inflight)
-    a.infl_cap = len(inflight) + 4 * hierarchy.config.max_prefetch_degree + 256
-    infl_line = _np.zeros(a.infl_cap, _np.int64)
-    infl_comp = _np.zeros(a.infl_cap, _np.int64)
-    for i, (line, comp) in enumerate(inflight.items()):
-        infl_line[i] = line
-        infl_comp[i] = comp
-    merged = hierarchy._merged_inflight
-    a.merged_count = len(merged)
-    a.merged_cap = len(merged) + 256
-    merged_line = _np.zeros(a.merged_cap, _np.int64)
-    for i, line in enumerate(merged):
-        merged_line[i] = line
-    keep += [
-        mshr_line, mshr_comp, mshr_ispf, mshrh_comp, mshrh_line,
-        pend_comp, pend_line, infl_line, infl_comp, merged_line,
-    ]
-    a.mshr_line = mshr_line.ctypes.data
-    a.mshr_comp = mshr_comp.ctypes.data
-    a.mshr_ispf = mshr_ispf.ctypes.data
-    a.mshrh_comp = mshrh_comp.ctypes.data
-    a.mshrh_line = mshrh_line.ctypes.data
-    a.pend_comp = pend_comp.ctypes.data
-    a.pend_line = pend_line.ctypes.data
-    a.infl_line = infl_line.ctypes.data
-    a.infl_comp = infl_comp.ctypes.data
-    a.merged_line = merged_line.ctypes.data
-
-    # -- DRAM ---------------------------------------------------------------
-    dram = hierarchy.dram
-    events = dram._events
-    a.ev_head = 0
-    a.ev_count = len(events)
-    a.ev_cap = _pow2_at_least(
-        len(events) + 4 * hierarchy.config.max_prefetch_degree + 256
-    )
-    ev_ts = _np.zeros(a.ev_cap, _np.int64)
-    ev_busy = _np.zeros(a.ev_cap, _np.float64)
-    for i, (ts, busy) in enumerate(events):
-        ev_ts[i] = ts
-        ev_busy[i] = busy
-    channels = dram._channels
-    nch = len(channels)
-    banks = dram.config.banks_per_channel
-    ch_bus_free = _np.empty(nch, _np.float64)
-    ch_demand_bus_free = _np.empty(nch, _np.float64)
-    ch_bank_free = _np.empty(nch * banks, _np.float64)
-    ch_open_row = _np.empty(nch * banks, _np.int64)
-    ch_row_hits = _np.empty(nch, _np.int64)
-    ch_row_misses = _np.empty(nch, _np.int64)
-    for c, ch in enumerate(channels):
-        ch_bus_free[c] = ch._bus_free
-        ch_demand_bus_free[c] = ch._demand_bus_free
-        ch_bank_free[c * banks : (c + 1) * banks] = ch._bank_free
-        ch_open_row[c * banks : (c + 1) * banks] = ch._open_row
-        ch_row_hits[c] = ch.row_hits
-        ch_row_misses[c] = ch.row_misses
-    bucket = _np.array(dram._bucket_cycles, _np.float64)
-    keep += [
-        ev_ts, ev_busy, ch_bus_free, ch_demand_bus_free, ch_bank_free,
-        ch_open_row, ch_row_hits, ch_row_misses, bucket,
-    ]
-    a.ev_ts = ev_ts.ctypes.data
-    a.ev_busy = ev_busy.ctypes.data
-    a.ch_bus_free = ch_bus_free.ctypes.data
-    a.ch_demand_bus_free = ch_demand_bus_free.ctypes.data
-    a.ch_bank_free = ch_bank_free.ctypes.data
-    a.ch_open_row = ch_open_row.ctypes.data
-    a.ch_row_hits = ch_row_hits.ctypes.data
-    a.ch_row_misses = ch_row_misses.ctypes.data
-    a.bucket_cycles = bucket.ctypes.data
-    a.channels = nch
-    a.banks = banks
-    a.row_size_lines = dram.config.row_size_lines
-    a.row_hit_lat = dram.config.row_hit_latency
-    a.row_miss_lat = dram.config.row_miss_latency
-    a.util_window = dram._window
-    a.dram_total = dram.total_requests
-    a.dram_demand = dram.demand_requests
-    a.dram_prefetch = dram.prefetch_requests
-    a.last_bucket_cycle = dram._last_bucket_cycle
-    a.cycles_per_transfer = dram.config.cycles_per_transfer
-    a.window_busy = dram._window_busy
-    a.busy_cycles = dram.busy_cycles
-
-    # -- core ---------------------------------------------------------------
-    outstanding = core._outstanding
-    a.width = core._width
-    a.rob_size = core._rob_size
-    a.instructions = core.instructions
-    a.cycle = core.cycle
-    a.stall_cycles = core.stall_cycles
-    a.out_head = 0
-    a.out_count = len(outstanding)
-    a.out_cap = _pow2_at_least(core._rob_size + 8)
-    out_issued = _np.zeros(a.out_cap, _np.int64)
-    out_comp = _np.zeros(a.out_cap, _np.int64)
-    for i, (issued, comp) in enumerate(outstanding):
-        out_issued[i] = issued
-        out_comp[i] = comp
-    keep += [out_issued, out_comp]
-    a.out_issued = out_issued.ctypes.data
-    a.out_comp = out_comp.ctypes.data
-
-    # -- hierarchy scalars --------------------------------------------------
-    a.pf_issued = hierarchy.prefetches_issued
-    a.pf_dropped = hierarchy.prefetches_dropped
-    a.late_merges = hierarchy.late_prefetch_merges
-    a.max_degree = hierarchy.config.max_prefetch_degree
-    a.hi_thresh = hierarchy.config.high_bw_threshold
-    a.page_shift = PAGE_SHIFT_LINES
-    a.lines_per_page = LINES_PER_PAGE
-
-    # -- Pythia -------------------------------------------------------------
-    prefetcher = hierarchy.prefetcher
-    train = hierarchy._train_l2
-    a.train = 1 if train else 0
-    agent_bufs = None
-    rng_gauss = None
-    if train:
-        config = prefetcher.config
-        agent = prefetcher.agent
-        store = agent.qvstore
-        extractor = prefetcher.extractor
-        nfeat = len(config.features)
-        qcells = store.export_table()
-        act_deltas = _np.array(config.actions, _np.int64)
-        act_counts = _np.array(prefetcher.action_counts, _np.int64)
-        rewards = config.rewards
-        rw = _np.array(
-            [
-                rewards.accurate_timely,
-                rewards.accurate_late,
-                rewards.coverage_loss,
-                rewards.inaccurate_high_bw,
-                rewards.inaccurate_low_bw,
-                rewards.no_prefetch_high_bw,
-                rewards.no_prefetch_low_bw,
-            ],
-            _np.float64,
-        )
-        assigned = prefetcher.rewards_assigned
-        rw_assigned = _np.array(
-            [
-                assigned["accurate_timely"],
-                assigned["accurate_late"],
-                assigned["coverage_loss"],
-                assigned["inaccurate"],
-                assigned["no_prefetch"],
-            ],
-            _np.int64,
-        )
-        eq = agent.eq
-        a.eq_cap = eq.capacity
-        a.eq_head = 0
-        a.eq_count = len(eq._fifo)
-        eq_state = _np.zeros(a.eq_cap * nfeat, _np.int64)
-        eq_action = _np.zeros(a.eq_cap, _np.int64)
-        eq_line = _np.full(a.eq_cap, -1, _np.int64)
-        eq_reward = _np.zeros(a.eq_cap, _np.float64)
-        eq_flags = _np.zeros(a.eq_cap, _np.uint8)
-        for i, entry in enumerate(eq._fifo):
-            for f in range(nfeat):
-                eq_state[i * nfeat + f] = entry.state[f]
-            eq_action[i] = entry.action
-            if entry.prefetch_line is not None:
-                eq_line[i] = entry.prefetch_line
-            fl = 0
-            if entry.reward is not None:
-                fl |= 1
-                eq_reward[i] = entry.reward
-            if entry.filled:
-                fl |= 2
-            eq_flags[i] = fl
-        a.ptab_cap = extractor.page_table_size
-        a.ptab_count = len(extractor._pages)
-        pt_page = _np.zeros(a.ptab_cap, _np.int64)
-        pt_lastoff = _np.zeros(a.ptab_cap, _np.int64)
-        pt_deltas = _np.zeros(a.ptab_cap * _PT_HIST, _np.int64)
-        pt_offsets = _np.zeros(a.ptab_cap * _PT_HIST, _np.int64)
-        pt_dlen = _np.zeros(a.ptab_cap, _np.uint8)
-        pt_olen = _np.zeros(a.ptab_cap, _np.uint8)
-        for i, (page, hist) in enumerate(extractor._pages.items()):
-            pt_page[i] = page
-            pt_lastoff[i] = hist.last_offset
-            for j, d in enumerate(hist.deltas):
-                pt_deltas[i * _PT_HIST + j] = d
-            pt_dlen[i] = len(hist.deltas)
-            for j, o in enumerate(hist.offsets):
-                pt_offsets[i * _PT_HIST + j] = o
-            pt_olen[i] = len(hist.offsets)
-        last_pcs = _np.zeros(_LAST_PCS, _np.int64)
-        a.lastpc_count = len(extractor._last_pcs)
-        for i, pc in enumerate(extractor._last_pcs):
-            last_pcs[i] = pc
-        version, words, rng_gauss = agent._rng.getstate()
-        if version != 3:  # pragma: no cover - CPython always uses 3
-            raise RuntimeError(f"unsupported Random state version {version}")
-        mt = _np.array(words[:624], _np.uint32)
-        a.mt_index = words[624]
-        plane_shifts = _np.array(config.plane_shifts, _np.int64)
-        a.nact = config.num_actions
-        a.nfeat = nfeat
-        a.nplanes = config.num_planes
-        a.plane_entries = config.plane_entries
-        a.agent_updates = agent.updates
-        a.agent_explorations = agent.explorations
-        a.epsilon = agent._epsilon
-        a.alpha = config.alpha
-        a.gamma = config.gamma
-        agent_bufs = (
-            qcells, act_counts, rw_assigned, eq_state, eq_action, eq_line,
-            eq_reward, eq_flags, pt_page, pt_lastoff, pt_deltas, pt_offsets,
-            pt_dlen, pt_olen, last_pcs, mt,
-        )
-        keep += [act_deltas, rw, plane_shifts, *agent_bufs]
-        a.qcells = qcells.ctypes.data
-        a.act_deltas = act_deltas.ctypes.data
-        a.act_counts = act_counts.ctypes.data
-        a.rw = rw.ctypes.data
-        a.rw_assigned = rw_assigned.ctypes.data
-        a.eq_state = eq_state.ctypes.data
-        a.eq_action = eq_action.ctypes.data
-        a.eq_line = eq_line.ctypes.data
-        a.eq_reward = eq_reward.ctypes.data
-        a.eq_flags = eq_flags.ctypes.data
-        a.pt_page = pt_page.ctypes.data
-        a.pt_lastoff = pt_lastoff.ctypes.data
-        a.pt_deltas = pt_deltas.ctypes.data
-        a.pt_offsets = pt_offsets.ctypes.data
-        a.pt_dlen = pt_dlen.ctypes.data
-        a.pt_olen = pt_olen.ctypes.data
-        a.last_pcs = last_pcs.ctypes.data
-        a.mt = mt.ctypes.data
-        a.plane_shifts = plane_shifts.ctypes.data
-
-    # -- run (growing the variable-size arrays as the kernel asks) ----------
+    headroom = _headroom(hierarchy.config)
+    c = _CoreArgs()
+    s = _SharedArgs()
+    core_bufs = _import_core(c, hierarchy, core, cols, headroom)
+    shared_bufs = _import_shared(s, hierarchy.llc, hierarchy.dram, headroom)
+    c.start = start
+    c.stop = stop
     while True:
-        rc = lib.repro_replay_span(ctypes.byref(a))
+        rc = lib.repro_replay_span(ctypes.byref(c), ctypes.byref(s))
+        _check(rc, f"at record {c.start + c.processed}")
         if rc == 0:
             break
-        if rc != 1:
-            raise RuntimeError(
-                f"native replay kernel failed (rc={rc}) at record "
-                f"{a.start + a.processed}"
-            )
         # Headroom exhausted: the kernel exported a consistent state at
-        # a record boundary.  Grow every variable-size family (copying
-        # inside NumPy, no Python-object round trip) and re-enter.
-        a.start = a.start + a.processed
-        degree4 = 4 * hierarchy.config.max_prefetch_degree
+        # a record boundary.  Grow every variable-size family and
+        # re-enter at the record it stopped before.
+        c.start = c.start + c.processed
+        _grow_core(c, core_bufs, headroom)
+        _grow_shared(s, shared_bufs, headroom)
 
-        def _grown(old, used, new_cap):
-            new = _np.zeros(new_cap, old.dtype)
-            new[:used] = old[:used]
-            keep.append(new)
-            return new
+    _export_core(c, hierarchy, core, core_bufs)
+    _export_shared(s, hierarchy.llc, hierarchy.dram, shared_bufs)
 
-        a.pend_cap = max(2 * a.pend_cap, a.pend_count + degree4 + 256)
-        pend_comp = _grown(pend_comp, a.pend_count, a.pend_cap)
-        pend_line = _grown(pend_line, a.pend_count, a.pend_cap)
-        a.pend_comp = pend_comp.ctypes.data
-        a.pend_line = pend_line.ctypes.data
-        a.mshrh_cap = max(2 * a.mshrh_cap, a.mshrh_count + degree4 + 256)
-        mshrh_comp = _grown(mshrh_comp, a.mshrh_count, a.mshrh_cap)
-        mshrh_line = _grown(mshrh_line, a.mshrh_count, a.mshrh_cap)
-        a.mshrh_comp = mshrh_comp.ctypes.data
-        a.mshrh_line = mshrh_line.ctypes.data
-        a.infl_cap = max(2 * a.infl_cap, a.infl_count + degree4 + 256)
-        infl_line = _grown(infl_line, a.infl_count, a.infl_cap)
-        infl_comp = _grown(infl_comp, a.infl_count, a.infl_cap)
-        a.infl_line = infl_line.ctypes.data
-        a.infl_comp = infl_comp.ctypes.data
-        a.merged_cap = max(2 * a.merged_cap, a.merged_count + 256)
-        merged_line = _grown(merged_line, a.merged_count, a.merged_cap)
-        a.merged_line = merged_line.ctypes.data
-        # The event ring was linearized at export (head == 0).
-        a.ev_cap = _pow2_at_least(
-            max(2 * a.ev_cap, a.ev_count + degree4 + 256)
+
+def replay_lockstep(engine) -> None:
+    """Run a :class:`~repro.sim.engine.MultiCoreEngine`'s lockstep loop in C.
+
+    One import of every core's and the shared state, one kernel call that
+    replays steps until every core has measured the engine's quota, one
+    export — leaving the hierarchies, cores, shared LLC and DRAM, and the
+    engine's ``cursors``, ``warm_remaining``, ``measured``, ``marks`` and
+    ``steps`` exactly as the Python loop would.  The caller checks
+    :func:`usable` for every hierarchy first.
+
+    Raises:
+        RuntimeError: the kernel reported an internal error; no Python
+            state was written.
+    """
+    from repro.sim.engine import CounterMark
+
+    lib = get_lib()
+    n = len(engine.cores)
+    headroom = _headroom(engine.config)
+    cores = (_CoreArgs * n)()
+    core_bufs = [
+        _import_core(cores[i], hierarchy, core, trace.columns(), headroom)
+        for i, (hierarchy, core, trace) in enumerate(
+            zip(engine.hierarchies, engine.cores, engine.traces)
         )
-        ev_ts = _grown(ev_ts, a.ev_count, a.ev_cap)
-        ev_busy = _grown(ev_busy, a.ev_count, a.ev_cap)
-        a.ev_ts = ev_ts.ctypes.data
-        a.ev_busy = ev_busy.ctypes.data
-        a.ev_head = 0
+    ]
+    s = _SharedArgs()
+    shared_bufs = _import_shared(s, engine.llc, engine.dram, headroom)
 
-    # -- export: caches -----------------------------------------------------
-    for idx, cache in enumerate((hierarchy.l1, hierarchy.l2, hierarchy.llc)):
-        _export_cache(a, idx, cache, cache_bufs[idx])
-
-    # -- export: MSHR / pending / inflight / merged -------------------------
-    n = a.mshr_count
-    mshr._entries.clear()
-    for line, comp, ispf in zip(
-        mshr_line[:n].tolist(), mshr_comp[:n].tolist(), mshr_ispf[:n].tolist()
-    ):
-        mshr._entries[line] = MshrEntry(line, comp, bool(ispf))
-    n = a.mshrh_count
-    mshr._by_completion[:] = zip(
-        mshrh_comp[:n].tolist(), mshrh_line[:n].tolist()
+    lock = _LockstepArgs()
+    bufs: dict = {}
+    cursors = _attach(lock, bufs, "cursors", _np.array(engine.cursors, _np.int64))
+    warm = _attach(
+        lock, bufs, "warm_remaining", _np.array(engine.warm_remaining, _np.int64)
     )
-    mshr.allocations = a.mshr_allocations
-    mshr.stalls = a.mshr_stalls
-    n = a.pend_count
-    pending[:] = zip(pend_comp[:n].tolist(), pend_line[:n].tolist())
-    n = a.infl_count
-    inflight.clear()
-    inflight.update(zip(infl_line[:n].tolist(), infl_comp[:n].tolist()))
-    merged.clear()
-    merged.update(merged_line[: a.merged_count].tolist())
+    measured = _attach(lock, bufs, "measured", _np.array(engine.measured, _np.int64))
+    marks = engine.marks
+    marked = _attach(
+        lock, bufs, "marked", _np.array([m is not None for m in marks], _np.uint8)
+    )
+    mark_i64 = _attach(lock, bufs, "mark_i64", _np.zeros(n * _MARK_I64, _np.int64))
+    mark_f64 = _attach(lock, bufs, "mark_f64", _np.zeros(n * _MARK_F64, _np.float64))
+    lock.cores = ctypes.addressof(cores)
+    lock.shared = ctypes.addressof(s)
+    lock.ncores = n
+    lock.quota = engine.records_per_core
+    lock.steps = engine.steps
+    while True:
+        rc = lib.repro_replay_lockstep(ctypes.byref(lock))
+        _check(rc, f"at lockstep step {lock.steps}")
+        if rc == 0:
+            break
+        # Headroom exhausted before a step: every core's state was
+        # exported at the step boundary; grow and re-enter.
+        for c, cbufs in zip(cores, core_bufs):
+            _grow_core(c, cbufs, headroom)
+        _grow_shared(s, shared_bufs, headroom)
 
-    # -- export: DRAM -------------------------------------------------------
-    events.clear()
-    n = a.ev_count
-    events.extend(zip(ev_ts[:n].tolist(), ev_busy[:n].tolist()))
-    for c, ch in enumerate(channels):
-        ch._bus_free = ch_bus_free[c].item()
-        ch._demand_bus_free = ch_demand_bus_free[c].item()
-        ch._bank_free[:] = ch_bank_free[c * banks : (c + 1) * banks].tolist()
-        ch._open_row[:] = ch_open_row[c * banks : (c + 1) * banks].tolist()
-        ch.row_hits = ch_row_hits[c].item()
-        ch.row_misses = ch_row_misses[c].item()
-    dram._bucket_cycles[:] = bucket.tolist()
-    dram.total_requests = a.dram_total
-    dram.demand_requests = a.dram_demand
-    dram.prefetch_requests = a.dram_prefetch
-    dram._last_bucket_cycle = a.last_bucket_cycle
-    dram._window_busy = a.window_busy
-    dram.busy_cycles = a.busy_cycles
-
-    # -- export: core -------------------------------------------------------
-    core.cycle = a.cycle
-    core.instructions = a.instructions
-    core.stall_cycles = a.stall_cycles
-    outstanding.clear()
-    n = a.out_count
-    outstanding.extend(zip(out_issued[:n].tolist(), out_comp[:n].tolist()))
-
-    # -- export: hierarchy counters -----------------------------------------
-    hierarchy.prefetches_issued = a.pf_issued
-    hierarchy.prefetches_dropped = a.pf_dropped
-    hierarchy.late_prefetch_merges = a.late_merges
-
-    # -- export: Pythia -----------------------------------------------------
-    if train:
-        (
-            qcells, act_counts, rw_assigned, eq_state, eq_action, eq_line,
-            eq_reward, eq_flags, pt_page, pt_lastoff, pt_deltas, pt_offsets,
-            pt_dlen, pt_olen, last_pcs, mt,
-        ) = agent_bufs
-        store.import_table(qcells)
-        prefetcher.action_counts[:] = act_counts.tolist()
-        ra = rw_assigned.tolist()
-        assigned["accurate_timely"] = ra[0]
-        assigned["accurate_late"] = ra[1]
-        assigned["coverage_loss"] = ra[2]
-        assigned["inaccurate"] = ra[3]
-        assigned["no_prefetch"] = ra[4]
-        agent.updates = a.agent_updates
-        agent.explorations = a.agent_explorations
-        fifo = eq._fifo
-        by_line = eq._by_line
-        fifo.clear()
-        by_line.clear()
-        n = a.eq_count
-        state_l = eq_state[: n * nfeat].tolist()
-        action_l = eq_action[:n].tolist()
-        line_l = eq_line[:n].tolist()
-        reward_l = eq_reward[:n].tolist()
-        flags_l = eq_flags[:n].tolist()
-        for i in range(n):
-            fl = flags_l[i]
-            line = line_l[i]
-            entry = EqEntry(
-                state=tuple(state_l[i * nfeat : (i + 1) * nfeat]),
-                action=action_l[i],
-                prefetch_line=line if line >= 0 else None,
-                reward=reward_l[i] if fl & 1 else None,
-                filled=bool(fl & 2),
-            )
-            fifo.append(entry)
-            if entry.prefetch_line is not None:
-                # Oldest-to-newest with overwrite == most recent wins,
-                # the invariant insert() maintains.
-                by_line[entry.prefetch_line] = entry
-        pages = extractor._pages
-        pages.clear()
-        n = a.ptab_count
-        page_l = pt_page[:n].tolist()
-        lastoff_l = pt_lastoff[:n].tolist()
-        dlen_l = pt_dlen[:n].tolist()
-        olen_l = pt_olen[:n].tolist()
-        deltas_l = pt_deltas[: n * _PT_HIST].tolist()
-        offsets_l = pt_offsets[: n * _PT_HIST].tolist()
-        for i in range(n):
-            base = i * _PT_HIST
-            pages[page_l[i]] = _PageHistory(
-                last_offset=lastoff_l[i],
-                deltas=deque(deltas_l[base : base + dlen_l[i]], maxlen=_PT_HIST),
-                offsets=deque(
-                    offsets_l[base : base + olen_l[i]], maxlen=_PT_HIST
-                ),
-            )
-        extractor._last_pcs.clear()
-        extractor._last_pcs.extend(last_pcs[: a.lastpc_count].tolist())
-        agent._rng.setstate(
-            (3, tuple(mt.tolist()) + (a.mt_index,), rng_gauss)
+    # The shared LLC's arrays are the largest; export (and free) them first.
+    _export_shared(s, engine.llc, engine.dram, shared_bufs)
+    for i, (hierarchy, core) in enumerate(zip(engine.hierarchies, engine.cores)):
+        _export_core(cores[i], hierarchy, core, core_bufs[i])
+    engine.cursors[:] = cursors.tolist()
+    engine.warm_remaining[:] = warm.tolist()
+    engine.measured[:] = measured.tolist()
+    engine.steps = lock.steps
+    words = mark_i64.tolist()
+    floats = mark_f64.tolist()
+    nstats = len(_STAT_FIELDS)
+    for i, (mark, now_marked) in enumerate(zip(marks, marked.tolist())):
+        if mark is not None or not now_marked:
+            continue
+        m = words[i * _MARK_I64 : (i + 1) * _MARK_I64]
+        cycle, stalls = floats[i * _MARK_F64 : (i + 1) * _MARK_F64]
+        marks[i] = CounterMark(
+            instructions=m[0],
+            cycles=int(cycle) if m[1] else cycle,
+            stalls=stalls,
+            llc=dict(zip(_STAT_FIELDS, m[2 : 2 + nstats])),
+            l2=dict(zip(_STAT_FIELDS, m[2 + nstats : 2 + 2 * nstats])),
+            dram=tuple(m[26:29]),
+            prefetches=tuple(m[29:31]),
         )

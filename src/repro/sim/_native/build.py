@@ -31,7 +31,7 @@ _LOG = logging.getLogger("repro.sim.native")
 
 #: CRC-32 of the committed ``kernel.c`` (the ``native`` lint rule
 #: recomputes this from the source and fails on drift).
-KERNEL_SOURCE_CRC = 0xF23BF393
+KERNEL_SOURCE_CRC = 0xB52A906B
 
 #: ``-ffp-contract=off`` is load-bearing: fused multiply-adds would
 #: round differently from Python's separate multiply and add, breaking
@@ -68,6 +68,17 @@ def compiler() -> str | None:
     return shutil.which(os.environ.get("CC", "cc"))
 
 
+def object_path(source_bytes: bytes, directory: Path | None = None) -> Path:
+    """Cache path of the kernel compiled from *source_bytes*.
+
+    The name embeds the source CRC, so a cached file of that name *is*
+    the up-to-date build.
+    """
+    crc = zlib.crc32(source_bytes) & 0xFFFFFFFF
+    out_dir = Path(directory) if directory is not None else cache_dir()
+    return out_dir / f"kernel-{crc:08x}.so"
+
+
 def was_rebuilt() -> bool:
     """Whether the most recent :func:`build` call actually compiled."""
     return _last_build_rebuilt
@@ -89,16 +100,14 @@ def build(source: Path | None = None, directory: Path | None = None) -> Path | N
         text = src.read_bytes()
     except OSError:
         return None
-    crc = zlib.crc32(text) & 0xFFFFFFFF
-    out_dir = Path(directory) if directory is not None else cache_dir()
-    so = out_dir / f"kernel-{crc:08x}.so"
+    so = object_path(text, directory)
     if so.exists():
         return so
     cc = compiler()
     if cc is None:
         return None
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        so.parent.mkdir(parents=True, exist_ok=True)
     except OSError:
         return None
     tmp = so.with_name(f".{so.name}.{os.getpid()}.tmp")
@@ -127,13 +136,15 @@ def build(source: Path | None = None, directory: Path | None = None) -> Path | N
 
 
 def _bind(so: Path) -> ctypes.CDLL | None:
-    """dlopen the shared object and type its two entry points."""
+    """dlopen the shared object and type its entry points."""
     try:
         lib = ctypes.CDLL(str(so))
         lib.repro_abi_sizeof.restype = ctypes.c_int64
-        lib.repro_abi_sizeof.argtypes = []
+        lib.repro_abi_sizeof.argtypes = [ctypes.c_int64]
         lib.repro_replay_span.restype = ctypes.c_int64
-        lib.repro_replay_span.argtypes = [ctypes.c_void_p]
+        lib.repro_replay_span.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+        lib.repro_replay_lockstep.restype = ctypes.c_int64
+        lib.repro_replay_lockstep.argtypes = [ctypes.c_void_p]
     except (OSError, AttributeError):
         return None
     return lib

@@ -1,21 +1,24 @@
 /* Native replay kernel: the batched-epoch loop compiled to C.
  *
- * This translation unit replays a record span through one core +
- * hierarchy exactly like repro.sim.batch.replay_span — same operations,
- * on the same state, in the same order — with every Python structure
- * imported into flat arrays by repro.sim._native.bridge before the call
- * and exported back after it (the caches' per-slot lists map one to one
- * onto the cache_* arrays).  Bit-identity with the Python kernels is
- * the hard invariant: every double below is computed with the exact
- * operand order of the matching Python expression (IEEE-754 doubles ==
- * Python floats when op order matches; the build passes -ffp-contract=off
- * so no fused multiply-adds perturb rounding), every int is 64-bit
- * two's complement, and the Mersenne Twister + randrange/ random()
- * implementations reproduce CPython's random.Random draw for draw.
+ * This translation unit replays trace records through per-core caches,
+ * MSHRs and prefetchers in front of a shared LLC and DRAM exactly like
+ * repro.sim.batch.replay_span (one core) and MultiCoreEngine.run (the
+ * lockstep loop) -- same operations, on the same state, in the same
+ * order -- with every Python structure imported into flat arrays by
+ * repro.sim._native.bridge before the call and exported back after it
+ * (the caches' per-slot lists map one to one onto CacheArgs' arrays).
+ * Bit-identity with the Python loops is the hard invariant: every double
+ * below is computed with the exact operand order of the matching Python
+ * expression (IEEE-754 doubles == Python floats when op order matches;
+ * the build passes -ffp-contract=off so no fused multiply-adds perturb
+ * rounding), every int is 64-bit two's complement, and the Mersenne
+ * Twister + randrange/ random() implementations reproduce CPython's
+ * random.Random draw for draw.
  *
  * Mirrored sources (keep in sync; tests/test_hotpath_equivalence.py
  * pins the equivalence):
  *   repro/sim/batch.py        -- the record loop replayed here
+ *   repro/sim/engine.py       -- MultiCoreEngine.run / _step (lockstep)
  *   repro/sim/hierarchy.py    -- process_fills
  *   repro/sim/cache.py        -- lookup/fill bookkeeping, CacheStats order
  *   repro/sim/replacement.py  -- LruPolicy / ShipPolicy
@@ -32,36 +35,71 @@
  * (completion, line) compare so imported heap lists round-trip as valid
  * heaps; keys are unique, so pop order is content-determined either way.
  *
- * Entry point: repro_replay_span(ReplayArgs *).  Returns 0 when the
- * span completed, 1 when a capacity ran out (state is exported at a
- * record boundary; the bridge grows the arrays and re-enters), negative
- * on an internal invariant violation (state NOT exported; the bridge
- * raises and the engine's pre-span state stays consistent).
+ * Entry points (both return 0 when done, 1 when a capacity ran out --
+ * state is exported at a record boundary; the bridge grows the arrays
+ * and re-enters -- and negative on an internal invariant violation,
+ * with state NOT exported, so the bridge raises and the Python objects
+ * keep their pre-call state):
+ *   repro_replay_span(CoreArgs *, SharedArgs *)  records [start, stop)
+ *       of one core;
+ *   repro_replay_lockstep(LockstepArgs *)  MultiCoreEngine's lockstep
+ *       loop over every core until each has measured its quota.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* Field order must match bridge.py's ReplayArgs ctypes.Structure. */
-typedef struct ReplayArgs {
-    /* trace columns (full arrays; start/stop index into them) */
+/* One cache level: Cache's flat per-slot lists (nsets*ways slots,
+ * slot = set * ways + way), its geometry and its policy tick.
+ * Field order must match bridge.py's _CacheArgs. */
+typedef struct CacheArgs {
+    int64_t *tag;    /* resident line, -1 == empty way */
+    uint8_t *pf;     /* prefetched bit */
+    uint8_t *used;   /* used bit */
+    int64_t *meta_a; /* LRU tick or SHiP rrpv */
+    int64_t *meta_b; /* SHiP sig */
+    uint8_t *meta_c; /* SHiP reused */
+    int64_t *stats;  /* 12 counters, CacheStats field order */
+    int64_t *shct;   /* 1024 counters when policy == ship */
+    int64_t nsets, ways, lat, tick, policy; /* policy: 0=lru 1=ship */
+} CacheArgs;
+
+/* What every core shares: the LLC and DRAM.
+ * Field order must match bridge.py's _SharedArgs. */
+typedef struct SharedArgs {
+    CacheArgs llc;
+    /* DRAM: utilization events (linearized ring) + per-channel state */
+    int64_t *ev_ts;
+    double *ev_busy;
+    double *ch_bus_free;
+    double *ch_demand_bus_free;
+    double *ch_bank_free; /* channels*banks */
+    int64_t *ch_open_row; /* channels*banks */
+    int64_t *ch_row_hits;
+    int64_t *ch_row_misses;
+    double *bucket_cycles; /* [4] */
+    int64_t ev_head, ev_count, ev_cap;
+    int64_t channels, banks, row_size_lines, row_hit_lat, row_miss_lat;
+    int64_t util_window;
+    int64_t dram_total, dram_demand, dram_prefetch;
+    int64_t last_bucket_cycle;
+    double cycles_per_transfer;
+    double window_busy, busy_cycles;
+} SharedArgs;
+
+/* One core's private state: its trace columns, L1/L2, MSHR, prefetch
+ * fill queues, core model and Pythia agent.
+ * Field order must match bridge.py's _CoreArgs. */
+typedef struct CoreArgs {
+    /* trace columns (full arrays of trace_len records) */
     const int64_t *col_pc;
     const int64_t *col_line;
     const uint8_t *col_load;
     const int64_t *col_gap;
     const int64_t *col_page;
     const int64_t *col_offset;
-    /* caches, [0]=L1 [1]=L2 [2]=LLC; arrays are nsets*ways slots,
-     * slot = set * ways + way (Cache's flat per-slot lists) */
-    int64_t *cache_tag[3];        /* resident line, -1 == empty way */
-    uint8_t *cache_pf[3];         /* prefetched bit */
-    uint8_t *cache_used[3];       /* used bit */
-    int64_t *cache_meta_a[3];     /* LRU tick or SHiP rrpv */
-    int64_t *cache_meta_b[3];     /* SHiP sig */
-    uint8_t *cache_meta_c[3];     /* SHiP reused */
-    int64_t *cache_stats[3];      /* 12 counters, CacheStats field order */
-    int64_t *cache_shct[3];       /* 1024 counters when policy==ship */
+    CacheArgs l1, l2;
     /* MSHR: entry arrays (compact, any order) + (comp, line) heap */
     int64_t *mshr_line;
     int64_t *mshr_comp;
@@ -74,55 +112,43 @@ typedef struct ReplayArgs {
     int64_t *infl_line;
     int64_t *infl_comp;
     int64_t *merged_line;
-    /* DRAM: utilization events (linearized ring) + per-channel state */
-    int64_t *ev_ts;
-    double *ev_busy;
-    double *ch_bus_free;
-    double *ch_demand_bus_free;
-    double *ch_bank_free;         /* channels*banks */
-    int64_t *ch_open_row;         /* channels*banks */
-    int64_t *ch_row_hits;
-    int64_t *ch_row_misses;
-    double *bucket_cycles;        /* [4] */
     /* core: outstanding loads (linearized ring) */
     int64_t *out_issued;
     int64_t *out_comp;
     /* Pythia (NULL / 0 when train == 0) */
     double *qcells;
-    int64_t *act_deltas;          /* [nact] action offset deltas */
-    int64_t *act_counts;          /* [nact] */
-    double *rw;                   /* [7] AT AL CL IN_HI IN_LO NP_HI NP_LO */
-    int64_t *rw_assigned;         /* [5] at al cl in np */
-    int64_t *eq_state;            /* [eq_cap * nfeat] */
+    int64_t *act_deltas;  /* [nact] action offset deltas */
+    int64_t *act_counts;  /* [nact] */
+    double *rw;           /* [7] AT AL CL IN_HI IN_LO NP_HI NP_LO */
+    int64_t *rw_assigned; /* [5] at al cl in np */
+    int64_t *eq_state;    /* [eq_cap * nfeat] */
     int64_t *eq_action;
-    int64_t *eq_line;             /* -1 == no prefetch line */
+    int64_t *eq_line; /* -1 == no prefetch line */
     double *eq_reward;
-    uint8_t *eq_flags;            /* bit0 has_reward, bit1 filled */
-    int64_t *pt_page;             /* page table slots, oldest-first */
+    uint8_t *eq_flags; /* bit0 has_reward, bit1 filled */
+    int64_t *pt_page;  /* page table slots, oldest-first */
     int64_t *pt_lastoff;
-    int64_t *pt_deltas;           /* [ptab_cap * 4] */
-    int64_t *pt_offsets;          /* [ptab_cap * 4] */
+    int64_t *pt_deltas;  /* [ptab_cap * 4] */
+    int64_t *pt_offsets; /* [ptab_cap * 4] */
     uint8_t *pt_dlen;
     uint8_t *pt_olen;
-    int64_t *last_pcs;            /* [3] */
-    uint32_t *mt;                 /* [624] Mersenne Twister words */
-    int64_t *plane_shifts;        /* [nplanes] */
+    int64_t *last_pcs;     /* [3] */
+    uint32_t *mt;          /* [624] Mersenne Twister words */
+    int64_t *plane_shifts; /* [nplanes] */
 
     /* int64 scalars */
-    int64_t start, stop, processed;
+    int64_t trace_len;
+    int64_t start, stop, processed; /* repro_replay_span's record span */
     int64_t width, rob_size, instructions;
+    /* 1 while CoreModel.cycle is a Python int: the last write to it was
+     * a ROB stall (cycle = completion), not a float increment. */
+    int64_t cycle_int;
     int64_t out_head, out_count, out_cap;
-    int64_t nsets[3], ways[3], lat[3], tick[3], policy[3]; /* 0=lru 1=ship */
     int64_t mshr_count, mshr_cap;
     int64_t mshrh_count, mshrh_cap;
     int64_t pend_count, pend_cap;
     int64_t infl_count, infl_cap;
     int64_t merged_count, merged_cap;
-    int64_t ev_head, ev_count, ev_cap;
-    int64_t channels, banks, row_size_lines, row_hit_lat, row_miss_lat;
-    int64_t util_window;
-    int64_t dram_total, dram_demand, dram_prefetch;
-    int64_t last_bucket_cycle;
     int64_t pf_issued, pf_dropped, late_merges;
     int64_t mshr_allocations, mshr_stalls;
     int64_t max_degree, page_shift, lines_per_page;
@@ -136,12 +162,31 @@ typedef struct ReplayArgs {
 
     /* doubles */
     double cycle, stall_cycles;
-    double cycles_per_transfer;
-    double window_busy, busy_cycles;
     double hi_thresh, epsilon, alpha, gamma;
-} ReplayArgs;
+} CoreArgs;
 
-enum { L1 = 0, L2 = 1, LLC = 2 };
+/* CounterMark layout, per core: MARK_I64 int64 words
+ *   [0] instructions  [1] cycle_int  [2..13] LLC stats  [14..25] L2 stats
+ *   [26..28] DRAM total/demand/prefetch  [29] prefetches issued
+ *   [30] late prefetch merges
+ * and MARK_F64 doubles: [0] cycle  [1] stall cycles. */
+enum { MARK_I64 = 31, MARK_F64 = 2 };
+
+/* MultiCoreEngine's lockstep state (cursors, warmup countdowns, measured
+ * counts, marks, steps), updated in place.
+ * Field order must match bridge.py's _LockstepArgs. */
+typedef struct LockstepArgs {
+    CoreArgs *cores; /* [ncores] */
+    SharedArgs *shared;
+    int64_t *cursors;        /* [ncores] records consumed */
+    int64_t *warm_remaining; /* [ncores] */
+    int64_t *measured;       /* [ncores] */
+    uint8_t *marked;         /* [ncores] 1 once the core's mark is taken */
+    int64_t *mark_i64;       /* [ncores * MARK_I64] */
+    double *mark_f64;        /* [ncores * MARK_F64] */
+    int64_t ncores, quota, steps;
+} LockstepArgs;
+
 enum { POLICY_LRU = 0, POLICY_SHIP = 1 };
 
 /* CacheStats field order (repro/sim/cache.py). */
@@ -158,6 +203,7 @@ enum {
     ST_USEFUL_PREFETCHES,
     ST_USELESS_EVICTIONS,
     ST_EVICTIONS,
+    ST_COUNT
 };
 
 enum { EQF_HAS_REWARD = 1, EQF_FILLED = 2 };
@@ -457,17 +503,20 @@ static int64_t rng_randrange(Rng *r, int64_t n) {
     } while (v >= n);
     return v;
 }
+
 /* ---------------------------------------------------------------------------
- * Kernel context: the ReplayArgs plus C-internal lookup structures
- * rebuilt at import (maps, page-table LRU links) and scratch buffers.
+ * Kernel context: one core's CoreArgs plus the shared state, and the
+ * C-internal lookup structures rebuilt at import (maps, page-table LRU
+ * links) and scratch buffers.
  * ------------------------------------------------------------------------- */
 
 typedef struct {
-    ReplayArgs *a;
-    Map infl;    /* line -> completion (hierarchy._inflight_prefetch) */
-    Map merged;  /* line -> 1 (hierarchy._merged_inflight) */
-    Map byline;  /* prefetch line -> EQ slot (eq._by_line) */
-    Map pages;   /* page -> page-table slot (extractor._pages) */
+    CoreArgs *c;
+    SharedArgs *s;
+    Map infl;   /* line -> completion (hierarchy._inflight_prefetch) */
+    Map merged; /* line -> 1 (hierarchy._merged_inflight) */
+    Map byline; /* prefetch line -> EQ slot (eq._by_line) */
+    Map pages;  /* page -> page-table slot (extractor._pages) */
     /* page-table LRU: doubly-linked slot list, oldest at head */
     int64_t *pt_prev;
     int64_t *pt_next;
@@ -483,11 +532,9 @@ typedef struct {
 
 /* Way holding *line* (Cache._where), or -1.  Lines are non-negative, so
  * an empty way's -1 tag never matches. */
-static inline int64_t tag_find(const ReplayArgs *a, int lv, int64_t set,
-                               int64_t line) {
-    int64_t ways = a->ways[lv];
-    const int64_t *tags = a->cache_tag[lv] + set * ways;
-    for (int64_t w = 0; w < ways; w++) {
+static inline int64_t tag_find(const CacheArgs *k, int64_t set, int64_t line) {
+    const int64_t *tags = k->tag + set * k->ways;
+    for (int64_t w = 0; w < k->ways; w++) {
         if (tags[w] == line) {
             return w;
         }
@@ -497,10 +544,9 @@ static inline int64_t tag_find(const ReplayArgs *a, int lv, int64_t set,
 
 /* Lowest empty way (Cache._filled[set]: empty ways are the set's
  * suffix), or -1 if the set is full. */
-static inline int64_t free_way(const ReplayArgs *a, int lv, int64_t set) {
-    int64_t ways = a->ways[lv];
-    const int64_t *tags = a->cache_tag[lv] + set * ways;
-    for (int64_t w = 0; w < ways; w++) {
+static inline int64_t free_way(const CacheArgs *k, int64_t set) {
+    const int64_t *tags = k->tag + set * k->ways;
+    for (int64_t w = 0; w < k->ways; w++) {
         if (tags[w] == -1) {
             return w;
         }
@@ -508,7 +554,7 @@ static inline int64_t free_way(const ReplayArgs *a, int lv, int64_t set) {
     return -1;
 }
 
-/* LruPolicy.victim: meta.index(min(meta)) — first way with minimal tick. */
+/* LruPolicy.victim: meta.index(min(meta)) -- first way with minimal tick. */
 static inline int64_t lru_victim(const int64_t *meta_a, int64_t ways) {
     int64_t best_way = 0;
     int64_t best = meta_a[0];
@@ -544,196 +590,214 @@ static inline int64_t ship_signature(int64_t pc) {
     return imod(pc ^ (pc >> 10), SHIP_SHCT_SIZE);
 }
 
-static inline void ship_on_fill(const ReplayArgs *a, int lv, int64_t idx,
-                                int64_t pc, int is_prefetch) {
+static inline void ship_on_fill(CacheArgs *k, int64_t idx, int64_t pc,
+                                int is_prefetch) {
     int64_t sig = ship_signature(pc);
-    int64_t counter = a->cache_shct[lv][sig];
-    a->cache_meta_a[lv][idx] =
+    int64_t counter = k->shct[sig];
+    k->meta_a[idx] =
         (counter == 0 || is_prefetch) ? SHIP_RRPV_MAX : SHIP_RRPV_MAX - 1;
-    a->cache_meta_b[lv][idx] = sig;
-    a->cache_meta_c[lv][idx] = 0;
+    k->meta_b[idx] = sig;
+    k->meta_c[idx] = 0;
 }
 
-static inline void ship_on_hit(const ReplayArgs *a, int lv, int64_t idx) {
-    a->cache_meta_a[lv][idx] = 0;
-    if (!a->cache_meta_c[lv][idx]) {
-        a->cache_meta_c[lv][idx] = 1;
-        int64_t sig = a->cache_meta_b[lv][idx];
-        if (a->cache_shct[lv][sig] < SHIP_SHCT_MAX) {
-            a->cache_shct[lv][sig]++;
+static inline void ship_on_evict(CacheArgs *k, int64_t idx) {
+    if (!k->meta_c[idx]) {
+        int64_t sig = k->meta_b[idx];
+        if (k->shct[sig] > 0) {
+            k->shct[sig]--;
         }
     }
 }
 
-static inline void ship_on_evict(const ReplayArgs *a, int lv, int64_t idx) {
-    if (!a->cache_meta_c[lv][idx]) {
-        int64_t sig = a->cache_meta_b[lv][idx];
-        if (a->cache_shct[lv][sig] > 0) {
-            a->cache_shct[lv][sig]--;
+/* Replacement-policy hit update (LruPolicy / ShipPolicy.on_hit). */
+static inline void policy_on_hit(CacheArgs *k, int64_t idx) {
+    if (k->policy == POLICY_LRU) {
+        k->meta_a[idx] = k->tick;
+        return;
+    }
+    k->meta_a[idx] = 0;
+    if (!k->meta_c[idx]) {
+        k->meta_c[idx] = 1;
+        int64_t sig = k->meta_b[idx];
+        if (k->shct[sig] < SHIP_SHCT_MAX) {
+            k->shct[sig]++;
         }
     }
+}
+
+/* Cache.lookup, demand flavor: returns 1 on a hit. */
+static inline int demand_lookup(CacheArgs *k, int64_t set, int64_t line,
+                                int is_load) {
+    k->tick++;
+    k->stats[ST_DEMAND_ACCESSES]++;
+    int64_t way = tag_find(k, set, line);
+    if (way < 0) {
+        k->stats[ST_DEMAND_MISSES]++;
+        if (is_load) {
+            k->stats[ST_LOAD_MISSES]++;
+        }
+        return 0;
+    }
+    int64_t idx = set * k->ways + way;
+    policy_on_hit(k, idx);
+    k->stats[ST_DEMAND_HITS]++;
+    if (k->pf[idx] && !k->used[idx]) {
+        k->used[idx] = 1;
+        k->stats[ST_USEFUL_PREFETCHES]++;
+    }
+    return 1;
+}
+
+/* Pick the slot a fill of a line absent from *set* takes: the lowest
+ * empty way, else the policy's victim (evicted with its bookkeeping).
+ * Returns the slot; *useless_tag gets an evicted unused prefetch's line
+ * or -1. */
+static inline int64_t fill_slot(CacheArgs *k, int64_t set,
+                                int64_t *useless_tag) {
+    int64_t base = set * k->ways;
+    int64_t way = free_way(k, set);
+    *useless_tag = -1;
+    if (way < 0) {
+        int is_lru = k->policy == POLICY_LRU;
+        way = is_lru ? lru_victim(k->meta_a + base, k->ways)
+                     : ship_victim(k->meta_a + base, k->ways);
+        int64_t idx = base + way;
+        k->stats[ST_EVICTIONS]++;
+        if (k->pf[idx] && !k->used[idx]) {
+            k->stats[ST_USELESS_EVICTIONS]++;
+            *useless_tag = k->tag[idx];
+        }
+        if (!is_lru) {
+            ship_on_evict(k, idx);
+        }
+    }
+    return base + way;
 }
 
 /* Cache.fill, demand flavor (batch.py's inlined L1/L2/LLC demand fill):
  * duplicate fills never downgrade, real pc, is_prefetch=False. */
-static void demand_fill(ReplayArgs *a, int lv, int64_t set, int64_t line,
-                        int64_t pc) {
-    a->tick[lv]++;
-    int64_t ways = a->ways[lv];
-    int64_t base = set * ways;
-    int64_t way = tag_find(a, lv, set, line);
+static void demand_fill(CacheArgs *k, int64_t set, int64_t line, int64_t pc) {
+    k->tick++;
+    int64_t way = tag_find(k, set, line);
     if (way >= 0) {
-        int64_t idx = base + way;
-        a->cache_pf[lv][idx] = a->cache_pf[lv][idx] && a->cache_used[lv][idx];
+        int64_t idx = set * k->ways + way;
+        k->pf[idx] = k->pf[idx] && k->used[idx];
         return;
     }
-    int64_t *stats = a->cache_stats[lv];
-    way = free_way(a, lv, set);
-    if (way < 0) {
-        int is_lru = a->policy[lv] == POLICY_LRU;
-        way = is_lru ? lru_victim(a->cache_meta_a[lv] + base, ways)
-                     : ship_victim(a->cache_meta_a[lv] + base, ways);
-        int64_t idx = base + way;
-        stats[ST_EVICTIONS]++;
-        if (a->cache_pf[lv][idx] && !a->cache_used[lv][idx]) {
-            stats[ST_USELESS_EVICTIONS]++;
-        }
-        if (!is_lru) {
-            ship_on_evict(a, lv, idx);
-        }
-    }
-    int64_t idx = base + way;
-    a->cache_tag[lv][idx] = line;
-    a->cache_pf[lv][idx] = 0;
-    a->cache_used[lv][idx] = 1;
-    if (a->policy[lv] == POLICY_LRU) {
-        a->cache_meta_a[lv][idx] = a->tick[lv];
+    int64_t useless_tag;
+    int64_t idx = fill_slot(k, set, &useless_tag);
+    k->tag[idx] = line;
+    k->pf[idx] = 0;
+    k->used[idx] = 1;
+    if (k->policy == POLICY_LRU) {
+        k->meta_a[idx] = k->tick;
     } else {
-        ship_on_fill(a, lv, idx, pc, 0);
+        ship_on_fill(k, idx, pc, 0);
     }
-    stats[ST_FILLS]++;
+    k->stats[ST_FILLS]++;
 }
 
 /* Cache.fill, prefetch-fill flavor (hierarchy.process_fills): pc=0,
  * as_prefetch semantics; returns the evicted useless tag or -1. */
-static int64_t fill_as(ReplayArgs *a, int lv, int64_t line, int as_prefetch) {
-    a->tick[lv]++;
-    int64_t set = imod(line, a->nsets[lv]);
-    int64_t ways = a->ways[lv];
-    int64_t base = set * ways;
-    int64_t way = tag_find(a, lv, set, line);
-    int64_t useless_tag = -1;
+static int64_t fill_as(CacheArgs *k, int64_t line, int as_prefetch) {
+    k->tick++;
+    int64_t set = imod(line, k->nsets);
+    int64_t way = tag_find(k, set, line);
     if (way >= 0) {
         if (!as_prefetch) {
-            int64_t idx = base + way;
-            a->cache_pf[lv][idx] =
-                a->cache_pf[lv][idx] && a->cache_used[lv][idx];
+            int64_t idx = set * k->ways + way;
+            k->pf[idx] = k->pf[idx] && k->used[idx];
         }
-        return useless_tag;
+        return -1;
     }
-    int64_t *stats = a->cache_stats[lv];
-    way = free_way(a, lv, set);
-    if (way < 0) {
-        int is_lru = a->policy[lv] == POLICY_LRU;
-        way = is_lru ? lru_victim(a->cache_meta_a[lv] + base, ways)
-                     : ship_victim(a->cache_meta_a[lv] + base, ways);
-        int64_t idx = base + way;
-        stats[ST_EVICTIONS]++;
-        if (a->cache_pf[lv][idx] && !a->cache_used[lv][idx]) {
-            stats[ST_USELESS_EVICTIONS]++;
-            useless_tag = a->cache_tag[lv][idx];
-        }
-        if (!is_lru) {
-            ship_on_evict(a, lv, idx);
-        }
-    }
-    int64_t idx = base + way;
-    a->cache_tag[lv][idx] = line;
-    a->cache_pf[lv][idx] = (uint8_t)(as_prefetch != 0);
-    a->cache_used[lv][idx] = (uint8_t)(as_prefetch == 0);
-    if (a->policy[lv] == POLICY_LRU) {
-        a->cache_meta_a[lv][idx] = a->tick[lv];
+    int64_t useless_tag;
+    int64_t idx = fill_slot(k, set, &useless_tag);
+    k->tag[idx] = line;
+    k->pf[idx] = (uint8_t)(as_prefetch != 0);
+    k->used[idx] = (uint8_t)(as_prefetch == 0);
+    if (k->policy == POLICY_LRU) {
+        k->meta_a[idx] = k->tick;
     } else {
-        ship_on_fill(a, lv, idx, 0, as_prefetch);
+        ship_on_fill(k, idx, 0, as_prefetch);
     }
-    stats[ST_FILLS]++;
+    k->stats[ST_FILLS]++;
     if (as_prefetch) {
-        stats[ST_PREFETCH_FILLS]++;
+        k->stats[ST_PREFETCH_FILLS]++;
     }
     return useless_tag;
 }
 
 /* -- DRAM ------------------------------------------------------------------ */
 
-static inline int64_t ev_phys(const ReplayArgs *a, int64_t i) {
-    return (a->ev_head + i) & (a->ev_cap - 1);
+static inline int64_t ev_phys(const SharedArgs *s, int64_t i) {
+    return (s->ev_head + i) & (s->ev_cap - 1);
 }
 
 /* Dram.access (repro/sim/dram.py): _Channel.service + rolling-window
  * event recording + Fig 14 bucket charge, fused exactly as the Python. */
 static int64_t dram_access(Ctx *x, int64_t line, int64_t now, int is_prefetch) {
-    ReplayArgs *a = x->a;
-    int64_t ch = imod(line, a->channels);
+    SharedArgs *s = x->s;
+    int64_t ch = imod(line, s->channels);
     /* _Channel.service */
-    int64_t bank = imod(fdiv(line, a->row_size_lines), a->banks);
-    int64_t row = fdiv(line, a->row_size_lines * a->banks);
-    double *bank_free = a->ch_bank_free + ch * a->banks;
-    int64_t *open_row = a->ch_open_row + ch * a->banks;
+    int64_t bank = imod(fdiv(line, s->row_size_lines), s->banks);
+    int64_t row = fdiv(line, s->row_size_lines * s->banks);
+    double *bank_free = s->ch_bank_free + ch * s->banks;
+    int64_t *open_row = s->ch_open_row + ch * s->banks;
     double start = (double)now;
     if (bank_free[bank] > start) {
         start = bank_free[bank];
     }
     double access_latency, bank_occupancy;
     if (open_row[bank] == row) {
-        access_latency = (double)a->row_hit_lat;
-        bank_occupancy = a->cycles_per_transfer;
-        a->ch_row_hits[ch]++;
+        access_latency = (double)s->row_hit_lat;
+        bank_occupancy = s->cycles_per_transfer;
+        s->ch_row_hits[ch]++;
     } else {
-        access_latency = (double)a->row_miss_lat;
-        bank_occupancy = (double)a->row_miss_lat;
+        access_latency = (double)s->row_miss_lat;
+        bank_occupancy = (double)s->row_miss_lat;
         open_row[bank] = row;
-        a->ch_row_misses[ch]++;
+        s->ch_row_misses[ch]++;
     }
-    double transfer = a->cycles_per_transfer;
+    double transfer = s->cycles_per_transfer;
     double data_at_bank = start + access_latency;
     double transfer_start;
     if (is_prefetch) {
         transfer_start = data_at_bank;
-        if (a->ch_bus_free[ch] > transfer_start) {
-            transfer_start = a->ch_bus_free[ch];
+        if (s->ch_bus_free[ch] > transfer_start) {
+            transfer_start = s->ch_bus_free[ch];
         }
     } else {
         transfer_start = data_at_bank;
-        if (a->ch_demand_bus_free[ch] > transfer_start) {
-            transfer_start = a->ch_demand_bus_free[ch];
+        if (s->ch_demand_bus_free[ch] > transfer_start) {
+            transfer_start = s->ch_demand_bus_free[ch];
         }
-        a->ch_demand_bus_free[ch] = transfer_start + transfer;
+        s->ch_demand_bus_free[ch] = transfer_start + transfer;
     }
     double completion = transfer_start + transfer;
     bank_free[bank] = start + bank_occupancy;
-    if (completion > a->ch_bus_free[ch]) {
-        a->ch_bus_free[ch] = completion;
+    if (completion > s->ch_bus_free[ch]) {
+        s->ch_bus_free[ch] = completion;
     }
     /* Dram.access bookkeeping */
-    a->dram_total++;
+    s->dram_total++;
     if (is_prefetch) {
-        a->dram_prefetch++;
+        s->dram_prefetch++;
     } else {
-        a->dram_demand++;
+        s->dram_demand++;
     }
-    a->busy_cycles += transfer;
-    a->ev_ts[ev_phys(a, a->ev_count)] = now;
-    a->ev_busy[ev_phys(a, a->ev_count)] = transfer;
-    a->ev_count++;
-    double window_busy = a->window_busy + transfer;
-    int64_t cutoff = now - a->util_window;
-    while (a->ev_count > 0 && a->ev_ts[a->ev_head] < cutoff) {
-        window_busy -= a->ev_busy[a->ev_head];
-        a->ev_head = (a->ev_head + 1) & (a->ev_cap - 1);
-        a->ev_count--;
+    s->busy_cycles += transfer;
+    s->ev_ts[ev_phys(s, s->ev_count)] = now;
+    s->ev_busy[ev_phys(s, s->ev_count)] = transfer;
+    s->ev_count++;
+    double window_busy = s->window_busy + transfer;
+    int64_t cutoff = now - s->util_window;
+    while (s->ev_count > 0 && s->ev_ts[s->ev_head] < cutoff) {
+        window_busy -= s->ev_busy[s->ev_head];
+        s->ev_head = (s->ev_head + 1) & (s->ev_cap - 1);
+        s->ev_count--;
     }
-    a->window_busy = window_busy;
-    int64_t last = a->last_bucket_cycle;
+    s->window_busy = window_busy;
+    int64_t last = s->last_bucket_cycle;
     if (now > last) {
         double util;
         if (x->util_capacity_i > 0) {
@@ -754,24 +818,24 @@ static int64_t dram_access(Ctx *x, int64_t line, int64_t now, int is_prefetch) {
         } else {
             idx = 3;
         }
-        a->bucket_cycles[idx] += (double)(now - last);
-        a->last_bucket_cycle = now;
+        s->bucket_cycles[idx] += (double)(now - last);
+        s->last_bucket_cycle = now;
     }
     return (int64_t)completion;
 }
 
 /* Dram.utilization: the stale-head rescan (non-mutating). */
 static double dram_utilization(const Ctx *x, int64_t now) {
-    const ReplayArgs *a = x->a;
-    int64_t start = now - a->util_window;
-    double busy = a->window_busy;
-    if (a->ev_count > 0 && a->ev_ts[a->ev_head] < start) {
-        for (int64_t i = 0; i < a->ev_count; i++) {
-            int64_t p = ev_phys(a, i);
-            if (a->ev_ts[p] >= start) {
+    const SharedArgs *s = x->s;
+    int64_t start = now - s->util_window;
+    double busy = s->window_busy;
+    if (s->ev_count > 0 && s->ev_ts[s->ev_head] < start) {
+        for (int64_t i = 0; i < s->ev_count; i++) {
+            int64_t p = ev_phys(s, i);
+            if (s->ev_ts[p] >= start) {
                 break;
             }
-            busy -= a->ev_busy[p];
+            busy -= s->ev_busy[p];
         }
     }
     if (x->util_capacity_i <= 0) {
@@ -783,49 +847,60 @@ static double dram_utilization(const Ctx *x, int64_t now) {
 
 /* -- MSHR ------------------------------------------------------------------ */
 
-static inline int64_t mshr_find(const ReplayArgs *a, int64_t line) {
-    for (int64_t i = 0; i < a->mshr_count; i++) {
-        if (a->mshr_line[i] == line) {
+static inline int64_t mshr_find(const CoreArgs *c, int64_t line) {
+    for (int64_t i = 0; i < c->mshr_count; i++) {
+        if (c->mshr_line[i] == line) {
             return i;
         }
     }
     return -1;
 }
 
-static inline void mshr_del(ReplayArgs *a, int64_t i) {
-    int64_t last = a->mshr_count - 1;
-    a->mshr_line[i] = a->mshr_line[last];
-    a->mshr_comp[i] = a->mshr_comp[last];
-    a->mshr_ispf[i] = a->mshr_ispf[last];
-    a->mshr_count = last;
+static inline void mshr_del(CoreArgs *c, int64_t i) {
+    int64_t last = c->mshr_count - 1;
+    c->mshr_line[i] = c->mshr_line[last];
+    c->mshr_comp[i] = c->mshr_comp[last];
+    c->mshr_ispf[i] = c->mshr_ispf[last];
+    c->mshr_count = last;
 }
 
 /* MshrFile.reclaim: release entries completed by *now*. */
-static void mshr_reclaim(ReplayArgs *a, int64_t now) {
-    while (a->mshrh_count > 0 && a->mshrh_comp[0] <= now) {
+static void mshr_reclaim(CoreArgs *c, int64_t now) {
+    while (c->mshrh_count > 0 && c->mshrh_comp[0] <= now) {
         int64_t m_comp, m_line;
-        heap_pop(a->mshrh_comp, a->mshrh_line, &a->mshrh_count, &m_comp,
+        heap_pop(c->mshrh_comp, c->mshrh_line, &c->mshrh_count, &m_comp,
                  &m_line);
-        int64_t i = mshr_find(a, m_line);
-        if (i >= 0 && a->mshr_comp[i] == m_comp) {
-            mshr_del(a, i);
+        int64_t i = mshr_find(c, m_line);
+        if (i >= 0 && c->mshr_comp[i] == m_comp) {
+            mshr_del(c, i);
         }
     }
 }
 
 /* MshrFile.earliest_completion (lazy stale prune); -1 when empty. */
-static int64_t mshr_earliest(ReplayArgs *a) {
-    while (a->mshrh_count > 0) {
-        int64_t comp = a->mshrh_comp[0];
-        int64_t line = a->mshrh_line[0];
-        int64_t i = mshr_find(a, line);
-        if (i >= 0 && a->mshr_comp[i] == comp) {
+static int64_t mshr_earliest(CoreArgs *c) {
+    while (c->mshrh_count > 0) {
+        int64_t comp = c->mshrh_comp[0];
+        int64_t line = c->mshrh_line[0];
+        int64_t i = mshr_find(c, line);
+        if (i >= 0 && c->mshr_comp[i] == comp) {
             return comp;
         }
-        int64_t c, l;
-        heap_pop(a->mshrh_comp, a->mshrh_line, &a->mshrh_count, &c, &l);
+        int64_t cc, ll;
+        heap_pop(c->mshrh_comp, c->mshrh_line, &c->mshrh_count, &cc, &ll);
     }
     return -1;
+}
+
+/* MshrFile.allocate. */
+static inline void mshr_allocate(CoreArgs *c, int64_t line, int64_t comp,
+                                 int is_prefetch) {
+    c->mshr_line[c->mshr_count] = line;
+    c->mshr_comp[c->mshr_count] = comp;
+    c->mshr_ispf[c->mshr_count] = (uint8_t)is_prefetch;
+    c->mshr_count++;
+    heap_push(c->mshrh_comp, c->mshrh_line, &c->mshrh_count, comp, line);
+    c->mshr_allocations++;
 }
 
 /* -- Pythia: EQ, features, tile-coded SARSA ------------------------------- */
@@ -843,29 +918,28 @@ static inline int64_t hash_index(int64_t value, int64_t shift,
 }
 
 /* Element bases (row * nact) for a state, f-major p-minor row order. */
-static void state_bases(const ReplayArgs *a, const int64_t *state,
+static void state_bases(const CoreArgs *c, const int64_t *state,
                         int64_t *bases) {
-    int64_t entries = a->plane_entries;
-    int64_t nact = a->nact;
-    for (int64_t f = 0; f < a->nfeat; f++) {
-        for (int64_t p = 0; p < a->nplanes; p++) {
-            int64_t row = (f * a->nplanes + p) * entries +
-                          hash_index(state[f], a->plane_shifts[p], entries);
-            bases[f * a->nplanes + p] = row * nact;
+    int64_t entries = c->plane_entries;
+    int64_t nact = c->nact;
+    for (int64_t f = 0; f < c->nfeat; f++) {
+        for (int64_t p = 0; p < c->nplanes; p++) {
+            int64_t row = (f * c->nplanes + p) * entries +
+                          hash_index(state[f], c->plane_shifts[p], entries);
+            bases[f * c->nplanes + p] = row * nact;
         }
     }
 }
 
 /* NumpyQVStore._q_one: per-vault left-to-right sum, keep-first max. */
-static double q_one(const ReplayArgs *a, const int64_t *bases,
-                    int64_t action) {
+static double q_one(const CoreArgs *c, const int64_t *bases, int64_t action) {
     double best = 0.0;
     int first = 1;
-    for (int64_t f = 0; f < a->nfeat; f++) {
-        const int64_t *fb = bases + f * a->nplanes;
-        double q = a->qcells[fb[0] + action];
-        for (int64_t p = 1; p < a->nplanes; p++) {
-            q += a->qcells[fb[p] + action];
+    for (int64_t f = 0; f < c->nfeat; f++) {
+        const int64_t *fb = bases + f * c->nplanes;
+        double q = c->qcells[fb[0] + action];
+        for (int64_t p = 1; p < c->nplanes; p++) {
+            q += c->qcells[fb[p] + action];
         }
         if (first || q > best) {
             best = q;
@@ -876,11 +950,11 @@ static double q_one(const ReplayArgs *a, const int64_t *bases,
 }
 
 /* NumpyQVStore.best_action: keep-first argmax over strict >. */
-static int64_t best_action(const ReplayArgs *a, const int64_t *bases) {
+static int64_t best_action(const CoreArgs *c, const int64_t *bases) {
     int64_t best_a = 0;
-    double best_q = q_one(a, bases, 0);
-    for (int64_t act = 1; act < a->nact; act++) {
-        double q = q_one(a, bases, act);
+    double best_q = q_one(c, bases, 0);
+    for (int64_t act = 1; act < c->nact; act++) {
+        double q = q_one(c, bases, act);
         if (q > best_q) {
             best_q = q;
             best_a = act;
@@ -890,15 +964,15 @@ static int64_t best_action(const ReplayArgs *a, const int64_t *bases) {
 }
 
 /* EQ physical slot of fifo position i. */
-static inline int64_t eq_slot(const ReplayArgs *a, int64_t i) {
-    return imod(a->eq_head + i, a->eq_cap);
+static inline int64_t eq_slot(const CoreArgs *c, int64_t i) {
+    return imod(c->eq_head + i, c->eq_cap);
 }
 
 /* EvaluationQueue.mark_filled via on_prefetch_fill. */
 static void eq_mark_filled(Ctx *x, int64_t line) {
     int64_t slot = map_get(&x->byline, line);
     if (slot >= 0) {
-        x->a->eq_flags[slot] |= EQF_FILLED;
+        x->c->eq_flags[slot] |= EQF_FILLED;
     }
 }
 
@@ -906,17 +980,17 @@ static void eq_mark_filled(Ctx *x, int64_t line) {
  * basic feature encodings.  Writes (pc_delta, last4_deltas_fold). */
 static int observe_basic(Ctx *x, int64_t pc, int64_t page, int64_t offset,
                          int64_t *s_out) {
-    ReplayArgs *a = x->a;
+    CoreArgs *c = x->c;
     int64_t slot = map_get(&x->pages, page);
     if (slot < 0) {
-        if (a->ptab_count < a->ptab_cap) {
-            slot = a->ptab_count++;
+        if (c->ptab_count < c->ptab_cap) {
+            slot = c->ptab_count++;
         } else {
             /* Evict the LRU page first, then reuse its slot: identical
              * to the OrderedDict's insert-then-popitem(last=False)
              * because the just-inserted page is never the oldest. */
             slot = x->pt_head;
-            map_del(&x->pages, a->pt_page[slot]);
+            map_del(&x->pages, c->pt_page[slot]);
             x->pt_head = x->pt_next[slot];
             if (x->pt_head >= 0) {
                 x->pt_prev[x->pt_head] = -1;
@@ -924,10 +998,10 @@ static int observe_basic(Ctx *x, int64_t pc, int64_t page, int64_t offset,
                 x->pt_tail = -1;
             }
         }
-        a->pt_page[slot] = page;
-        a->pt_lastoff[slot] = -1;
-        a->pt_dlen[slot] = 0;
-        a->pt_olen[slot] = 0;
+        c->pt_page[slot] = page;
+        c->pt_lastoff[slot] = -1;
+        c->pt_dlen[slot] = 0;
+        c->pt_olen[slot] = 0;
         /* link at tail (most recent) */
         x->pt_prev[slot] = x->pt_tail;
         x->pt_next[slot] = -1;
@@ -955,14 +1029,14 @@ static int observe_basic(Ctx *x, int64_t pc, int64_t page, int64_t offset,
         x->pt_tail = slot;
     }
 
-    int64_t last = a->pt_lastoff[slot];
+    int64_t last = c->pt_lastoff[slot];
     int64_t delta = last < 0 ? 0 : offset - last;
-    a->pt_lastoff[slot] = offset;
-    int64_t *deltas = a->pt_deltas + slot * 4;
-    int64_t dlen = a->pt_dlen[slot];
+    c->pt_lastoff[slot] = offset;
+    int64_t *deltas = c->pt_deltas + slot * 4;
+    int64_t dlen = c->pt_dlen[slot];
     if (dlen < 4) {
         deltas[dlen] = delta;
-        a->pt_dlen[slot] = (uint8_t)(dlen + 1);
+        c->pt_dlen[slot] = (uint8_t)(dlen + 1);
         dlen++;
     } else {
         deltas[0] = deltas[1];
@@ -970,23 +1044,23 @@ static int observe_basic(Ctx *x, int64_t pc, int64_t page, int64_t offset,
         deltas[2] = deltas[3];
         deltas[3] = delta;
     }
-    int64_t *offsets = a->pt_offsets + slot * 4;
-    int64_t olen = a->pt_olen[slot];
+    int64_t *offsets = c->pt_offsets + slot * 4;
+    int64_t olen = c->pt_olen[slot];
     if (olen < 4) {
         offsets[olen] = offset;
-        a->pt_olen[slot] = (uint8_t)(olen + 1);
+        c->pt_olen[slot] = (uint8_t)(olen + 1);
     } else {
         offsets[0] = offsets[1];
         offsets[1] = offsets[2];
         offsets[2] = offsets[3];
         offsets[3] = offset;
     }
-    if (a->lastpc_count < 3) {
-        a->last_pcs[a->lastpc_count++] = pc;
+    if (c->lastpc_count < 3) {
+        c->last_pcs[c->lastpc_count++] = pc;
     } else {
-        a->last_pcs[0] = a->last_pcs[1];
-        a->last_pcs[1] = a->last_pcs[2];
-        a->last_pcs[2] = pc;
+        c->last_pcs[0] = c->last_pcs[1];
+        c->last_pcs[1] = c->last_pcs[2];
+        c->last_pcs[2] = pc;
     }
 
     /* encode_feature(PC_DELTA): _mix(pc, delta & 0x7F), unrolled. */
@@ -1008,19 +1082,19 @@ static int observe_basic(Ctx *x, int64_t pc, int64_t page, int64_t offset,
  * or -1 for none; -2 on allocation failure. */
 static int64_t train_cols(Ctx *x, int64_t pc, int64_t line, int64_t page,
                           int64_t offset, int bw_high) {
-    ReplayArgs *a = x->a;
+    CoreArgs *c = x->c;
 
     /* (1) Reward a resident entry whose prefetch this demand vindicates. */
     int64_t vslot = map_get(&x->byline, line);
-    if (vslot >= 0 && !(a->eq_flags[vslot] & EQF_HAS_REWARD)) {
-        if (a->eq_flags[vslot] & EQF_FILLED) {
-            a->eq_reward[vslot] = a->rw[RW_AT];
-            a->rw_assigned[RA_AT]++;
+    if (vslot >= 0 && !(c->eq_flags[vslot] & EQF_HAS_REWARD)) {
+        if (c->eq_flags[vslot] & EQF_FILLED) {
+            c->eq_reward[vslot] = c->rw[RW_AT];
+            c->rw_assigned[RA_AT]++;
         } else {
-            a->eq_reward[vslot] = a->rw[RW_AL];
-            a->rw_assigned[RA_AL]++;
+            c->eq_reward[vslot] = c->rw[RW_AL];
+            c->rw_assigned[RA_AL]++;
         }
-        a->eq_flags[vslot] |= EQF_HAS_REWARD;
+        c->eq_flags[vslot] |= EQF_HAS_REWARD;
     }
 
     /* (2) Extract the state-vector. */
@@ -1031,16 +1105,16 @@ static int64_t train_cols(Ctx *x, int64_t pc, int64_t line, int64_t page,
 
     /* (3) Select an action (SarsaAgent.select_action, inlined). */
     int64_t *bases = x->bases_scratch; /* current state's bases */
-    state_bases(a, state, bases);
+    state_bases(c, state, bases);
     int64_t action;
-    if (rng_random(&x->rng) <= a->epsilon) {
-        a->agent_explorations++;
-        action = rng_randrange(&x->rng, a->nact);
+    if (rng_random(&x->rng) <= c->epsilon) {
+        c->agent_explorations++;
+        action = rng_randrange(&x->rng, c->nact);
     } else {
-        action = best_action(a, bases);
+        action = best_action(c, bases);
     }
-    a->act_counts[action]++;
-    int64_t offset_delta = a->act_deltas[action];
+    c->act_counts[action]++;
+    int64_t offset_delta = c->act_deltas[action];
 
     /* (4) Generate the prefetch / classify degenerate actions. */
     int64_t prefetch_line = -1;
@@ -1048,50 +1122,50 @@ static int64_t train_cols(Ctx *x, int64_t pc, int64_t line, int64_t page,
     uint8_t new_flags = 0;
     int64_t target_offset = offset + offset_delta;
     if (offset_delta == 0) {
-        new_reward = bw_high ? a->rw[RW_NP_HI] : a->rw[RW_NP_LO];
+        new_reward = bw_high ? c->rw[RW_NP_HI] : c->rw[RW_NP_LO];
         new_flags = EQF_HAS_REWARD;
-        a->rw_assigned[RA_NP]++;
-    } else if (!(0 <= target_offset && target_offset < a->lines_per_page)) {
-        new_reward = a->rw[RW_CL];
+        c->rw_assigned[RA_NP]++;
+    } else if (!(0 <= target_offset && target_offset < c->lines_per_page)) {
+        new_reward = c->rw[RW_CL];
         new_flags = EQF_HAS_REWARD;
-        a->rw_assigned[RA_CL]++;
+        c->rw_assigned[RA_CL]++;
     } else {
-        prefetch_line = (page << a->page_shift) | target_offset;
+        prefetch_line = (page << c->page_shift) | target_offset;
     }
 
     /* (5) Insert; eviction assigns R_IN + the SARSA update. */
     int have_evicted = 0;
     int64_t ev_action = 0;
     double ev_reward = 0.0;
-    if (a->eq_count >= a->eq_cap) {
-        int64_t slot_e = a->eq_head;
+    if (c->eq_count >= c->eq_cap) {
+        int64_t slot_e = c->eq_head;
         /* Copy the evicted entry before the slot is overwritten. */
         have_evicted = 1;
-        for (int64_t f = 0; f < a->nfeat; f++) {
-            x->evicted_state[f] = a->eq_state[slot_e * a->nfeat + f];
+        for (int64_t f = 0; f < c->nfeat; f++) {
+            x->evicted_state[f] = c->eq_state[slot_e * c->nfeat + f];
         }
-        ev_action = a->eq_action[slot_e];
-        int64_t ev_line = a->eq_line[slot_e];
-        if (a->eq_flags[slot_e] & EQF_HAS_REWARD) {
-            ev_reward = a->eq_reward[slot_e];
+        ev_action = c->eq_action[slot_e];
+        int64_t ev_line = c->eq_line[slot_e];
+        if (c->eq_flags[slot_e] & EQF_HAS_REWARD) {
+            ev_reward = c->eq_reward[slot_e];
         } else {
-            ev_reward = bw_high ? a->rw[RW_IN_HI] : a->rw[RW_IN_LO];
+            ev_reward = bw_high ? c->rw[RW_IN_HI] : c->rw[RW_IN_LO];
         }
         if (ev_line >= 0 && map_get(&x->byline, ev_line) == slot_e) {
             map_del(&x->byline, ev_line);
         }
-        a->eq_head = imod(a->eq_head + 1, a->eq_cap);
-        a->eq_count--;
+        c->eq_head = imod(c->eq_head + 1, c->eq_cap);
+        c->eq_count--;
     }
-    int64_t slot_n = eq_slot(a, a->eq_count);
-    for (int64_t f = 0; f < a->nfeat; f++) {
-        a->eq_state[slot_n * a->nfeat + f] = state[f];
+    int64_t slot_n = eq_slot(c, c->eq_count);
+    for (int64_t f = 0; f < c->nfeat; f++) {
+        c->eq_state[slot_n * c->nfeat + f] = state[f];
     }
-    a->eq_action[slot_n] = action;
-    a->eq_line[slot_n] = prefetch_line;
-    a->eq_reward[slot_n] = new_reward;
-    a->eq_flags[slot_n] = new_flags;
-    a->eq_count++;
+    c->eq_action[slot_n] = action;
+    c->eq_line[slot_n] = prefetch_line;
+    c->eq_reward[slot_n] = new_reward;
+    c->eq_flags[slot_n] = new_flags;
+    c->eq_count++;
     if (prefetch_line >= 0) {
         if (map_put(&x->byline, prefetch_line, slot_n) != 0) {
             return -2;
@@ -1100,49 +1174,358 @@ static int64_t train_cols(Ctx *x, int64_t pc, int64_t line, int64_t page,
 
     if (have_evicted) {
         /* Head after the insert (never empty here). */
-        int64_t slot_h = a->eq_head;
-        int64_t *bases_e = x->bases_scratch + a->nfeat * a->nplanes;
-        int64_t *bases_h = x->bases_scratch + 2 * a->nfeat * a->nplanes;
-        state_bases(a, x->evicted_state, bases_e);
-        int64_t next_action = a->eq_action[slot_h];
-        state_bases(a, a->eq_state + slot_h * a->nfeat, bases_h);
+        int64_t slot_h = c->eq_head;
+        int64_t *bases_e = x->bases_scratch + c->nfeat * c->nplanes;
+        int64_t *bases_h = x->bases_scratch + 2 * c->nfeat * c->nplanes;
+        state_bases(c, x->evicted_state, bases_e);
+        int64_t next_action = c->eq_action[slot_h];
+        state_bases(c, c->eq_state + slot_h * c->nfeat, bases_h);
         /* NumpyQVStore.sarsa_update */
-        double q_sa = q_one(a, bases_e, ev_action);
-        double q_next = q_one(a, bases_h, next_action);
-        double td_error = ev_reward + a->gamma * q_next - q_sa;
-        double step = a->alpha * td_error;
-        for (int64_t r = 0; r < a->nfeat * a->nplanes; r++) {
+        double q_sa = q_one(c, bases_e, ev_action);
+        double q_next = q_one(c, bases_h, next_action);
+        double td_error = ev_reward + c->gamma * q_next - q_sa;
+        double step = c->alpha * td_error;
+        for (int64_t r = 0; r < c->nfeat * c->nplanes; r++) {
             int64_t e = bases_e[r] + ev_action;
-            a->qcells[e] = a->qcells[e] + step;
+            c->qcells[e] = c->qcells[e] + step;
         }
-        a->agent_updates++;
+        c->agent_updates++;
     }
     return prefetch_line;
 }
 
 /* CacheHierarchy.process_fills: apply arrived prefetch fills. */
 static void process_fills(Ctx *x, int64_t now) {
-    ReplayArgs *a = x->a;
-    while (a->pend_count > 0 && a->pend_comp[0] <= now) {
+    CoreArgs *c = x->c;
+    while (c->pend_count > 0 && c->pend_comp[0] <= now) {
         int64_t completion, line;
-        heap_pop(a->pend_comp, a->pend_line, &a->pend_count, &completion,
+        heap_pop(c->pend_comp, c->pend_line, &c->pend_count, &completion,
                  &line);
         map_del(&x->infl, line);
         int as_prefetch = !map_has(&x->merged, line);
         map_del(&x->merged, line);
-        int64_t useless_tag = fill_as(a, LLC, line, as_prefetch);
-        (void)useless_tag; /* on_prefetch_useless is a no-op for Pythia */
-        fill_as(a, L2, line, as_prefetch);
-        if (a->train) {
+        /* on_prefetch_useless (the evicted tag) is a no-op for Pythia */
+        fill_as(&x->s->llc, line, as_prefetch);
+        fill_as(&c->l2, line, as_prefetch);
+        if (c->train) {
             eq_mark_filled(x, line); /* Pythia.on_prefetch_fill */
         }
     }
 }
+
 /* ---------------------------------------------------------------------------
- * Export helpers: write C-internal structures back into the arg arrays.
+ * The per-record body: one trace record through one core's hierarchy
+ * (batch.py's loop body, op for op).  Returns 0, or a negative rc.
  * ------------------------------------------------------------------------- */
 
-static int export_map_pairs(const Map *m, int64_t *keys, int64_t *vals) {
+/* Room for one more record in every variable-size array it may grow. */
+static inline int has_headroom(const Ctx *x) {
+    const CoreArgs *c = x->c;
+    int64_t d = c->max_degree;
+    return c->pend_count + d + 1 <= c->pend_cap &&
+           c->mshrh_count + d + 2 <= c->mshrh_cap &&
+           x->infl.count + d + 1 <= c->infl_cap &&
+           x->merged.count + 2 <= c->merged_cap &&
+           x->s->ev_count + d + 2 <= x->s->ev_cap;
+}
+
+/* Always inlined: it is the hot body of both entry points' loops. */
+static inline __attribute__((always_inline)) int64_t replay_record(Ctx *x,
+                                                                    int64_t i) {
+    CoreArgs *c = x->c;
+    SharedArgs *s = x->s;
+    CacheArgs *l1 = &c->l1, *l2 = &c->l2, *llc = &s->llc;
+    const int64_t width = c->width;
+    const int64_t rob = c->rob_size;
+    const double recip = 1.0 / (double)width;
+    double cycle = c->cycle;
+    int64_t instructions = c->instructions;
+    double stall_cycles = c->stall_cycles;
+    int64_t cycle_int = c->cycle_int;
+    const int64_t out_mask = c->out_cap - 1;
+
+#define OUT_ISSUED(j) c->out_issued[(c->out_head + (j)) & out_mask]
+#define OUT_COMP(j) c->out_comp[(c->out_head + (j)) & out_mask]
+#define OUT_POPLEFT()                                                          \
+    do {                                                                       \
+        c->out_head = (c->out_head + 1) & out_mask;                            \
+        c->out_count--;                                                        \
+    } while (0)
+#define OUT_DRAIN()                                                            \
+    while (c->out_count > 0 && (double)OUT_COMP(0) <= cycle) {                 \
+        OUT_POPLEFT();                                                         \
+    }
+/* CoreModel._enforce_rob: stall on the oldest load once the ROB filled
+ * behind it (the stall leaves cycle a Python int). */
+#define ENFORCE_ROB()                                                          \
+    while (c->out_count > 0) {                                                 \
+        int64_t issued_at = OUT_ISSUED(0);                                     \
+        int64_t wait_c = OUT_COMP(0);                                          \
+        if (instructions - issued_at < rob) {                                  \
+            break;                                                             \
+        }                                                                      \
+        if ((double)wait_c > cycle) {                                          \
+            stall_cycles += (double)wait_c - cycle;                            \
+            cycle = (double)wait_c;                                            \
+            cycle_int = 1;                                                     \
+        }                                                                      \
+        OUT_POPLEFT();                                                         \
+        OUT_DRAIN();                                                           \
+    }
+
+    const int64_t pc = c->col_pc[i];
+    const int64_t line = c->col_line[i];
+    const int is_load = c->col_load[i] != 0;
+    const int64_t gap = c->col_gap[i];
+    const int64_t page = c->col_page[i];
+    const int64_t offset = c->col_offset[i];
+    const int64_t s1 = imod(line, l1->nsets);
+    const int64_t s2 = imod(line, l2->nsets);
+    const int64_t s3 = imod(line, llc->nsets);
+
+    /* -- CoreModel.advance(gap) ------------------------------------------ */
+    if (gap > 0) {
+        instructions += gap;
+        cycle += (double)gap / (double)width;
+        cycle_int = 0;
+        if (c->out_count > 0) {
+            OUT_DRAIN();
+            ENFORCE_ROB();
+        }
+    }
+
+    /* -- CacheHierarchy.demand_access ------------------------------------ */
+    int64_t now = (int64_t)cycle;
+    if (c->pend_count > 0 && c->pend_comp[0] <= now) {
+        process_fills(x, now);
+    }
+    if (c->mshrh_count > 0 && c->mshrh_comp[0] <= now) {
+        mshr_reclaim(c, now);
+    }
+
+    int64_t completion;
+    if (demand_lookup(l1, s1, line, is_load)) {
+        completion = now + l1->lat;
+    } else {
+        /* L1 miss: the prefetcher's training event. */
+        if (c->train) {
+            double util;
+            if (s->ev_count > 0 && s->ev_ts[s->ev_head] < now - s->util_window) {
+                util = dram_utilization(x, now);
+            } else if (x->util_capacity_i > 0) {
+                util = s->window_busy / x->util_capacity;
+                if (util > 1.0) {
+                    util = 1.0;
+                }
+            } else {
+                util = 0.0;
+            }
+            int bw_high = util >= c->hi_thresh;
+            int64_t pf = train_cols(x, pc, line, page, offset, bw_high);
+            if (pf == -2) {
+                return -2;
+            }
+            /* _issue_prefetches + _fetch_for_prefetch (train_cols yields
+             * at most one candidate). */
+            if (pf >= 0 && 0 < c->max_degree && (pf >> c->page_shift) == page &&
+                tag_find(l2, imod(pf, l2->nsets), pf) < 0 &&
+                tag_find(llc, imod(pf, llc->nsets), pf) < 0 &&
+                !map_has(&x->infl, pf)) {
+                /* LLC prefetch lookup (Cache.lookup, prefetch flavor). */
+                int64_t sp = imod(pf, llc->nsets);
+                llc->tick++;
+                llc->stats[ST_PREFETCH_ACCESSES]++;
+                int64_t wp = tag_find(llc, sp, pf);
+                int64_t pf_comp = -1;
+                if (wp >= 0) {
+                    policy_on_hit(llc, sp * llc->ways + wp);
+                    llc->stats[ST_PREFETCH_HITS]++;
+                    pf_comp = now + llc->lat;
+                } else if (mshr_find(c, pf) >= 0 ||
+                           c->mshr_count >= c->mshr_cap) {
+                    llc->stats[ST_PREFETCH_MISSES]++;
+                    c->pf_dropped++; /* on_prefetch_dropped is a no-op */
+                } else {
+                    llc->stats[ST_PREFETCH_MISSES]++;
+                    pf_comp = dram_access(x, pf, now + llc->lat, 1);
+                    mshr_allocate(c, pf, pf_comp, 1);
+                }
+                if (pf_comp >= 0) {
+                    heap_push(c->pend_comp, c->pend_line, &c->pend_count,
+                              pf_comp, pf);
+                    if (map_put(&x->infl, pf, pf_comp) != 0) {
+                        return -2;
+                    }
+                    c->pf_issued++;
+                }
+            }
+        }
+
+        int fill_l1 = 1, fill_l2 = 0;
+        if (demand_lookup(l2, s2, line, is_load)) {
+            /* on_demand_hit_prefetched is a no-op for Pythia */
+            completion = now + l2->lat;
+        } else {
+            int64_t in_comp = map_get(&x->infl, line);
+            if (in_comp >= 0) {
+                /* Late in-flight prefetch: merge, wait the rest. */
+                c->late_merges++;
+                if (map_put(&x->merged, line, 1) != 0) {
+                    return -2;
+                }
+                llc->stats[ST_DEMAND_ACCESSES]++;
+                llc->stats[ST_DEMAND_HITS]++;
+                llc->stats[ST_USEFUL_PREFETCHES]++;
+                int64_t base = now + llc->lat;
+                completion = in_comp > base ? in_comp : base;
+            } else if (demand_lookup(llc, s3, line, is_load)) {
+                completion = now + llc->lat;
+                fill_l2 = 1;
+            } else {
+                int64_t m = mshr_find(c, line);
+                if (m >= 0) {
+                    /* Merge into the outstanding miss: no L1/L2 fill. */
+                    int64_t base = now + llc->lat;
+                    int64_t m_comp = c->mshr_comp[m];
+                    completion = m_comp > base ? m_comp : base;
+                    fill_l1 = 0;
+                } else {
+                    if (c->mshr_count >= c->mshr_cap) {
+                        /* Structural stall. */
+                        c->mshr_stalls++;
+                        int64_t wait_until = mshr_earliest(c);
+                        if (wait_until < 0) {
+                            return -3;
+                        }
+                        mshr_reclaim(c, wait_until);
+                        if (wait_until > now) {
+                            now = wait_until;
+                        }
+                    }
+                    completion = dram_access(x, line, now + llc->lat, 0);
+                    mshr_allocate(c, line, completion, 0);
+                    demand_fill(llc, s3, line, pc);
+                    fill_l2 = 1;
+                }
+            }
+            if (fill_l2) {
+                demand_fill(l2, s2, line, pc);
+            }
+        }
+        if (fill_l1) {
+            demand_fill(l1, s1, line, pc);
+        }
+    }
+
+    /* -- CoreModel.issue_load(completion) -------------------------------- */
+    instructions += 1;
+    cycle += recip;
+    cycle_int = 0;
+    if (c->out_count > 0) {
+        OUT_DRAIN();
+    }
+    if ((double)completion > cycle) {
+        if (c->out_count >= c->out_cap) {
+            return -4;
+        }
+        int64_t tail = (c->out_head + c->out_count) & out_mask;
+        c->out_issued[tail] = instructions;
+        c->out_comp[tail] = completion;
+        c->out_count++;
+    }
+    ENFORCE_ROB();
+
+#undef OUT_ISSUED
+#undef OUT_COMP
+#undef OUT_POPLEFT
+#undef OUT_DRAIN
+#undef ENFORCE_ROB
+
+    c->cycle = cycle;
+    c->instructions = instructions;
+    c->stall_cycles = stall_cycles;
+    c->cycle_int = cycle_int;
+    return 0;
+}
+
+/* ---------------------------------------------------------------------------
+ * Import / export: rebuild the C-side lookup structures from the arrays,
+ * and write them back (plus linearized rings) at a record boundary.
+ * ------------------------------------------------------------------------- */
+
+static void ctx_close(Ctx *x) {
+    map_free(&x->infl);
+    map_free(&x->merged);
+    map_free(&x->byline);
+    map_free(&x->pages);
+    free(x->pt_prev);
+    free(x->pt_next);
+    free(x->evicted_state);
+    free(x->bases_scratch);
+}
+
+/* Returns 0, or -2 on allocation failure (the caller closes *x*). */
+static int64_t ctx_open(Ctx *x, CoreArgs *c, SharedArgs *s) {
+    memset(x, 0, sizeof(*x));
+    x->c = c;
+    x->s = s;
+    x->rng.mt = c->mt;
+    x->rng.index = c->mt_index;
+    x->util_capacity_i = s->util_window * s->channels;
+    x->util_capacity = (double)x->util_capacity_i;
+
+    if (map_init(&x->infl, c->infl_cap) != 0 ||
+        map_init(&x->merged, c->merged_cap) != 0) {
+        return -2;
+    }
+    for (int64_t i = 0; i < c->infl_count; i++) {
+        if (map_put(&x->infl, c->infl_line[i], c->infl_comp[i]) != 0) {
+            return -2;
+        }
+    }
+    for (int64_t i = 0; i < c->merged_count; i++) {
+        if (map_put(&x->merged, c->merged_line[i], 1) != 0) {
+            return -2;
+        }
+    }
+    if (!c->train) {
+        return 0;
+    }
+    if (map_init(&x->byline, c->eq_cap) != 0 ||
+        map_init(&x->pages, c->ptab_cap) != 0) {
+        return -2;
+    }
+    /* eq._by_line == most recent FIFO entry per prefetch line. */
+    for (int64_t i = 0; i < c->eq_count; i++) {
+        int64_t slot = eq_slot(c, i);
+        if (c->eq_line[slot] >= 0) {
+            if (map_put(&x->byline, c->eq_line[slot], slot) != 0) {
+                return -2;
+            }
+        }
+    }
+    x->pt_prev = malloc((size_t)c->ptab_cap * sizeof(int64_t));
+    x->pt_next = malloc((size_t)c->ptab_cap * sizeof(int64_t));
+    x->evicted_state = malloc((size_t)c->nfeat * sizeof(int64_t));
+    x->bases_scratch =
+        malloc((size_t)(3 * c->nfeat * c->nplanes) * sizeof(int64_t));
+    if (!x->pt_prev || !x->pt_next || !x->evicted_state || !x->bases_scratch) {
+        return -2;
+    }
+    /* Slots are imported oldest-first; chain them in order. */
+    x->pt_head = c->ptab_count > 0 ? 0 : -1;
+    x->pt_tail = c->ptab_count > 0 ? c->ptab_count - 1 : -1;
+    for (int64_t slot = 0; slot < c->ptab_count; slot++) {
+        x->pt_prev[slot] = slot - 1;
+        x->pt_next[slot] = slot + 1 < c->ptab_count ? slot + 1 : -1;
+        if (map_put(&x->pages, c->pt_page[slot], slot) != 0) {
+            return -2;
+        }
+    }
+    return 0;
+}
+
+static int64_t export_map_pairs(const Map *m, int64_t *keys, int64_t *vals) {
     int64_t n = 0;
     for (int64_t i = 0; i <= m->mask; i++) {
         if (m->keys[i] >= 0) {
@@ -1153,65 +1536,34 @@ static int export_map_pairs(const Map *m, int64_t *keys, int64_t *vals) {
             n++;
         }
     }
-    return (int)n;
+    return n;
 }
 
-/* Rotate a linearizable ring so its head lands at index 0. */
-static int ring_linearize_i64(int64_t *arr, int64_t head, int64_t count,
-                              int64_t cap) {
+/* Rotate a ring of *count* elements of *size* bytes so its head lands at
+ * index 0. */
+static int ring_linearize(void *arr, size_t size, int64_t head, int64_t count,
+                          int64_t cap) {
     if (head == 0 || count == 0) {
         return 0;
     }
-    int64_t *tmp = malloc((size_t)count * sizeof(int64_t));
+    char *base = arr;
+    char *tmp = malloc((size_t)count * size);
     if (!tmp) {
         return -1;
     }
     for (int64_t i = 0; i < count; i++) {
-        tmp[i] = arr[(head + i) % cap];
+        memcpy(tmp + (size_t)i * size, base + (size_t)((head + i) % cap) * size,
+               size);
     }
-    memcpy(arr, tmp, (size_t)count * sizeof(int64_t));
-    free(tmp);
-    return 0;
-}
-
-static int ring_linearize_f64(double *arr, int64_t head, int64_t count,
-                              int64_t cap) {
-    if (head == 0 || count == 0) {
-        return 0;
-    }
-    double *tmp = malloc((size_t)count * sizeof(double));
-    if (!tmp) {
-        return -1;
-    }
-    for (int64_t i = 0; i < count; i++) {
-        tmp[i] = arr[(head + i) % cap];
-    }
-    memcpy(arr, tmp, (size_t)count * sizeof(double));
-    free(tmp);
-    return 0;
-}
-
-static int ring_linearize_u8(uint8_t *arr, int64_t head, int64_t count,
-                             int64_t cap) {
-    if (head == 0 || count == 0) {
-        return 0;
-    }
-    uint8_t *tmp = malloc((size_t)count);
-    if (!tmp) {
-        return -1;
-    }
-    for (int64_t i = 0; i < count; i++) {
-        tmp[i] = arr[(head + i) % cap];
-    }
-    memcpy(arr, tmp, (size_t)count);
+    memcpy(base, tmp, (size_t)count * size);
     free(tmp);
     return 0;
 }
 
 /* Rewrite the page-table slot arrays in LRU order (oldest first). */
 static int export_page_table(Ctx *x) {
-    ReplayArgs *a = x->a;
-    int64_t n = a->ptab_count;
+    CoreArgs *c = x->c;
+    int64_t n = c->ptab_count;
     if (n == 0) {
         return 0;
     }
@@ -1223,8 +1575,8 @@ static int export_page_table(Ctx *x) {
         return -1;
     }
     int64_t k = 0;
-    for (int64_t s = x->pt_head; s >= 0 && k < n; s = x->pt_next[s]) {
-        order[k++] = s;
+    for (int64_t slot = x->pt_head; slot >= 0 && k < n; slot = x->pt_next[slot]) {
+        order[k++] = slot;
     }
     if (k != n) {
         free(order);
@@ -1235,10 +1587,10 @@ static int export_page_table(Ctx *x) {
     do {                                                                       \
         for (int64_t i = 0; i < n; i++) {                                      \
             for (int64_t j = 0; j < (stride); j++) {                           \
-                ti64[i * (stride) + j] = a->field[order[i] * (stride) + j];    \
+                ti64[i * (stride) + j] = c->field[order[i] * (stride) + j];    \
             }                                                                  \
         }                                                                      \
-        memcpy(a->field, ti64, (size_t)(n * (stride)) * sizeof(int64_t));      \
+        memcpy(c->field, ti64, (size_t)(n * (stride)) * sizeof(int64_t));      \
     } while (0)
     PT_PERMUTE_I64(pt_page, 1);
     PT_PERMUTE_I64(pt_lastoff, 1);
@@ -1247,530 +1599,193 @@ static int export_page_table(Ctx *x) {
 #undef PT_PERMUTE_I64
     uint8_t *tu8 = (uint8_t *)ti64;
     for (int64_t i = 0; i < n; i++) {
-        tu8[i] = a->pt_dlen[order[i]];
+        tu8[i] = c->pt_dlen[order[i]];
     }
-    memcpy(a->pt_dlen, tu8, (size_t)n);
+    memcpy(c->pt_dlen, tu8, (size_t)n);
     for (int64_t i = 0; i < n; i++) {
-        tu8[i] = a->pt_olen[order[i]];
+        tu8[i] = c->pt_olen[order[i]];
     }
-    memcpy(a->pt_olen, tu8, (size_t)n);
+    memcpy(c->pt_olen, tu8, (size_t)n);
     free(order);
     free(ti64);
     return 0;
 }
 
 /* Rotate the EQ ring so the FIFO head lands at slot 0. */
-static int export_eq(ReplayArgs *a) {
-    if (a->eq_head == 0 || a->eq_count == 0) {
-        a->eq_head = 0;
-        return 0;
-    }
-    int rcode = 0;
-    int64_t cap = a->eq_cap;
-    /* Rotate full rings (count may be < cap only transiently before the
-     * first wrap, in which case head is still 0 and we never get here
-     * -- but rotate count entries defensively anyway). */
-    int64_t count = a->eq_count;
-    int64_t *ts = malloc((size_t)(count * a->nfeat) * sizeof(int64_t));
-    if (!ts) {
+static int export_eq(CoreArgs *c) {
+    int64_t head = c->eq_head, count = c->eq_count, cap = c->eq_cap;
+    c->eq_head = 0;
+    if (ring_linearize(c->eq_state, (size_t)c->nfeat * sizeof(int64_t), head,
+                       count, cap) != 0 ||
+        ring_linearize(c->eq_action, sizeof(int64_t), head, count, cap) != 0 ||
+        ring_linearize(c->eq_line, sizeof(int64_t), head, count, cap) != 0 ||
+        ring_linearize(c->eq_reward, sizeof(double), head, count, cap) != 0 ||
+        ring_linearize(c->eq_flags, sizeof(uint8_t), head, count, cap) != 0) {
         return -1;
     }
-    for (int64_t i = 0; i < count; i++) {
-        int64_t src = imod(a->eq_head + i, cap);
-        for (int64_t f = 0; f < a->nfeat; f++) {
-            ts[i * a->nfeat + f] = a->eq_state[src * a->nfeat + f];
-        }
+    return 0;
+}
+
+/* Write one core's C-side structures back into its arrays. */
+static int64_t ctx_export(Ctx *x) {
+    CoreArgs *c = x->c;
+    c->mt_index = x->rng.index;
+    c->infl_count = export_map_pairs(&x->infl, c->infl_line, c->infl_comp);
+    c->merged_count = export_map_pairs(&x->merged, c->merged_line, NULL);
+    if (ring_linearize(c->out_issued, sizeof(int64_t), c->out_head,
+                       c->out_count, c->out_cap) != 0 ||
+        ring_linearize(c->out_comp, sizeof(int64_t), c->out_head, c->out_count,
+                       c->out_cap) != 0) {
+        return -2;
     }
-    memcpy(a->eq_state, ts, (size_t)(count * a->nfeat) * sizeof(int64_t));
-    free(ts);
-    if (ring_linearize_i64(a->eq_action, a->eq_head, count, cap) != 0 ||
-        ring_linearize_i64(a->eq_line, a->eq_head, count, cap) != 0 ||
-        ring_linearize_f64(a->eq_reward, a->eq_head, count, cap) != 0 ||
-        ring_linearize_u8(a->eq_flags, a->eq_head, count, cap) != 0) {
-        rcode = -1;
+    c->out_head = 0;
+    if (c->train && (export_eq(c) != 0 || export_page_table(x) != 0)) {
+        return -2;
     }
-    a->eq_head = 0;
-    return rcode;
+    return 0;
+}
+
+/* Linearize the shared DRAM event ring. */
+static int64_t shared_export(SharedArgs *s) {
+    if (ring_linearize(s->ev_ts, sizeof(int64_t), s->ev_head, s->ev_count,
+                       s->ev_cap) != 0 ||
+        ring_linearize(s->ev_busy, sizeof(double), s->ev_head, s->ev_count,
+                       s->ev_cap) != 0) {
+        return -2;
+    }
+    s->ev_head = 0;
+    return 0;
 }
 
 /* ---------------------------------------------------------------------------
  * Entry points.
  * ------------------------------------------------------------------------- */
 
-int64_t repro_abi_sizeof(void) { return (int64_t)sizeof(ReplayArgs); }
+/* Size of argument struct *which* (0 core, 1 shared, 2 lockstep), or -1:
+ * the bridge checks its ctypes mirrors against these at load. */
+int64_t repro_abi_sizeof(int64_t which) {
+    switch (which) {
+    case 0:
+        return (int64_t)sizeof(CoreArgs);
+    case 1:
+        return (int64_t)sizeof(SharedArgs);
+    case 2:
+        return (int64_t)sizeof(LockstepArgs);
+    default:
+        return -1;
+    }
+}
 
-int64_t repro_replay_span(ReplayArgs *a) {
+int64_t repro_replay_span(CoreArgs *c, SharedArgs *s) {
     Ctx x;
-    memset(&x, 0, sizeof(x));
-    x.a = a;
-    x.rng.mt = a->mt;
-    x.rng.index = a->mt_index;
-    x.util_capacity_i = a->util_window * a->channels;
-    x.util_capacity = (double)x.util_capacity_i;
-
-    int64_t rc = 0;
-    /* -- import: rebuild C-side lookup structures ----------------------- */
-    if (map_init(&x.infl, a->infl_cap) != 0 ||
-        map_init(&x.merged, a->merged_cap) != 0) {
-        rc = -2;
-        goto cleanup;
-    }
-    for (int64_t i = 0; i < a->infl_count; i++) {
-        if (map_put(&x.infl, a->infl_line[i], a->infl_comp[i]) != 0) {
-            rc = -2;
-            goto cleanup;
-        }
-    }
-    for (int64_t i = 0; i < a->merged_count; i++) {
-        if (map_put(&x.merged, a->merged_line[i], 1) != 0) {
-            rc = -2;
-            goto cleanup;
-        }
-    }
-    if (a->train) {
-        if (map_init(&x.byline, a->eq_cap) != 0 ||
-            map_init(&x.pages, a->ptab_cap) != 0) {
-            rc = -2;
-            goto cleanup;
-        }
-        /* eq._by_line == most recent FIFO entry per prefetch line. */
-        for (int64_t i = 0; i < a->eq_count; i++) {
-            int64_t slot = eq_slot(a, i);
-            if (a->eq_line[slot] >= 0) {
-                if (map_put(&x.byline, a->eq_line[slot], slot) != 0) {
-                    rc = -2;
-                    goto cleanup;
-                }
-            }
-        }
-        x.pt_prev = malloc((size_t)a->ptab_cap * sizeof(int64_t));
-        x.pt_next = malloc((size_t)a->ptab_cap * sizeof(int64_t));
-        x.evicted_state = malloc((size_t)a->nfeat * sizeof(int64_t));
-        x.bases_scratch =
-            malloc((size_t)(3 * a->nfeat * a->nplanes) * sizeof(int64_t));
-        if (!x.pt_prev || !x.pt_next || !x.evicted_state ||
-            !x.bases_scratch) {
-            rc = -2;
-            goto cleanup;
-        }
-        /* Slots are imported oldest-first; chain them in order. */
-        x.pt_head = a->ptab_count > 0 ? 0 : -1;
-        x.pt_tail = a->ptab_count > 0 ? a->ptab_count - 1 : -1;
-        for (int64_t s = 0; s < a->ptab_count; s++) {
-            x.pt_prev[s] = s - 1;
-            x.pt_next[s] = s + 1 < a->ptab_count ? s + 1 : -1;
-            if (map_put(&x.pages, a->pt_page[s], s) != 0) {
-                rc = -2;
-                goto cleanup;
-            }
-        }
-    }
-
-    /* -- hoists (batch.py's loop locals) -------------------------------- */
-    const int64_t width = a->width;
-    const int64_t rob = a->rob_size;
-    const double recip = 1.0 / (double)width;
-    double cycle = a->cycle;
-    int64_t instructions = a->instructions;
-    double stall_cycles = a->stall_cycles;
-    const int64_t max_degree = a->max_degree;
-    const double hi_thresh = a->hi_thresh;
-    const int64_t pshift = a->page_shift;
-    const int64_t l1_lat = a->lat[L1], l2_lat = a->lat[L2],
-                  llc_lat = a->lat[LLC];
-    const int64_t nsets1 = a->nsets[L1], nsets2 = a->nsets[L2],
-                  nsets3 = a->nsets[LLC];
-    const int64_t ways1 = a->ways[L1], ways3 = a->ways[LLC];
-    const int l1_lru = a->policy[L1] == POLICY_LRU;
-    const int l2_lru = a->policy[L2] == POLICY_LRU;
-    const int llc_lru = a->policy[LLC] == POLICY_LRU;
-    int64_t *st1 = a->cache_stats[L1];
-    int64_t *st2 = a->cache_stats[L2];
-    int64_t *st3 = a->cache_stats[LLC];
-    const int64_t mshr_capacity = a->mshr_cap;
-    const int64_t out_mask = a->out_cap - 1;
-
-#define OUT_ISSUED(j) a->out_issued[(a->out_head + (j)) & out_mask]
-#define OUT_COMP(j) a->out_comp[(a->out_head + (j)) & out_mask]
-#define OUT_POPLEFT()                                                          \
-    do {                                                                       \
-        a->out_head = (a->out_head + 1) & out_mask;                            \
-        a->out_count--;                                                        \
-    } while (0)
-#define OUT_DRAIN()                                                            \
-    while (a->out_count > 0 && (double)OUT_COMP(0) <= cycle) {                 \
-        OUT_POPLEFT();                                                         \
-    }
-
-    /* -- the record loop (batch.py lines 149-519, op for op) ------------ */
-    int64_t i = a->start;
-    for (; i < a->stop; i++) {
+    int64_t rc = ctx_open(&x, c, s);
+    int64_t i = c->start;
+    for (; rc == 0 && i < c->stop; i++) {
         /* Capacity headroom: bail at a record boundary, the bridge
          * grows the arrays and re-enters. */
-        if (a->pend_count + max_degree + 1 > a->pend_cap ||
-            a->mshrh_count + max_degree + 2 > a->mshrh_cap ||
-            x.infl.count + max_degree + 1 > a->infl_cap ||
-            x.merged.count + 2 > a->merged_cap ||
-            a->ev_count + max_degree + 2 > a->ev_cap) {
+        if (!has_headroom(&x)) {
             rc = 1;
             break;
         }
-        const int64_t pc = a->col_pc[i];
-        const int64_t line = a->col_line[i];
-        const int is_load = a->col_load[i] != 0;
-        const int64_t gap = a->col_gap[i];
-        const int64_t page = a->col_page[i];
-        const int64_t offset = a->col_offset[i];
-        const int64_t s1 = imod(line, nsets1);
-        const int64_t s2 = imod(line, nsets2);
-        const int64_t s3 = imod(line, nsets3);
-
-        /* -- CoreModel.advance(gap), inlined --------------------------- */
-        if (gap > 0) {
-            instructions += gap;
-            cycle += (double)gap / (double)width;
-            if (a->out_count > 0) {
-                OUT_DRAIN();
-                while (a->out_count > 0) {
-                    int64_t issued_at = OUT_ISSUED(0);
-                    int64_t wait_c = OUT_COMP(0);
-                    if (instructions - issued_at < rob) {
-                        break;
-                    }
-                    if ((double)wait_c > cycle) {
-                        stall_cycles += (double)wait_c - cycle;
-                        cycle = (double)wait_c;
-                    }
-                    OUT_POPLEFT();
-                    OUT_DRAIN();
-                }
-            }
-        }
-
-        /* -- CacheHierarchy.demand_access, inlined --------------------- */
-        int64_t now = (int64_t)cycle;
-        if (a->pend_count > 0 && a->pend_comp[0] <= now) {
-            process_fills(&x, now);
-        }
-        if (a->mshrh_count > 0 && a->mshrh_comp[0] <= now) {
-            mshr_reclaim(a, now);
-        }
-
-        /* L1 demand lookup (Cache.lookup, inlined). */
-        a->tick[L1]++;
-        st1[ST_DEMAND_ACCESSES]++;
-        int64_t completion;
-        int64_t way = tag_find(a, L1, s1, line);
-        if (way >= 0) {
-            int64_t idx = s1 * ways1 + way;
-            if (l1_lru) {
-                a->cache_meta_a[L1][idx] = a->tick[L1];
-            } else {
-                ship_on_hit(a, L1, idx);
-            }
-            st1[ST_DEMAND_HITS]++;
-            if (a->cache_pf[L1][idx] && !a->cache_used[L1][idx]) {
-                a->cache_used[L1][idx] = 1;
-                st1[ST_USEFUL_PREFETCHES]++;
-            }
-            completion = now + l1_lat;
-        } else {
-            st1[ST_DEMAND_MISSES]++;
-            if (is_load) {
-                st1[ST_LOAD_MISSES]++;
-            }
-
-            /* L1 miss: the prefetcher's training event. */
-            if (a->train) {
-                double util;
-                if (a->ev_count > 0 &&
-                    a->ev_ts[a->ev_head] < now - a->util_window) {
-                    util = dram_utilization(&x, now);
-                } else if (x.util_capacity_i > 0) {
-                    util = a->window_busy / x.util_capacity;
-                    if (util > 1.0) {
-                        util = 1.0;
-                    }
-                } else {
-                    util = 0.0;
-                }
-                int bw_high = util >= hi_thresh;
-                int64_t cand =
-                    train_cols(&x, pc, line, page, offset, bw_high);
-                if (cand == -2) {
-                    rc = -2;
-                    goto cleanup;
-                }
-                if (cand >= 0) {
-                    /* _issue_prefetches + _fetch_for_prefetch, inlined
-                     * (train_cols yields at most one candidate). */
-                    int64_t pf = cand;
-                    do {
-                        if (0 >= max_degree) {
-                            break;
-                        }
-                        if ((pf >> pshift) != page) {
-                            break;
-                        }
-                        if (tag_find(a, L2, imod(pf, nsets2), pf) >= 0) {
-                            break;
-                        }
-                        int64_t sp = imod(pf, nsets3);
-                        if (tag_find(a, LLC, sp, pf) >= 0) {
-                            break;
-                        }
-                        if (map_has(&x.infl, pf)) {
-                            break;
-                        }
-                        /* LLC prefetch lookup (Cache.lookup, inlined). */
-                        a->tick[LLC]++;
-                        st3[ST_PREFETCH_ACCESSES]++;
-                        int64_t wp = tag_find(a, LLC, sp, pf);
-                        int64_t pf_comp;
-                        if (wp >= 0) {
-                            int64_t idx = sp * ways3 + wp;
-                            if (llc_lru) {
-                                a->cache_meta_a[LLC][idx] = a->tick[LLC];
-                            } else {
-                                ship_on_hit(a, LLC, idx);
-                            }
-                            st3[ST_PREFETCH_HITS]++;
-                            pf_comp = now + llc_lat;
-                        } else if (mshr_find(a, pf) >= 0) {
-                            st3[ST_PREFETCH_MISSES]++;
-                            a->pf_dropped++;
-                            break; /* on_prefetch_dropped is a no-op */
-                        } else if (a->mshr_count >= mshr_capacity) {
-                            st3[ST_PREFETCH_MISSES]++;
-                            a->pf_dropped++;
-                            break;
-                        } else {
-                            st3[ST_PREFETCH_MISSES]++;
-                            pf_comp = dram_access(&x, pf, now + llc_lat, 1);
-                            /* MshrFile.allocate, inlined. */
-                            a->mshr_line[a->mshr_count] = pf;
-                            a->mshr_comp[a->mshr_count] = pf_comp;
-                            a->mshr_ispf[a->mshr_count] = 1;
-                            a->mshr_count++;
-                            heap_push(a->mshrh_comp, a->mshrh_line,
-                                      &a->mshrh_count, pf_comp, pf);
-                            a->mshr_allocations++;
-                        }
-                        heap_push(a->pend_comp, a->pend_line, &a->pend_count,
-                                  pf_comp, pf);
-                        if (map_put(&x.infl, pf, pf_comp) != 0) {
-                            rc = -2;
-                            goto cleanup;
-                        }
-                        a->pf_issued++;
-                    } while (0);
-                }
-            }
-
-            /* L2 demand lookup (Cache.lookup, inlined). */
-            a->tick[L2]++;
-            st2[ST_DEMAND_ACCESSES]++;
-            int fill_l1, fill_l2;
-            way = tag_find(a, L2, s2, line);
-            if (way >= 0) {
-                int64_t idx = s2 * a->ways[L2] + way;
-                if (l2_lru) {
-                    a->cache_meta_a[L2][idx] = a->tick[L2];
-                } else {
-                    ship_on_hit(a, L2, idx);
-                }
-                st2[ST_DEMAND_HITS]++;
-                if (a->cache_pf[L2][idx] && !a->cache_used[L2][idx]) {
-                    a->cache_used[L2][idx] = 1;
-                    st2[ST_USEFUL_PREFETCHES]++;
-                    /* on_demand_hit_prefetched is a no-op for Pythia */
-                }
-                completion = now + l2_lat;
-                fill_l1 = 1;
-                fill_l2 = 0;
-            } else {
-                st2[ST_DEMAND_MISSES]++;
-                if (is_load) {
-                    st2[ST_LOAD_MISSES]++;
-                }
-
-                int64_t in_comp = map_get(&x.infl, line);
-                if (in_comp >= 0) {
-                    /* Late in-flight prefetch: merge, wait the rest. */
-                    a->late_merges++;
-                    if (map_put(&x.merged, line, 1) != 0) {
-                        rc = -2;
-                        goto cleanup;
-                    }
-                    st3[ST_DEMAND_ACCESSES]++;
-                    st3[ST_DEMAND_HITS]++;
-                    st3[ST_USEFUL_PREFETCHES]++;
-                    int64_t base = now + llc_lat;
-                    completion = in_comp > base ? in_comp : base;
-                    fill_l1 = 1;
-                    fill_l2 = 0;
-                } else {
-                    /* LLC demand lookup (Cache.lookup, inlined). */
-                    a->tick[LLC]++;
-                    st3[ST_DEMAND_ACCESSES]++;
-                    way = tag_find(a, LLC, s3, line);
-                    if (way >= 0) {
-                        int64_t idx = s3 * ways3 + way;
-                        if (llc_lru) {
-                            a->cache_meta_a[LLC][idx] = a->tick[LLC];
-                        } else {
-                            ship_on_hit(a, LLC, idx);
-                        }
-                        st3[ST_DEMAND_HITS]++;
-                        if (a->cache_pf[LLC][idx] && !a->cache_used[LLC][idx]) {
-                            a->cache_used[LLC][idx] = 1;
-                            st3[ST_USEFUL_PREFETCHES]++;
-                        }
-                        completion = now + llc_lat;
-                        fill_l1 = 1;
-                        fill_l2 = 1;
-                    } else {
-                        st3[ST_DEMAND_MISSES]++;
-                        if (is_load) {
-                            st3[ST_LOAD_MISSES]++;
-                        }
-                        int64_t m = mshr_find(a, line);
-                        if (m >= 0) {
-                            /* Merge into the outstanding miss. */
-                            int64_t base = now + llc_lat;
-                            int64_t m_comp = a->mshr_comp[m];
-                            completion = m_comp > base ? m_comp : base;
-                            fill_l1 = 0;
-                            fill_l2 = 0;
-                        } else {
-                            if (a->mshr_count >= mshr_capacity) {
-                                /* Structural stall. */
-                                a->mshr_stalls++;
-                                int64_t wait_until = mshr_earliest(a);
-                                if (wait_until < 0) {
-                                    rc = -3;
-                                    goto cleanup;
-                                }
-                                while (a->mshrh_count > 0 &&
-                                       a->mshrh_comp[0] <= wait_until) {
-                                    int64_t m_comp, m_line;
-                                    heap_pop(a->mshrh_comp, a->mshrh_line,
-                                             &a->mshrh_count, &m_comp,
-                                             &m_line);
-                                    int64_t mi = mshr_find(a, m_line);
-                                    if (mi >= 0 &&
-                                        a->mshr_comp[mi] == m_comp) {
-                                        mshr_del(a, mi);
-                                    }
-                                }
-                                if (wait_until > now) {
-                                    now = wait_until;
-                                }
-                            }
-                            completion =
-                                dram_access(&x, line, now + llc_lat, 0);
-                            /* MshrFile.allocate, inlined. */
-                            a->mshr_line[a->mshr_count] = line;
-                            a->mshr_comp[a->mshr_count] = completion;
-                            a->mshr_ispf[a->mshr_count] = 0;
-                            a->mshr_count++;
-                            heap_push(a->mshrh_comp, a->mshrh_line,
-                                      &a->mshrh_count, completion, line);
-                            a->mshr_allocations++;
-                            /* LLC demand fill (Cache.fill, inlined). */
-                            demand_fill(a, LLC, s3, line, pc);
-                            fill_l1 = 1;
-                            fill_l2 = 1;
-                        }
-                    }
-
-                    /* L2 demand fill (Cache.fill, inlined). */
-                    if (fill_l2) {
-                        demand_fill(a, L2, s2, line, pc);
-                    }
-                }
-
-                /* NOTE: in batch.py the L2 fill sits inside the L2-miss
-                 * branch; the merge path skips it via fill_l2 = 0.  The
-                 * structure above mirrors that: the merge path never
-                 * reaches the L2 fill. */
-            }
-
-            /* L1 demand fill (Cache.fill, inlined). */
-            if (fill_l1) {
-                demand_fill(a, L1, s1, line, pc);
-            }
-        }
-
-        /* -- CoreModel.issue_load(completion), inlined ----------------- */
-        instructions += 1;
-        cycle += recip;
-        if (a->out_count > 0) {
-            OUT_DRAIN();
-        }
-        if ((double)completion > cycle) {
-            if (a->out_count >= a->out_cap) {
-                rc = -4;
-                goto cleanup;
-            }
-            int64_t tail = (a->out_head + a->out_count) & out_mask;
-            a->out_issued[tail] = instructions;
-            a->out_comp[tail] = completion;
-            a->out_count++;
-        }
-        if (a->out_count > 0) {
-            while (a->out_count > 0) {
-                int64_t issued_at = OUT_ISSUED(0);
-                int64_t wait_c = OUT_COMP(0);
-                if (instructions - issued_at < rob) {
-                    break;
-                }
-                if ((double)wait_c > cycle) {
-                    stall_cycles += (double)wait_c - cycle;
-                    cycle = (double)wait_c;
-                }
-                OUT_POPLEFT();
-                OUT_DRAIN();
-            }
+        rc = replay_record(&x, i);
+        if (rc != 0) {
+            break;
         }
     }
-    a->processed = i - a->start;
-
-    /* -- export --------------------------------------------------------- */
-    a->cycle = cycle;
-    a->instructions = instructions;
-    a->stall_cycles = stall_cycles;
-    a->mt_index = x.rng.index;
-    a->infl_count = export_map_pairs(&x.infl, a->infl_line, a->infl_comp);
-    a->merged_count = export_map_pairs(&x.merged, a->merged_line, NULL);
-    if (ring_linearize_i64(a->out_issued, a->out_head, a->out_count,
-                           a->out_cap) != 0 ||
-        ring_linearize_i64(a->out_comp, a->out_head, a->out_count,
-                           a->out_cap) != 0 ||
-        ring_linearize_i64(a->ev_ts, a->ev_head, a->ev_count, a->ev_cap) !=
-            0 ||
-        ring_linearize_f64(a->ev_busy, a->ev_head, a->ev_count, a->ev_cap) !=
-            0) {
+    c->processed = i - c->start;
+    if (rc >= 0 && (ctx_export(&x) != 0 || shared_export(s) != 0)) {
         rc = -2;
-        goto cleanup;
     }
-    a->out_head = 0;
-    a->ev_head = 0;
-    if (a->train) {
-        if (export_eq(a) != 0 || export_page_table(&x) != 0) {
+    ctx_close(&x);
+    return rc;
+}
+
+/* CounterMark.capture for core k, on the step its warmup ends. */
+static void take_mark(LockstepArgs *l, int64_t k) {
+    const CoreArgs *c = &l->cores[k];
+    const SharedArgs *s = l->shared;
+    int64_t *m = l->mark_i64 + k * MARK_I64;
+    double *f = l->mark_f64 + k * MARK_F64;
+    m[0] = c->instructions;
+    m[1] = c->cycle_int;
+    memcpy(m + 2, s->llc.stats, ST_COUNT * sizeof(int64_t));
+    memcpy(m + 2 + ST_COUNT, c->l2.stats, ST_COUNT * sizeof(int64_t));
+    m[26] = s->dram_total;
+    m[27] = s->dram_demand;
+    m[28] = s->dram_prefetch;
+    m[29] = c->pf_issued;
+    m[30] = c->late_merges;
+    f[0] = c->cycle;
+    f[1] = c->stall_cycles;
+    l->marked[k] = 1;
+}
+
+/* MultiCoreEngine.run's lockstep loop (with _step inlined): the earliest
+ * core still short of its quota replays its next record (cursor modulo
+ * its trace length, so exhausted traces wrap), lowest index first on
+ * ties, until every core has measured the quota. */
+int64_t repro_replay_lockstep(LockstepArgs *l) {
+    const int64_t n = l->ncores;
+    const int64_t quota = l->quota;
+    int64_t rc = 0;
+    Ctx *xs = calloc((size_t)(n > 0 ? n : 1), sizeof(Ctx));
+    if (!xs) {
+        return -2;
+    }
+    for (int64_t k = 0; k < n && rc == 0; k++) {
+        rc = ctx_open(&xs[k], &l->cores[k], l->shared);
+    }
+    while (rc == 0) {
+        int64_t k = -1;
+        double earliest = 0.0;
+        for (int64_t j = 0; j < n; j++) {
+            if (l->measured[j] < quota && (k < 0 || l->cores[j].cycle < earliest)) {
+                k = j;
+                earliest = l->cores[j].cycle;
+            }
+        }
+        if (k < 0) {
+            break;
+        }
+        Ctx *x = &xs[k];
+        if (x->c->trace_len <= 0) {
+            rc = -5;
+            break;
+        }
+        if (!has_headroom(x)) {
+            rc = 1;
+            break;
+        }
+        rc = replay_record(x, l->cursors[k] % x->c->trace_len);
+        if (rc != 0) {
+            break;
+        }
+        l->cursors[k]++;
+        if (l->warm_remaining[k] > 0) {
+            if (--l->warm_remaining[k] == 0) {
+                take_mark(l, k);
+            }
+        } else {
+            if (!l->marked[k]) {
+                take_mark(l, k);
+            }
+            l->measured[k]++;
+        }
+        l->steps++;
+    }
+    if (rc >= 0) {
+        for (int64_t k = 0; k < n; k++) {
+            if (ctx_export(&xs[k]) != 0) {
+                rc = -2;
+            }
+        }
+        if (shared_export(l->shared) != 0) {
             rc = -2;
-            goto cleanup;
         }
     }
-
-cleanup:
-    map_free(&x.infl);
-    map_free(&x.merged);
-    map_free(&x.byline);
-    map_free(&x.pages);
-    free(x.pt_prev);
-    free(x.pt_next);
-    free(x.evicted_state);
-    free(x.bases_scratch);
+    for (int64_t k = 0; k < n; k++) {
+        ctx_close(&xs[k]);
+    }
+    free(xs);
     return rc;
 }

@@ -116,10 +116,13 @@ class SystemConfig:
     #: compiler or on unsupported configurations), ``"batched"``
     #: (columnar epoch kernel, :mod:`repro.sim.batch`; falls back to
     #: scalar when it cannot apply) or ``"scalar"`` (the reference
-    #: per-record loop).  All three are bit-identical (pinned by
-    #: ``tests/test_hotpath_equivalence.py``), so the toggle is excluded
-    #: from result fingerprints — like ``PythiaConfig.qvstore_impl``,
-    #: it is purely a speed knob.
+    #: per-record loop).  Multi-core mixes have only two lockstep
+    #: loops: ``"scalar"`` runs the Python one, and every other value
+    #: the native one when it can apply (see
+    #: :class:`repro.sim.engine.MultiCoreEngine`).  All of them are
+    #: bit-identical (pinned by ``tests/test_hotpath_equivalence.py``),
+    #: so the toggle is excluded from result fingerprints — like
+    #: ``PythiaConfig.qvstore_impl``, it is purely a speed knob.
     replay_backend: str = field(default="batched", metadata={"semantic": False})
 
     def scaled_llc(self, factor: float) -> "SystemConfig":

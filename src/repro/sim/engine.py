@@ -68,11 +68,15 @@ _CONTROL_CHUNK = 16_384
 
 @dataclass(slots=True)
 class SimulationResult:
-    """Measured statistics from one simulation run (post-warmup only).
+    """Measured statistics from one simulation run.
 
     The fields mirror what the paper's rollup scripts extract from
     ChampSim output: IPC, LLC demand load misses, DRAM read counts split
-    by origin, prefetch usefulness, and bandwidth-bucket runtime.
+    by origin, prefetch usefulness, and bandwidth-bucket runtime.  Every
+    field counts post-warmup activity only, except
+    ``bw_bucket_fractions``, which both engines take over the whole run,
+    warmup included.  (A mix's shared LLC and DRAM fields count from
+    core 0's warmup mark; see :meth:`MultiCoreEngine._build_result`.)
     ``timeline`` is the optional per-window telemetry payload
     (``{"window": records, "rows": [...]}``; see :class:`Timeline`) —
     ``None`` unless the run requested telemetry.
@@ -916,6 +920,19 @@ class MultiCoreEngine:
     the last core finishes warmup so no row mixes the two regimes.
     Checkpoint/resume is not supported for multi-core runs —
     shared-LLC mixes have no meaningful prefix to extend.
+
+    Two implementations of the loop exist, bit-identical in results and
+    in every piece of state they leave behind (pinned by
+    ``TestNativeLockstepEquivalence`` in
+    ``tests/test_hotpath_equivalence.py``): the Python loop in
+    :meth:`run`, which ``replay_backend="scalar"`` keeps as the
+    reference, and the native kernel
+    (:func:`repro.sim._native.replay_lockstep`), which replays the whole
+    run in one C call.  Every other backend value takes the native loop
+    when the kernel loads, the kernel supports every core's hierarchy
+    (``none`` or basic Pythia on LRU/SHiP caches), and the run has no
+    telemetry window and no progress or cancel callback; anything else
+    runs the Python loop.  (The batched backend has no lockstep form.)
     """
 
     def __init__(
@@ -971,6 +988,13 @@ class MultiCoreEngine:
         self._window_base: dict | None = None
         if telemetry_window:
             self._window_base = self._telemetry_snapshot()
+        self._use_native = (
+            config.replay_backend != "scalar"
+            and not telemetry_window
+            and progress is None
+            and cancel is None
+            and all(_native.usable(h) for h in self.hierarchies)
+        )
 
     def _step(self, core_idx: int) -> None:
         trace = self.traces[core_idx]
@@ -1031,11 +1055,15 @@ class MultiCoreEngine:
         cores, measured, marks = self.cores, self.measured, self.marks
         window = self.telemetry_window
         controlled = window or self.progress is not None or self.cancel is not None
+        native = self._use_native
         # Cores still short of their quota, in index order; a core leaves
         # once it reaches the quota, so the pick below never rebuilds it.
-        active = [i for i in range(len(cores)) if measured[i] < quota]
+        # The native kernel replays the whole loop in one call instead.
+        active = [] if native else [i for i in range(len(cores)) if measured[i] < quota]
         step = self._step
         with _gc_paused():
+            if native:
+                _native.replay_lockstep(self)
             while active:
                 # The earliest core steps next; ties go to the lowest index.
                 core_idx = active[0]
@@ -1091,9 +1119,11 @@ class MultiCoreEngine:
             late += hierarchy.late_prefetch_merges - mark.prefetches[1]
             per_core_ipc.append(d_instr / d_cyc if d_cyc > 0 else 0.0)
 
-        # Shared-LLC stats: subtract the earliest mark (approximation: the
-        # shared stats cannot be attributed per core exactly, matching how
-        # multi-programmed rollups report aggregate LLC behaviour).
+        # Shared LLC and DRAM stats: subtract core 0's mark (every mark is
+        # set by now, so this is the first core's, not the earliest one's).
+        # The shared stats cannot be attributed per core exactly; when
+        # another core finished warmup first, its measured steps before
+        # core 0's mark are left out of these deltas.
         first_mark = next(m for m in self.marks if m is not None)
         llc_stats = _stats_delta(self.llc.stats, first_mark.llc)
         dram = self.dram

@@ -17,6 +17,9 @@ that, at three levels:
    telemetry-windowed, and checkpoint-resumed — is pinned against the
    same pre-optimization reference, so resumable replay introduces no
    behaviour of its own.
+5. Backends: batched and native replay equal scalar on single-core
+   cells, and the native lockstep loop equals the Python lockstep loop
+   on multi-core mixes, down to the state each leaves behind.
 """
 
 from __future__ import annotations
@@ -570,3 +573,289 @@ class TestNativeBackendEquivalence:
             resumed = dataclasses.asdict(second.run())
             assert second.resumed_from == 100_000, (writer, resumer)
             assert resumed == fresh["native"], (writer, resumer)
+
+
+def _cache_state(cache) -> tuple:
+    """A cache's per-slot lists, policy metadata, tick and counters."""
+    policy = cache._policy
+    return (
+        cache._tag,
+        cache._pf,
+        cache._used,
+        policy.meta_a,
+        getattr(policy, "meta_b", None),
+        getattr(policy, "meta_c", None),
+        getattr(policy, "_shct", None),
+        cache._tick,
+        cache._where,
+        cache._filled,
+        dataclasses.asdict(cache.stats),
+    )
+
+
+def _lockstep_state(engine) -> dict:
+    """Everything a lockstep run leaves behind, with float/int types
+    visible (``repr``) where Python may hold either."""
+    cores = []
+    for hierarchy, core in zip(engine.hierarchies, engine.cores):
+        mshr = hierarchy.mshr
+        state = {
+            "l1": _cache_state(hierarchy.l1),
+            "l2": _cache_state(hierarchy.l2),
+            "mshr": (mshr._entries, mshr._by_completion, mshr.allocations, mshr.stalls),
+            "fills": (
+                hierarchy._pending_fills,
+                hierarchy._inflight_prefetch,
+                hierarchy._merged_inflight,
+            ),
+            "counters": (
+                hierarchy.prefetches_issued,
+                hierarchy.prefetches_dropped,
+                hierarchy.late_prefetch_merges,
+            ),
+            "core": (
+                repr(core.cycle),
+                core.instructions,
+                repr(core.stall_cycles),
+                list(core._outstanding),
+            ),
+        }
+        prefetcher = hierarchy.prefetcher
+        if hasattr(prefetcher, "agent"):
+            agent = prefetcher.agent
+            state["agent"] = (
+                agent.qvstore.export_table().tolist(),
+                [
+                    (e.state, e.action, e.prefetch_line, e.reward, e.filled)
+                    for e in agent.eq._fifo
+                ],
+                [
+                    (page, h.last_offset, list(h.deltas), list(h.offsets))
+                    for page, h in prefetcher.extractor._pages.items()
+                ],
+                list(prefetcher.extractor._last_pcs),
+                agent._rng.getstate(),
+                agent.updates,
+                agent.explorations,
+                prefetcher.action_counts,
+            )
+        cores.append(state)
+    dram = engine.dram
+    return {
+        "cores": cores,
+        "llc": _cache_state(engine.llc),
+        "dram": (
+            list(dram._events),
+            dram._window_busy,
+            dram._bucket_cycles,
+            dram._last_bucket_cycle,
+            dram.total_requests,
+            dram.demand_requests,
+            dram.prefetch_requests,
+            dram.busy_cycles,
+            [
+                (ch._bus_free, ch._demand_bus_free, ch._bank_free, ch._open_row,
+                 ch.row_hits, ch.row_misses)
+                for ch in dram._channels
+            ],
+        ),
+        "steps": engine.steps,
+        "cursors": engine.cursors,
+        "measured": engine.measured,
+        "warm_remaining": engine.warm_remaining,
+        "marks": [repr(mark) for mark in engine.marks],
+    }
+
+
+class TestNativeLockstepEquivalence:
+    """The compiled lockstep loop is pinned to the Python lockstep loop.
+
+    ``MultiCoreEngine`` replays a supported mix in one native call unless
+    ``replay_backend="scalar"``, which keeps the Python loop as the
+    reference.  Each case runs both and requires equal results —
+    ``dataclasses.asdict`` equality, and equal ``repr`` so a cycle count
+    Python holds as an int stays one — and equal final state: every
+    core's caches, MSHR, fill queues, core model and Pythia agent, the
+    shared LLC and DRAM, and the engine's steps, cursors, warmup
+    countdowns, measured counts and marks.  Every case also checks which
+    loop ran, by wrapping :func:`repro.sim._native.replay_lockstep`.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _native_kernel(self):
+        from repro.sim import _native
+
+        if not _native.available():
+            pytest.skip("no C compiler: native replay backend unavailable")
+
+    @pytest.fixture
+    def lockstep_calls(self, monkeypatch):
+        from repro.sim import _native
+
+        calls = []
+        real = _native.replay_lockstep
+
+        def counting(engine):
+            calls.append(engine)
+            return real(engine)
+
+        monkeypatch.setattr(_native, "replay_lockstep", counting)
+        return calls
+
+    @staticmethod
+    def _engines(names, config, pf_name, length, **kwargs):
+        """(native-eligible engine, Python-loop engine), both run."""
+        from repro.sim.engine import MultiCoreEngine
+
+        engines = []
+        for backend in ("native", "scalar"):
+            traces = [registry.cached_trace(name, length) for name in names]
+            engine = MultiCoreEngine(
+                traces,
+                dataclasses.replace(config, replay_backend=backend),
+                lambda: registry.create(pf_name),
+                0.2,
+                **kwargs,
+            )
+            engines.append((engine, engine.run()))
+        return engines
+
+    def _assert_lockstep_equal(self, names, config, pf_name, length, calls, **kwargs):
+        (native, got), (python, want) = self._engines(
+            names, config, pf_name, length, **kwargs
+        )
+        assert calls == [native], "the native lockstep loop did not run"
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
+        assert _lockstep_state(native) == _lockstep_state(python)
+        return native, got
+
+    @pytest.mark.parametrize("pf_name", ["pythia", "none"])
+    @pytest.mark.parametrize("kind", ["heterogeneous", "homogeneous"])
+    @pytest.mark.parametrize("cores", [2, 4])
+    def test_mixes_bit_identical(self, cores, kind, pf_name, lockstep_calls):
+        from repro.workloads.mixes import (
+            heterogeneous_mix_names,
+            homogeneous_mix_names,
+        )
+
+        if kind == "heterogeneous":
+            names = heterogeneous_mix_names(cores, 1, seed=1)[0][1]
+        else:
+            names = homogeneous_mix_names("spec06/lbm", cores)
+        config = registry.system(f"{cores}c")
+        assert config.llc.replacement == "ship"
+        self._assert_lockstep_equal(names, config, pf_name, 1500, lockstep_calls)
+
+    def test_lru_llc_bit_identical(self, lockstep_calls):
+        from repro.workloads.mixes import heterogeneous_mix_names
+
+        names = heterogeneous_mix_names(2, 1, seed=5)[0][1]
+        base = registry.system("2c")
+        config = dataclasses.replace(
+            base, llc=dataclasses.replace(base.llc, replacement="lru")
+        )
+        self._assert_lockstep_equal(names, config, "pythia", 1500, lockstep_calls)
+
+    @pytest.mark.parametrize("pf_name", ["pythia", "none"])
+    def test_stress_geometry_regrows(self, pf_name, lockstep_calls, monkeypatch):
+        """Few-line caches and 2-entry MSHRs force evictions everywhere
+        and structural stalls; a utilization window longer than the run
+        keeps every DRAM event, so the shared event ring outgrows its
+        import headroom and the kernel re-enters (rc=1) several times."""
+        from repro.sim._native import bridge
+        from repro.sim.config import CacheGeometry
+        from repro.workloads.mixes import heterogeneous_mix_names
+
+        lib = bridge.get_lib()
+        real = lib.repro_replay_lockstep
+        codes = []
+
+        def recording(args):
+            rc = real(args)
+            codes.append(rc)
+            return rc
+
+        monkeypatch.setattr(lib, "repro_replay_lockstep", recording)
+        base = registry.system("4c")
+        config = dataclasses.replace(
+            base,
+            l1=CacheGeometry(4 * 64, 2, 4, 2),
+            l2=CacheGeometry(8 * 64, 2, 14, 2),
+            llc=CacheGeometry(16 * 64, 2, 34, 2, "ship"),
+            dram=dataclasses.replace(base.dram, utilization_window=1 << 40),
+        )
+        names = heterogeneous_mix_names(4, 1, seed=2)[0][1]
+        native, _ = self._assert_lockstep_equal(
+            names, config, pf_name, 1500, lockstep_calls
+        )
+        assert codes.count(1) >= 1 and codes[-1] == 0, codes
+        assert sum(h.mshr.stalls for h in native.hierarchies) > 0
+
+    def test_zero_warmup_and_cursor_wrap(self, lockstep_calls):
+        """No warmup (the mark is taken on each core's first step) and a
+        quota past the end of every trace (cursors wrap around)."""
+        from repro.workloads.mixes import heterogeneous_mix_names
+
+        names = heterogeneous_mix_names(2, 1, seed=3)[0][1]
+        native, _ = self._assert_lockstep_equal(
+            names,
+            registry.system("2c"),
+            "pythia",
+            600,
+            lockstep_calls,
+            warmup_records=0,
+            records_per_core=1400,
+        )
+        assert native.warm_remaining == [0, 0]
+        assert min(native.cursors) > 600
+
+    def test_stalled_cycles_stay_ints(self, lockstep_calls):
+        """Back-to-back missing loads (gap 0) fill the ROB after 256 of
+        them, so from then on a load's own issue stalls and leaves
+        ``CoreModel.cycle`` a Python int; the marks (taken after 500
+        records) and results must carry the same int/float types as the
+        Python loop's, or the store's JSON digests would differ."""
+        from repro.sim.engine import MultiCoreEngine
+        from repro.sim.trace import Trace, TraceRecord
+
+        traces = [
+            Trace(
+                f"stream-{core}",
+                [
+                    TraceRecord(pc=0x400 + core, line=(core << 30) + 3 * i, gap=0)
+                    for i in range(900)
+                ],
+            )
+            for core in range(2)
+        ]
+        engines = []
+        for backend in ("native", "scalar"):
+            engine = MultiCoreEngine(
+                traces,
+                dataclasses.replace(registry.system("2c"), replay_backend=backend),
+                lambda: registry.create("pythia"),
+                warmup_records=500,
+            )
+            engines.append((engine, engine.run()))
+        (native, got), (python, want) = engines
+        assert lockstep_calls == [native]
+        assert any(type(mark.cycles) is int for mark in python.marks)
+        assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
+        assert _lockstep_state(native) == _lockstep_state(python)
+
+    @pytest.mark.parametrize("case", ["spp", "telemetry"])
+    def test_unsupported_runs_python_loop(self, case, lockstep_calls):
+        """An spp mix (no kernel support) and a telemetry-windowed pythia
+        mix both stay on the Python loop, with the same results."""
+        from repro.workloads.mixes import heterogeneous_mix_names
+
+        names = heterogeneous_mix_names(2, 1, seed=4)[0][1]
+        kwargs = {"telemetry_window": 500} if case == "telemetry" else {}
+        pf_name = "spp" if case == "spp" else "pythia"
+        (native, got), (_, want) = self._engines(
+            names, registry.system("2c"), pf_name, 800, **kwargs
+        )
+        assert lockstep_calls == []
+        assert not native._use_native
+        assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))

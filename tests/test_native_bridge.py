@@ -1,11 +1,12 @@
-"""Bridge-layer tests for the native replay kernel (ISSUE 10).
+"""Bridge-layer tests for the native replay kernel.
 
 Small-trace, quick-tier drivers of ``repro.sim._native.bridge``: the
 full Python → C → Python state round trip for both the training
-(Pythia) and non-training (no-prefetch) kernels, the configuration
-``supports()`` gate, and the short-span delegation back to the batched
-backend.  The heavyweight bit-identity matrix (five trace families,
-windowed, cross-backend checkpointed resumes) lives in
+(Pythia) and non-training (no-prefetch) kernels, a two-core mix through
+the lockstep entry, the configuration ``supports()`` gate, and the
+short-span delegation back to the batched backend.  The heavyweight
+bit-identity matrix (five trace families, windowed, cross-backend
+checkpointed resumes, and the lockstep mixes) lives in
 ``tests/test_hotpath_equivalence.py``; this file is the fast coverage
 driver the traced coverage run can afford
 (``scripts/coverage.py``).
@@ -112,3 +113,30 @@ def test_short_spans_delegate_to_batched(monkeypatch):
     # delegated — so no span entered the C entry point (get_lib calls
     # come only from usable()).
     assert all(lib is not None for lib in calls)
+
+
+@pytest.mark.parametrize("pf_name", ["pythia", "none"])
+def test_lockstep_mix_round_trip(pf_name, monkeypatch):
+    """A small two-core mix: one lockstep kernel call, Python-loop result."""
+    from repro.sim.system import simulate_multi
+
+    calls = []
+    real = _native.replay_lockstep
+    monkeypatch.setattr(
+        _native, "replay_lockstep", lambda engine: calls.append(engine) or real(engine)
+    )
+    traces = [
+        registry.cached_trace(name, 1000) for name in ("spec06/lbm-1", "ligra/cc-1")
+    ]
+    config = registry.system("2c")
+    results = [
+        simulate_multi(
+            traces,
+            dataclasses.replace(config, replay_backend=backend),
+            lambda: registry.create(pf_name),
+            warmup_fraction=0.2,
+        )
+        for backend in ("native", "scalar")
+    ]
+    assert len(calls) == 1
+    assert repr(dataclasses.asdict(results[0])) == repr(dataclasses.asdict(results[1]))

@@ -1,4 +1,4 @@
-"""Build-layer tests for the native replay kernel (ISSUE 10).
+"""Build-layer tests for the native replay kernel.
 
 Pins the build cache's contracts rather than simulation semantics
 (``tests/test_hotpath_equivalence.py`` owns bit-identity):
@@ -7,7 +7,8 @@ Pins the build cache's contracts rather than simulation semantics
   the source forces a rebuild and an untouched source is a cache hit;
 * with no C compiler reachable, ``replay_backend="native"`` degrades
   transparently to the batched backend — the full ``Session`` path
-  still runs and produces the batched result, with one logged notice;
+  still runs and produces the batched result, with one logged notice —
+  and a mix degrades to the Python lockstep loop;
 * a corrupt cached ``.so`` is discarded and rebuilt, not fatal.
 
 Every test resets the package's latched build/load state on the way in
@@ -44,8 +45,9 @@ def _config(backend: str) -> SystemConfig:
 
 TINY_KERNEL = b"""
 #include <stdint.h>
-int64_t repro_abi_sizeof(void) { return -1; }
-int64_t repro_replay_span(void *args) { (void)args; return -2; }
+int64_t repro_abi_sizeof(int64_t which) { (void)which; return -1; }
+int64_t repro_replay_span(void *core, void *shared) { (void)core; (void)shared; return -2; }
+int64_t repro_replay_lockstep(void *args) { (void)args; return -2; }
 """
 
 
@@ -130,3 +132,27 @@ def test_no_compiler_session_runs_transparently(monkeypatch, tmp_path):
     record = session.run_one("spec06/lbm-1", "pythia", system=_config("native"))
     reference = session.run_one("spec06/lbm-1", "pythia", system=_config("batched"))
     assert dataclasses.asdict(record.result) == dataclasses.asdict(reference.result)
+
+
+def test_no_compiler_mix_runs_python_loop(monkeypatch):
+    """A mix on any backend but scalar asks for the native lockstep loop;
+    with the compiler masked it runs the Python loop, same results."""
+    from repro.sim.engine import MultiCoreEngine
+
+    monkeypatch.setenv("CC", "no-such-compiler-for-test")
+    traces = [
+        registry.cached_trace(name, 800) for name in ("spec06/lbm-1", "ligra/cc-1")
+    ]
+    config = registry.system("2c")
+    engines = [
+        MultiCoreEngine(
+            traces,
+            dataclasses.replace(config, replay_backend=backend),
+            lambda: registry.create("pythia"),
+            0.2,
+        )
+        for backend in ("batched", "scalar")
+    ]
+    assert not engines[0]._use_native
+    results = [dataclasses.asdict(engine.run()) for engine in engines]
+    assert results[0] == results[1]
