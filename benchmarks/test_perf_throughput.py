@@ -14,8 +14,8 @@ per-record loop it must stay bit-identical to
 ``native_records_per_s`` — the compiled C kernel — when a C compiler
 is present (the rows are ``null`` otherwise, with a visible notice, so
 the bench degrades exactly like the engine does).  The native SPP row
-is informational only: the kernel does not support SPP, so that cell
-pins the per-cell fallback at batched-level throughput.  Schema 4 adds
+measures the kernel's Python training hooks: SPP's own ``train`` runs
+in Python, everything around it in C.  Schema 4 adds
 ``lockstep_records_per_s``: a fixed homogeneous four-core
 ``spec06/lbm`` pythia mix (``MultiCoreEngine``, every core replaying
 ``MIX_RECORDS`` records) on the Python lockstep loop and on the native
@@ -86,14 +86,25 @@ REGRESSION_FLOORS = {"none": 42_000, "spp": 19_000, "pythia": 16_000}
 
 #: Reference-runner regression floors for the native backend
 #: (REPRO_PERF_STRICT=1 and a C compiler present).  The quiet numbers
-#: sit 3-4x above these — but even at floor level the compiled kernel
-#: is well clear of ISSUE 10's >=45k acceptance bar and of any
-#: batched-level slide.  No SPP floor: that cell falls back to batched.
-NATIVE_REGRESSION_FLOORS = {"none": 150_000, "pythia": 90_000, "pythia_200k": 90_000}
+#: sit 3-4x above the none/pythia floors — but even at floor level the
+#: compiled kernel is well clear of the original >=45k acceptance bar
+#: and of any batched-level slide.  SPP trains through the Python
+#: hooks, so its quiet number (~69k) is bounded by SPP's own ``train``;
+#: its floor sits well above the batched SPP row (~28k).
+NATIVE_REGRESSION_FLOORS = {
+    "none": 150_000,
+    "spp": 40_000,
+    "pythia": 90_000,
+    "pythia_200k": 90_000,
+}
 
 #: ISSUE 10 acceptance ratio: native pythia @ 100k must hold at least
 #: this multiple of the batched row on the reference runner.
 NATIVE_MIN_SPEEDUP_VS_BATCHED = 2.0
+
+#: The hook path's ratio: native spp @ 100k must hold at least this
+#: multiple of the batched spp row on the reference runner.
+NATIVE_SPP_MIN_SPEEDUP_VS_BATCHED = 1.5
 
 #: The lockstep row's mix: MIX_CORES copies of MIX_TRACE with pythia on
 #: every core, each core replaying MIX_RECORDS records (warmup included).
@@ -291,6 +302,11 @@ def test_perf_throughput() -> None:
             assert ratio >= NATIVE_MIN_SPEEDUP_VS_BATCHED, (
                 f"native pythia is only {ratio:.2f}x batched "
                 f"(acceptance requires >={NATIVE_MIN_SPEEDUP_VS_BATCHED}x)"
+            )
+            ratio = native_rates["spp"] / rates["spp"]
+            assert ratio >= NATIVE_SPP_MIN_SPEEDUP_VS_BATCHED, (
+                f"native spp (hook path) is only {ratio:.2f}x batched "
+                f"(requires >={NATIVE_SPP_MIN_SPEEDUP_VS_BATCHED}x)"
             )
             ratio = lockstep["native"] / lockstep["python"]
             assert ratio >= LOCKSTEP_MIN_SPEEDUP, (

@@ -22,7 +22,10 @@
 # cell and >=2x the batched row): they gate only when a C compiler is
 # on PATH — without one the bench prints a visible NOTICE, omits the
 # native rows, and the rest of the suite must still pass on the
-# batched fallback.  The slow figure-regeneration suite
+# batched fallback.  Native is the default backend and trains every
+# prefetcher without a C model through Python hooks; the
+# native spp row measures that hook path, with a 40,000 records/s floor
+# and >=1.5x the batched spp row.  The slow figure-regeneration suite
 # (`make bench`) is a separate, scheduled job.
 #
 # After the resume smoke the invariant checker (python -m
@@ -37,7 +40,7 @@
 #
 # When the compiler ships the AddressSanitizer runtime, the sanitizer
 # tier (`make sanitize`, scripts/sanitize.py) re-runs the native
-# single-core and lockstep suites against an ASan + UBSan build of
+# single-core, lockstep and hook suites against an ASan + UBSan build of
 # kernel.c; otherwise it prints a NOTICE and is skipped.
 #
 # The final step re-runs the API/workloads-facing suites under the

@@ -5,8 +5,10 @@ Compiles ``src/repro/sim/_native/kernel.c`` with AddressSanitizer and
 UndefinedBehaviorSanitizer into a scratch ``REPRO_NATIVE_CACHE``, under
 the file name :func:`repro.sim._native.build.build` looks up there, so the
 suites load the sanitized object instead of compiling the production one.
-It then runs the single-core and lockstep native suites with the
-compiler's ``libasan`` and ``libubsan`` preloaded (the interpreter itself
+It then runs the single-core, lockstep and hook native suites (the
+last drives the Python callback sites, candidate-buffer growth and the
+hook abort path) with the compiler's ``libasan`` and ``libubsan``
+preloaded (the interpreter itself
 is not instrumented) and leak detection off (CPython keeps allocations
 alive until exit)::
 
@@ -41,6 +43,7 @@ SUITES = (
     "tests/test_native_bridge.py",
     "tests/test_hotpath_equivalence.py::TestNativeBackendEquivalence",
     "tests/test_hotpath_equivalence.py::TestNativeLockstepEquivalence",
+    "tests/test_hotpath_equivalence.py::TestNativeHookEquivalence",
 )
 
 

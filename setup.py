@@ -1,2 +1,3 @@
 from setuptools import setup
-setup()
+
+setup(install_requires=["numpy"])

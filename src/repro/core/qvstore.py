@@ -15,8 +15,8 @@ coding.  SARSA updates apply the TD error to every plane of every vault
 Two interchangeable implementations live here:
 
 * :class:`QVStore` — the original pure-Python nested-list store.  Kept
-  as the dependency-free fallback and as the reference the fast path is
-  pinned against (``tests/test_hotpath_equivalence.py``).
+  as the reference the fast path is pinned against
+  (``tests/test_hotpath_equivalence.py``).
 * :class:`NumpyQVStore` — one preallocated flat cell buffer in array
   layout for the whole store, scalar hot-path reads/updates, and a
   per-state Q-row cache invalidated by per-row version counters (one
@@ -27,20 +27,18 @@ Two interchangeable implementations live here:
   ``(features, planes, entries, actions)`` table as before.
 
 :func:`make_qvstore` selects between them via
-``PythiaConfig.qvstore_impl`` (``"auto"`` prefers NumPy when installed).
+``PythiaConfig.qvstore_impl`` (``"auto"`` means NumPy, a declared
+dependency).
 """
 
 from __future__ import annotations
 
 from operator import add as _add, itemgetter
 
+import numpy as _np
+
 from repro.core.config import PythiaConfig
 from repro.core.tile_coding import plane_indices
-
-try:  # NumPy is optional: the pure-Python store is a complete fallback.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
 
 #: State values as passed around by the agent: one int per feature.
 StateValues = tuple[int, ...]
@@ -240,8 +238,6 @@ class NumpyQVStore:
     """
 
     def __init__(self, config: PythiaConfig) -> None:
-        if _np is None:  # pragma: no cover - exercised only without numpy
-            raise RuntimeError("NumpyQVStore requires numpy; use QVStore")
         self.config = config
         self._shifts = config.plane_shifts
         self._entries = config.plane_entries
@@ -519,16 +515,14 @@ class NumpyQVStore:
 def make_qvstore(config: PythiaConfig):
     """Instantiate the Q-store implementation the config selects.
 
-    ``qvstore_impl``: ``"auto"`` (NumPy when installed, else the pure-
-    Python fallback), ``"numpy"``, or ``"python"``.  Both produce
-    bit-identical Q-values; the choice is purely a speed/dependency
-    trade-off, so it is excluded from result fingerprints.
+    ``qvstore_impl``: ``"auto"`` or ``"numpy"`` (the NumPy store), or
+    ``"python"`` (the pure-Python reference the tests pin it against).
+    Both produce bit-identical Q-values; the choice is purely a speed
+    knob, so it is excluded from result fingerprints.
     """
     impl = getattr(config, "qvstore_impl", "auto")
     if impl == "python":
         return QVStore(config)
-    if impl == "numpy":
+    if impl in ("auto", "numpy"):
         return NumpyQVStore(config)
-    if impl == "auto":
-        return NumpyQVStore(config) if _np is not None else QVStore(config)
     raise ValueError(f"unknown qvstore_impl {impl!r}; use auto|numpy|python")

@@ -90,12 +90,13 @@ class Prefetcher(ABC):
     ) -> list[int]:
         """Columnar-path training entry: :meth:`train` on scalar fields.
 
-        The batched replay kernel (:mod:`repro.sim.batch`) already holds
-        each record's decoded fields as loop locals, so it trains through
-        this method instead of building a :class:`DemandContext` it would
+        The batched replay kernel (:mod:`repro.sim.batch`) and the native
+        kernel's training hook (:mod:`repro.sim._native.bridge`) already
+        hold each record's decoded fields, so they train through this
+        method instead of building a :class:`DemandContext` they would
         immediately pick apart.  The default wraps :meth:`train` so every
-        prefetcher works under the batched backend unchanged; hot
-        prefetchers (Pythia) override it with a fused path that is pinned
+        prefetcher works under both backends unchanged; hot prefetchers
+        (Pythia) override it with a fused path that is pinned
         bit-identical to ``train`` by the equivalence tests.
         """
         ctx = DemandContext(

@@ -1,20 +1,27 @@
 """Native compiled replay backend (``replay_backend="native"``).
 
-One C translation unit (:mod:`kernel.c <repro.sim._native.build>`)
-replays decoded trace columns end to end — caches, MSHR, DRAM, core,
-and the Pythia SARSA chain — in the exact operation order of
-:func:`repro.sim.batch.replay_span` (:func:`replay_span`, single-core)
-and of ``MultiCoreEngine.run``'s lockstep loop (:func:`replay_lockstep`,
-mixes), so results are bit-identical to the Python loops.  The package
-is self-contained: :mod:`~repro.sim._native.build` compiles and caches
-the shared object on demand, :mod:`~repro.sim._native.bridge` owns the
-``ctypes`` state round trip (the only place in the tree allowed to
-import ``ctypes``), and everything degrades to the Python loops when a
-compiler, the build, or the configuration is unsupported.
+The default backend.  One C translation unit (:mod:`kernel.c
+<repro.sim._native.build>`) replays decoded trace columns end to end —
+caches, MSHR, DRAM, core, and the Pythia SARSA chain — in the exact
+operation order of :func:`repro.sim.batch.replay_span`
+(:func:`replay_span`, single-core) and of ``MultiCoreEngine.run``'s
+lockstep loop (:func:`replay_lockstep`, mixes), so results are
+bit-identical to the Python loops.  Prefetchers without a C model train
+through Python callbacks the kernel calls (the hook ABI, see
+:mod:`~repro.sim._native.bridge`), so every prefetcher replays here; a
+callback's exception fails the cell with the original exception, and
+any other kernel failure raises :class:`NativeReplayError`.  The
+package is self-contained: :mod:`~repro.sim._native.build` compiles and
+caches the shared object on first use (only when a cell simulates),
+:mod:`~repro.sim._native.bridge` owns the ``ctypes`` state round trip
+(the only place in the tree allowed to import ``ctypes``), and
+everything degrades to the batched loop when no compiler or build is
+available.
 """
 
 from repro.sim._native.bridge import (
     MIN_NATIVE_SPAN,
+    NativeReplayError,
     get_lib,
     replay_lockstep,
     replay_span,
@@ -38,6 +45,7 @@ def reset() -> None:
 
 __all__ = [
     "MIN_NATIVE_SPAN",
+    "NativeReplayError",
     "available",
     "get_lib",
     "replay_lockstep",

@@ -9,7 +9,8 @@ one import and one export shared by both entry points:
 
 * :func:`_import_core` / :func:`_export_core` — one core's private state
   (``_CoreArgs``): trace columns, L1 and L2, MSHR, prefetch fill queues,
-  core model, and — when training — the full Pythia agent;
+  core model, and — when the kernel models the prefetcher — the full
+  Pythia agent;
 * :func:`_import_shared` / :func:`_export_shared` — what the cores share
   (``_SharedArgs``): the LLC and DRAM.
 
@@ -25,12 +26,31 @@ exactly where the batched (or scalar) loop would have left it, and
 checkpoints taken on either side of a native span restore
 interchangeably.
 
-A single-core span still costs ~15-20 ms of copying for the default
+Every prefetcher replays here.  The kernel models the no-prefetching
+baseline and basic-feature Pythia in C (:func:`training_mode`); every
+other prefetcher, and every L1 prefetcher, trains through Python
+callbacks in the core's hook block (``_HookArgs``, built per call by
+:func:`_install_hooks`).  The training hook calls the prefetcher's
+``train_cols`` with the types the Python loops pass (int cycle, bool
+``is_load``, float utilization, bool ``bandwidth_high``) and leaves the
+candidates in a buffer that grows instead of truncating; the kernel then
+applies ``_issue_prefetches``' dedup, degree cap and filters.  The
+outcome hooks are installed only where the prefetcher overrides the
+callback.  A hook round trip costs about 1 µs (2-vCPU host), so a hooked
+prefetcher runs at the speed of its own ``train`` plus the C memory
+system.  A hook that raises stores the exception and sets an abort word;
+the kernel stops without exporting and :func:`_check` re-raises the
+original exception.  The simulator objects then hold their pre-call
+state, but the prefetcher has advanced, so the engine is unusable.
+
+A single-core span still costs ~13-22 ms of copying for the default
 hierarchy (2-vCPU host; most of it the 32,768-slot LLC's list
-conversions).  It is amortized over the span, so short spans (telemetry
-windows, control chunks near boundaries) are delegated to the batched
-backend instead — same results, better constant factor.  A mix needs no
-such threshold: its whole run is one call, so the copy is paid once per
+conversions).  It is amortized over the span, so spans shorter than
+:data:`MIN_NATIVE_SPAN` (telemetry windows, warmup prefixes, control
+chunks near boundaries) are delegated to the batched backend instead —
+same results, better constant factor — unless an L1 prefetcher, which
+batched cannot train, forces them native.  A mix needs no such
+threshold: its whole run is one call, so the copy is paid once per
 cell.
 
 ``ctypes`` usage is confined to this package (``repro.sim._native``);
@@ -42,6 +62,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import random
+import sys
 from collections import deque
 
 import numpy as _np
@@ -50,7 +71,7 @@ from repro.core.eq import EqEntry, EvaluationQueue
 from repro.core.features import FeatureExtractor, _PageHistory
 from repro.core.pythia import Pythia
 from repro.core.qvstore import NumpyQVStore
-from repro.prefetchers.base import NoPrefetcher
+from repro.prefetchers.base import Prefetcher
 from repro.sim import batch
 from repro.sim._native import build
 from repro.sim.cache import CacheStats
@@ -59,8 +80,11 @@ from repro.sim.replacement import LruPolicy, ShipPolicy
 from repro.types import LINES_PER_PAGE, PAGE_SHIFT_LINES
 
 #: Spans shorter than this are delegated to the batched backend: the
-#: state round trip costs more than the interpreter saves.  Tests pin
-#: bit-identity with this set to 0 so every span exercises the kernel.
+#: state round trip (~13-22 ms, the batched time of ~300-450 pythia
+#: records) costs more than the interpreter saves, and a lower threshold
+#: raised the peak RSS of short-cell sessions (512 put every Fig 20
+#: search span on native: +9%).  Tests pin bit-identity with this set
+#: to 0 so every span exercises the kernel.
 MIN_NATIVE_SPAN = 2048
 
 _I64 = ctypes.c_int64
@@ -114,6 +138,27 @@ class _SharedArgs(ctypes.Structure):
     ]
 
 
+#: ``Prefetcher.train_cols`` as the kernel calls it: (pc, line, page,
+#: offset, cycle, is_load, bandwidth_utilization, bandwidth_high) ->
+#: candidate count.  ``c_bool`` arguments arrive as Python bools.
+_TRAIN_HOOK = ctypes.CFUNCTYPE(
+    _I64, _I64, _I64, _I64, _I64, _I64, ctypes.c_bool, _DBL, ctypes.c_bool
+)
+#: An outcome callback: (line, cycle).
+_OUTCOME_HOOK = ctypes.CFUNCTYPE(None, _I64, _I64)
+
+
+class _HookArgs(ctypes.Structure):
+    """Mirror of ``HookArgs`` in kernel.c: one core's Python callbacks."""
+
+    _fields_ = [
+        ("train", _TRAIN_HOOK), ("l1_train", _TRAIN_HOOK),
+        ("on_fill", _OUTCOME_HOOK), ("on_hit", _OUTCOME_HOOK),
+        ("on_dropped", _OUTCOME_HOOK), ("on_useless", _OUTCOME_HOOK),
+        ("cand", _PTR), ("abort", _PTR), ("cand_cap", _I64),
+    ]
+
+
 class _CoreArgs(ctypes.Structure):
     """Mirror of ``CoreArgs`` in kernel.c: one core's private state."""
 
@@ -123,6 +168,8 @@ class _CoreArgs(ctypes.Structure):
         ("col_gap", _PTR), ("col_page", _PTR), ("col_offset", _PTR),
         # private caches
         ("l1", _CacheArgs), ("l2", _CacheArgs),
+        # Python callbacks
+        ("hooks", _HookArgs),
         # MSHR
         ("mshr_line", _PTR), ("mshr_comp", _PTR), ("mshr_ispf", _PTR),
         ("mshrh_comp", _PTR), ("mshrh_line", _PTR),
@@ -216,31 +263,46 @@ def reset() -> None:
     _lib_state[1] = None
 
 
-# -- configuration support check --------------------------------------------
+# -- configuration support and training modes --------------------------------
+
+#: ``CoreArgs.train``: how the kernel trains a core's L2 prefetcher.
+TRAIN_NONE = 0  # the no-prefetching baseline: no training events
+TRAIN_PYTHIA = 1  # basic-feature Pythia, modelled in C
+TRAIN_HOOK = 2  # any other prefetcher, through the Python hooks
 
 
 def supports(hierarchy) -> bool:
-    """True when *hierarchy* uses only constructs the kernel mirrors.
+    """True when the kernel mirrors *hierarchy*'s structure.
 
-    Anything else — L1 prefetchers, exotic replacement policies or
-    prefetcher subclasses, non-basic Pythia feature vectors — falls
-    back to the batched backend per cell (single-core) or to the Python
-    lockstep loop (mixes).
+    Every prefetcher qualifies (:func:`training_mode` picks how it
+    trains); what the kernel needs is LRU or SHiP caches, at least one
+    DRAM channel, and a non-negative degree cap (a negative one would
+    let an L1 prefetcher issue without bound, past the per-record
+    headroom).  Engines built from registry systems always qualify.
     """
-    if hierarchy.l1_prefetcher is not None:
-        return False
     for cache in (hierarchy.l1, hierarchy.l2, hierarchy.llc):
         if type(cache._policy) not in (LruPolicy, ShipPolicy):
             return False
-    if hierarchy.dram.config.channels < 1:
-        return False
-    prefetcher = hierarchy.prefetcher
-    if type(prefetcher) is NoPrefetcher:
-        return True
-    if type(prefetcher) is not Pythia:
-        return False
-    agent = prefetcher.agent
     return (
+        hierarchy.dram.config.channels >= 1
+        and hierarchy.config.max_prefetch_degree >= 0
+    )
+
+
+def training_mode(hierarchy) -> int:
+    """The kernel's training mode for *hierarchy*'s L2 prefetcher.
+
+    ``TRAIN_NONE`` for the no-prefetching baseline, ``TRAIN_PYTHIA`` for
+    the Pythia the C kernel models (basic features, NumPy Q-store, stock
+    EQ/RNG/extractor), ``TRAIN_HOOK`` for everything else.
+    """
+    prefetcher = hierarchy.prefetcher
+    if not hierarchy._train_l2:
+        return TRAIN_NONE
+    if type(prefetcher) is not Pythia:
+        return TRAIN_HOOK
+    agent = prefetcher.agent
+    modelled = (
         prefetcher._basic_features
         and len(prefetcher.config.features) == 2
         and type(prefetcher.extractor) is FeatureExtractor
@@ -249,13 +311,12 @@ def supports(hierarchy) -> bool:
         and type(agent.eq) is EvaluationQueue
         and type(agent._rng) is random.Random
     )
+    return TRAIN_PYTHIA if modelled else TRAIN_HOOK
 
 
 def usable(hierarchy) -> bool:
     """True when the kernel is loaded and *hierarchy* is supported."""
-    return (
-        batch.available() and get_lib() is not None and supports(hierarchy)
-    )
+    return get_lib() is not None and supports(hierarchy)
 
 
 # -- small helpers ----------------------------------------------------------
@@ -304,6 +365,167 @@ def _grow(args, bufs: dict, names, count: str, cap: str, new_cap: int) -> None:
         new = _np.zeros(new_cap, old.dtype)
         new[:used] = old[:used]
         _attach(args, bufs, name, new)
+
+
+# -- Python hooks -------------------------------------------------------------
+
+
+class NativeReplayError(RuntimeError):
+    """The kernel returned a negative rc that no hook exception explains.
+
+    Attributes:
+        rc: the kernel's return code.
+        index: the record index (single-core) or lockstep step at which
+            the kernel stopped.
+    """
+
+    def __init__(self, rc: int, index: int, unit: str) -> None:
+        super().__init__(f"native replay kernel failed (rc={rc}) at {unit} {index}")
+        self.rc = rc
+        self.index = index
+
+
+class _HookFailure:
+    """One kernel call's hook failure: the first exception any hook
+    raised, and the abort word the kernel polls after every hook call."""
+
+    __slots__ = ("word", "error")
+
+    def __init__(self) -> None:
+        self.word = _I64(0)
+        self.error: BaseException | None = None
+
+    def record(self, exc: BaseException) -> None:
+        if self.error is None:
+            self.error = exc
+        self.word.value = 1
+
+
+class _Candidates:
+    """A core's candidate buffer, shared by its training hooks.  Growing
+    it re-points the core's ``hooks.cand``/``cand_cap``, which the kernel
+    re-reads after every training call, so no candidate is truncated."""
+
+    __slots__ = ("hooks", "array", "cap")
+
+    def __init__(self, hooks: _HookArgs, cap: int) -> None:
+        self.hooks = hooks
+        self.reserve(cap)
+
+    def reserve(self, cap: int) -> None:
+        self.array = (_I64 * cap)()
+        self.cap = cap
+        self.hooks.cand = ctypes.addressof(self.array)
+        self.hooks.cand_cap = cap
+
+
+def _train_hook(train_cols, cands: _Candidates, failure: _HookFailure):
+    """Wrap *train_cols* as a training hook writing into *cands*."""
+
+    def hook(pc, line, page, offset, cycle, is_load, util, bw_high):
+        try:
+            got = train_cols(pc, line, page, offset, cycle, is_load, util, bw_high)
+            n = len(got)
+            if n:
+                if n > cands.cap:
+                    cands.reserve(2 * n)
+                cands.array[:n] = got
+            return n
+        except BaseException as exc:
+            # ctypes would print and swallow it: store it, make the
+            # kernel abort, and let _check re-raise it after the call.
+            failure.record(exc)
+            return 0
+
+    hook.failure = failure
+    return _TRAIN_HOOK(hook)
+
+
+def _outcome_hook(callback, failure: _HookFailure):
+    """Wrap a prefetcher outcome *callback* as an outcome hook."""
+
+    def hook(line, cycle):
+        try:
+            callback(line, cycle)
+        except BaseException as exc:
+            failure.record(exc)
+
+    hook.failure = failure
+    return _OUTCOME_HOOK(hook)
+
+
+#: (``HookArgs`` field, ``Prefetcher`` method) for the outcome hooks.
+_OUTCOMES = (
+    ("on_fill", "on_prefetch_fill"),
+    ("on_hit", "on_demand_hit_prefetched"),
+    ("on_dropped", "on_prefetch_dropped"),
+    ("on_useless", "on_prefetch_useless"),
+)
+
+#: Initial candidate-buffer entries per core.
+_CANDIDATES = 64
+
+
+def _install_hooks(c: _CoreArgs, bufs: dict, hierarchy, failure: _HookFailure) -> None:
+    """Fill *c*'s hook block for *hierarchy*: the training hook and every
+    outcome hook the prefetcher overrides (``TRAIN_HOOK`` mode), and the
+    L1 prefetcher's hook.  The callbacks live in *bufs*, never on a
+    simulator object, so nothing ctypes-typed outlives the call."""
+    hooks = c.hooks
+    hooks.abort = ctypes.addressof(failure.word)
+    l1_prefetcher = hierarchy.l1_prefetcher
+    if c.train != TRAIN_HOOK and l1_prefetcher is None:
+        return
+    cands = bufs["candidates"] = _Candidates(hooks, _CANDIDATES)
+    installed = bufs["hooks"] = []
+    if l1_prefetcher is not None:
+        installed.append(_train_hook(l1_prefetcher.train_cols, cands, failure))
+        hooks.l1_train = installed[-1]
+    if c.train != TRAIN_HOOK:
+        return
+    prefetcher = hierarchy.prefetcher
+    installed.append(_train_hook(prefetcher.train_cols, cands, failure))
+    hooks.train = installed[-1]
+    for field, name in _OUTCOMES:
+        callback = getattr(prefetcher, name)
+        if getattr(callback, "__func__", None) is not getattr(Prefetcher, name):
+            installed.append(_outcome_hook(callback, failure))
+            setattr(hooks, field, installed[-1])
+
+
+def _call(entry, args, failure: _HookFailure):
+    """Call kernel *entry* with a guard for exceptions a hook's own
+    handler cannot catch: a ``KeyboardInterrupt`` delivered on a
+    callback's first instruction, before its ``try``, reaches ctypes,
+    which reports it through ``sys.unraisablehook`` -- redirected here
+    to *failure* for the duration of the call.  Calls overlapping in
+    threads may leave a finished call's guard installed; it forwards
+    every report that is not its own to the hook it replaced."""
+    previous = sys.unraisablehook
+
+    def guard(unraisable):
+        if getattr(unraisable.object, "failure", None) is failure:
+            failure.record(unraisable.exc_value)
+        else:
+            previous(unraisable)
+
+    sys.unraisablehook = guard
+    try:
+        return entry(*args)
+    finally:
+        if sys.unraisablehook is guard:
+            sys.unraisablehook = previous
+
+
+def _check(rc: int, failure: _HookFailure, index: int, unit: str) -> None:
+    """Raise for a failed kernel call: a hook's own exception first (its
+    type and traceback intact), else :class:`NativeReplayError`."""
+    error = failure.error
+    if error is not None:
+        failure.error = None
+        raise error
+    if rc < 0:
+        raise NativeReplayError(rc, index, unit)
 
 
 # -- caches -----------------------------------------------------------------
@@ -474,9 +696,12 @@ _CORE_FAMILIES = (
 )
 
 
-def _import_core(c: _CoreArgs, hierarchy, core, cols, headroom: int) -> dict:
+def _import_core(
+    c: _CoreArgs, hierarchy, core, cols, headroom: int, failure: _HookFailure
+) -> dict:
     """Import one core's private state: columns, L1/L2, MSHR, fill queues,
-    core model and (when training) the Pythia agent."""
+    core model, and the Pythia agent or the Python hooks that train the
+    prefetchers."""
     bufs: dict = {
         "l1": _import_cache(c.l1, hierarchy.l1),
         "l2": _import_cache(c.l2, hierarchy.l2),
@@ -543,9 +768,10 @@ def _import_core(c: _CoreArgs, hierarchy, core, cols, headroom: int) -> dict:
     c.page_shift = PAGE_SHIFT_LINES
     c.lines_per_page = LINES_PER_PAGE
 
-    c.train = 1 if hierarchy._train_l2 else 0
-    if c.train:
+    c.train = training_mode(hierarchy)
+    if c.train == TRAIN_PYTHIA:
         _import_agent(c, bufs, hierarchy.prefetcher)
+    _install_hooks(c, bufs, hierarchy, failure)
     return bufs
 
 
@@ -703,7 +929,7 @@ def _export_core(c: _CoreArgs, hierarchy, core, bufs: dict) -> None:
     hierarchy.prefetches_dropped = c.pf_dropped
     hierarchy.late_prefetch_merges = c.late_merges
 
-    if c.train:
+    if c.train == TRAIN_PYTHIA:
         _export_agent(c, bufs, hierarchy.prefetcher)
 
 
@@ -772,43 +998,44 @@ def _export_agent(c: _CoreArgs, bufs: dict, prefetcher) -> None:
     )
 
 
-def _check(rc: int, where: str) -> None:
-    if rc not in (0, 1):
-        raise RuntimeError(f"native replay kernel failed (rc={rc}) {where}")
-
-
 # -- the backend entry points ------------------------------------------------
 
 
 def replay_span(hierarchy, core, cols, start, stop, stamp=None) -> None:
     """Replay records ``[start, stop)`` through the compiled kernel.
 
-    Drop-in for :func:`repro.sim.batch.replay_span` (which it delegates
-    to for short spans, or if the kernel turns out to be unavailable).
-    The *stamp* rides through to the batched backend's decoded-column
-    memo when delegating.
+    Drop-in for :func:`repro.sim.batch.replay_span`, which it delegates
+    to for spans shorter than :data:`MIN_NATIVE_SPAN` (unless the
+    hierarchy has an L1 prefetcher, which only the kernel and the scalar
+    loop train) or if the kernel turns out to be unavailable.  The
+    *stamp* rides through to the batched backend's decoded-column memo
+    when delegating.
 
     Raises:
-        RuntimeError: the kernel reported an internal error.  The
-            Python-side state is untouched in that case (the kernel
-            only writes back on success), so the engine's pre-span
-            state remains consistent.
+        BaseException: whatever a hooked prefetcher raised, re-raised
+            with its type and traceback after the kernel stopped.
+        NativeReplayError: the kernel reported an internal error.
+            Either way the kernel wrote nothing back: the hierarchy and
+            core keep their pre-span state, but a hooked prefetcher has
+            advanced past it, so the engine cannot be reused.
     """
     lib = get_lib()
-    if lib is None or stop - start < MIN_NATIVE_SPAN:
+    short = stop - start < MIN_NATIVE_SPAN and hierarchy.l1_prefetcher is None
+    if lib is None or short:
         batch.replay_span(hierarchy, core, cols, start, stop, stamp=stamp)
         return
 
     headroom = _headroom(hierarchy.config)
+    failure = _HookFailure()
     c = _CoreArgs()
     s = _SharedArgs()
-    core_bufs = _import_core(c, hierarchy, core, cols, headroom)
+    core_bufs = _import_core(c, hierarchy, core, cols, headroom, failure)
     shared_bufs = _import_shared(s, hierarchy.llc, hierarchy.dram, headroom)
     c.start = start
     c.stop = stop
     while True:
-        rc = lib.repro_replay_span(ctypes.byref(c), ctypes.byref(s))
-        _check(rc, f"at record {c.start + c.processed}")
+        rc = _call(lib.repro_replay_span, (ctypes.byref(c), ctypes.byref(s)), failure)
+        _check(rc, failure, c.start + c.processed, "record")
         if rc == 0:
             break
         # Headroom exhausted: the kernel exported a consistent state at
@@ -833,17 +1060,21 @@ def replay_lockstep(engine) -> None:
     :func:`usable` for every hierarchy first.
 
     Raises:
-        RuntimeError: the kernel reported an internal error; no Python
-            state was written.
+        BaseException: whatever a hooked prefetcher raised (see
+            :func:`replay_span`).
+        NativeReplayError: the kernel reported an internal error.  No
+            simulator state was written either way, but hooked
+            prefetchers have advanced, so the engine cannot be reused.
     """
     from repro.sim.engine import CounterMark
 
     lib = get_lib()
     n = len(engine.cores)
     headroom = _headroom(engine.config)
+    failure = _HookFailure()
     cores = (_CoreArgs * n)()
     core_bufs = [
-        _import_core(cores[i], hierarchy, core, trace.columns(), headroom)
+        _import_core(cores[i], hierarchy, core, trace.columns(), headroom, failure)
         for i, (hierarchy, core, trace) in enumerate(
             zip(engine.hierarchies, engine.cores, engine.traces)
         )
@@ -870,8 +1101,8 @@ def replay_lockstep(engine) -> None:
     lock.quota = engine.records_per_core
     lock.steps = engine.steps
     while True:
-        rc = lib.repro_replay_lockstep(ctypes.byref(lock))
-        _check(rc, f"at lockstep step {lock.steps}")
+        rc = _call(lib.repro_replay_lockstep, (ctypes.byref(lock),), failure)
+        _check(rc, failure, lock.steps, "lockstep step")
         if rc == 0:
             break
         # Headroom exhausted before a step: every core's state was

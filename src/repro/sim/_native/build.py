@@ -11,9 +11,9 @@ instead of silently shipping a stale binding.
 
 Everything degrades gracefully: no compiler on PATH, a failed compile,
 or a corrupt cached object all make :func:`load` return ``None`` (after
-one :mod:`logging` notice), and the engine silently stays on the
-batched backend — the two are bit-identical, so only throughput
-changes.
+one :mod:`logging` notice), and the engine falls back from the default
+native backend to batched — the two are bit-identical, so only
+throughput changes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ _LOG = logging.getLogger("repro.sim.native")
 
 #: CRC-32 of the committed ``kernel.c`` (the ``native`` lint rule
 #: recomputes this from the source and fails on drift).
-KERNEL_SOURCE_CRC = 0xB52A906B
+KERNEL_SOURCE_CRC = 0xB906B5C4
 
 #: ``-ffp-contract=off`` is load-bearing: fused multiply-adds would
 #: round differently from Python's separate multiply and add, breaking

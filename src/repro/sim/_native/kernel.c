@@ -15,11 +15,22 @@
  * Twister + randrange/ random() implementations reproduce CPython's
  * random.Random draw for draw.
  *
+ * Prefetchers the kernel does not model in C train through Python
+ * callbacks (HookArgs): the training hook runs the prefetcher's
+ * train_cols on every L1-miss training event and leaves its candidates
+ * in a buffer the kernel filters exactly like _issue_prefetches; the
+ * outcome hooks fire where the Python loops call the matching
+ * Prefetcher methods; the L1 hook trains an L1 prefetcher on every L1
+ * access.  A hook that raised sets the abort word, and the kernel stops
+ * at once with RC_HOOK_ABORT, exporting nothing.
+ *
  * Mirrored sources (keep in sync; tests/test_hotpath_equivalence.py
  * pins the equivalence):
  *   repro/sim/batch.py        -- the record loop replayed here
  *   repro/sim/engine.py       -- MultiCoreEngine.run / _step (lockstep)
- *   repro/sim/hierarchy.py    -- process_fills
+ *   repro/sim/hierarchy.py    -- process_fills, _issue_prefetches,
+ *                                _fetch_for_prefetch, _train_l1_prefetcher
+ *   repro/prefetchers/base.py -- train_cols and the outcome callbacks
  *   repro/sim/cache.py        -- lookup/fill bookkeeping, CacheStats order
  *   repro/sim/replacement.py  -- LruPolicy / ShipPolicy
  *   repro/sim/mshr.py         -- reclaim / allocate / earliest_completion
@@ -37,18 +48,58 @@
  *
  * Entry points (both return 0 when done, 1 when a capacity ran out --
  * state is exported at a record boundary; the bridge grows the arrays
- * and re-enters -- and negative on an internal invariant violation,
- * with state NOT exported, so the bridge raises and the Python objects
- * keep their pre-call state):
+ * and re-enters -- and negative on an internal invariant violation or
+ * a hook abort, with state NOT exported, so the bridge raises and the
+ * simulator objects keep their pre-call state; a hooked prefetcher has
+ * advanced by then):
  *   repro_replay_span(CoreArgs *, SharedArgs *)  records [start, stop)
  *       of one core;
  *   repro_replay_lockstep(LockstepArgs *)  MultiCoreEngine's lockstep
  *       loop over every core until each has measured its quota.
  */
 
+#include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* Negative return codes. */
+enum {
+    RC_NOMEM = -2,         /* allocation failure */
+    RC_MSHR = -3,          /* structural stall with no outstanding miss */
+    RC_ROB = -4,           /* outstanding-load ring overflow */
+    RC_EMPTY_TRACE = -5,   /* lockstep core with an empty trace */
+    RC_HOOK_ABORT = -6,    /* a Python hook raised (see HookArgs.abort) */
+    RC_HOOK_COUNT = -7     /* a training hook returned a bad count */
+};
+
+/* Prefetcher.train_cols: (pc, line, page, offset, cycle, is_load,
+ * bandwidth_utilization, bandwidth_high) -> candidate count, with the
+ * candidates left in HookArgs.cand. */
+typedef int64_t (*TrainHook)(int64_t, int64_t, int64_t, int64_t, int64_t,
+                             bool, double, bool);
+/* The Prefetcher outcome callbacks: (line, cycle). */
+typedef void (*OutcomeHook)(int64_t, int64_t);
+
+/* One core's Python callbacks (NULL when absent).  A training hook may
+ * replace the candidate buffer to fit more candidates, so the kernel
+ * re-reads cand and cand_cap after every call.  A hook that raises
+ * stores its exception on the Python side and sets *abort.
+ * Field order must match bridge.py's _HookArgs. */
+typedef struct HookArgs {
+    TrainHook train;        /* the L2 prefetcher, train == TRAIN_HOOK */
+    TrainHook l1_train;     /* the L1 prefetcher (Fig 8d) */
+    OutcomeHook on_fill;    /* on_prefetch_fill */
+    OutcomeHook on_hit;     /* on_demand_hit_prefetched */
+    OutcomeHook on_dropped; /* on_prefetch_dropped */
+    OutcomeHook on_useless; /* on_prefetch_useless */
+    int64_t *cand;
+    int64_t *abort;
+    int64_t cand_cap;
+} HookArgs;
+
+/* CoreArgs.train: how the L2 prefetcher trains. */
+enum { TRAIN_NONE = 0, TRAIN_PYTHIA = 1, TRAIN_HOOK = 2 };
 
 /* One cache level: Cache's flat per-slot lists (nsets*ways slots,
  * slot = set * ways + way), its geometry and its policy tick.
@@ -88,8 +139,8 @@ typedef struct SharedArgs {
     double window_busy, busy_cycles;
 } SharedArgs;
 
-/* One core's private state: its trace columns, L1/L2, MSHR, prefetch
- * fill queues, core model and Pythia agent.
+/* One core's private state: its trace columns, L1/L2, hooks, MSHR,
+ * prefetch fill queues, core model and Pythia agent.
  * Field order must match bridge.py's _CoreArgs. */
 typedef struct CoreArgs {
     /* trace columns (full arrays of trace_len records) */
@@ -100,6 +151,7 @@ typedef struct CoreArgs {
     const int64_t *col_page;
     const int64_t *col_offset;
     CacheArgs l1, l2;
+    HookArgs hooks;
     /* MSHR: entry arrays (compact, any order) + (comp, line) heap */
     int64_t *mshr_line;
     int64_t *mshr_comp;
@@ -115,7 +167,7 @@ typedef struct CoreArgs {
     /* core: outstanding loads (linearized ring) */
     int64_t *out_issued;
     int64_t *out_comp;
-    /* Pythia (NULL / 0 when train == 0) */
+    /* Pythia (NULL / 0 unless train == TRAIN_PYTHIA) */
     double *qcells;
     int64_t *act_deltas;  /* [nact] action offset deltas */
     int64_t *act_counts;  /* [nact] */
@@ -152,7 +204,7 @@ typedef struct CoreArgs {
     int64_t pf_issued, pf_dropped, late_merges;
     int64_t mshr_allocations, mshr_stalls;
     int64_t max_degree, page_shift, lines_per_page;
-    int64_t train;
+    int64_t train; /* TRAIN_NONE / TRAIN_PYTHIA / TRAIN_HOOK */
     int64_t nact, nfeat, nplanes, plane_entries;
     int64_t eq_cap, eq_head, eq_count;
     int64_t ptab_cap, ptab_count;
@@ -625,7 +677,10 @@ static inline void policy_on_hit(CacheArgs *k, int64_t idx) {
     }
 }
 
-/* Cache.lookup, demand flavor: returns 1 on a hit. */
+/* Cache.lookup, demand flavor: 0 on a miss, 1 on a hit, HIT_FIRST_USE on
+ * the first demand hit to a prefetched line. */
+enum { HIT_FIRST_USE = 2 };
+
 static inline int demand_lookup(CacheArgs *k, int64_t set, int64_t line,
                                 int is_load) {
     k->tick++;
@@ -644,6 +699,7 @@ static inline int demand_lookup(CacheArgs *k, int64_t set, int64_t line,
     if (k->pf[idx] && !k->used[idx]) {
         k->used[idx] = 1;
         k->stats[ST_USEFUL_PREFETCHES]++;
+        return HIT_FIRST_USE;
     }
     return 1;
 }
@@ -697,9 +753,11 @@ static void demand_fill(CacheArgs *k, int64_t set, int64_t line, int64_t pc) {
     k->stats[ST_FILLS]++;
 }
 
-/* Cache.fill, prefetch-fill flavor (hierarchy.process_fills): pc=0,
- * as_prefetch semantics; returns the evicted useless tag or -1. */
-static int64_t fill_as(CacheArgs *k, int64_t line, int as_prefetch) {
+/* Cache.fill with is_prefetch=as_prefetch (hierarchy.process_fills, with
+ * pc=0, and the eager L1 prefetch fill); returns the evicted useless tag
+ * or -1. */
+static int64_t fill_as(CacheArgs *k, int64_t line, int64_t pc,
+                       int as_prefetch) {
     k->tick++;
     int64_t set = imod(line, k->nsets);
     int64_t way = tag_find(k, set, line);
@@ -718,7 +776,7 @@ static int64_t fill_as(CacheArgs *k, int64_t line, int as_prefetch) {
     if (k->policy == POLICY_LRU) {
         k->meta_a[idx] = k->tick;
     } else {
-        ship_on_fill(k, idx, 0, as_prefetch);
+        ship_on_fill(k, idx, pc, as_prefetch);
     }
     k->stats[ST_FILLS]++;
     if (as_prefetch) {
@@ -843,6 +901,21 @@ static double dram_utilization(const Ctx *x, int64_t now) {
     }
     double u = busy / x->util_capacity;
     return u > 1.0 ? 1.0 : u;
+}
+
+/* The bandwidth feedback a training event sees (batch.py's fast path:
+ * the record-side drain keeps the event head inside the window, so the
+ * busy fraction is the rolling counter unless the head went stale). */
+static inline double training_util(const Ctx *x, int64_t now) {
+    const SharedArgs *s = x->s;
+    if (s->ev_count > 0 && s->ev_ts[s->ev_head] < now - s->util_window) {
+        return dram_utilization(x, now);
+    }
+    if (x->util_capacity_i <= 0) {
+        return 0.0;
+    }
+    double util = s->window_busy / x->util_capacity;
+    return util > 1.0 ? 1.0 : util;
 }
 
 /* -- MSHR ------------------------------------------------------------------ */
@@ -1079,7 +1152,7 @@ static int observe_basic(Ctx *x, int64_t pc, int64_t page, int64_t offset,
 }
 
 /* Pythia.train_cols (Algorithm 1).  Returns the prefetch line to issue,
- * or -1 for none; -2 on allocation failure. */
+ * or -1 for none; RC_NOMEM on allocation failure. */
 static int64_t train_cols(Ctx *x, int64_t pc, int64_t line, int64_t page,
                           int64_t offset, int bw_high) {
     CoreArgs *c = x->c;
@@ -1100,7 +1173,7 @@ static int64_t train_cols(Ctx *x, int64_t pc, int64_t line, int64_t page,
     /* (2) Extract the state-vector. */
     int64_t state[2];
     if (observe_basic(x, pc, page, offset, state) != 0) {
-        return -2;
+        return RC_NOMEM;
     }
 
     /* (3) Select an action (SarsaAgent.select_action, inlined). */
@@ -1168,7 +1241,7 @@ static int64_t train_cols(Ctx *x, int64_t pc, int64_t line, int64_t page,
     c->eq_count++;
     if (prefetch_line >= 0) {
         if (map_put(&x->byline, prefetch_line, slot_n) != 0) {
-            return -2;
+            return RC_NOMEM;
         }
     }
 
@@ -1194,23 +1267,155 @@ static int64_t train_cols(Ctx *x, int64_t pc, int64_t line, int64_t page,
     return prefetch_line;
 }
 
-/* CacheHierarchy.process_fills: apply arrived prefetch fills. */
-static void process_fills(Ctx *x, int64_t now) {
+/* -- prefetch issue, fills and the Python hooks ---------------------------- */
+
+/* Call outcome hook *fn* if the prefetcher overrides it; RC_HOOK_ABORT
+ * once it (or any earlier hook) raised. */
+static inline int64_t outcome(const HookArgs *h, OutcomeHook fn, int64_t line,
+                              int64_t cycle) {
+    if (fn == NULL) {
+        return 0;
+    }
+    fn(line, cycle);
+    return *h->abort ? RC_HOOK_ABORT : 0;
+}
+
+/* Call training hook *fn* with one access's fields; returns the candidate
+ * count (candidates in h->cand) or a negative rc. */
+static int64_t train_hook(Ctx *x, TrainHook fn, int64_t pc, int64_t line,
+                          int64_t page, int64_t offset, int is_load,
+                          int64_t now) {
+    const HookArgs *h = &x->c->hooks;
+    double util = training_util(x, now);
+    int64_t n = fn(pc, line, page, offset, now, is_load != 0, util,
+                   util >= x->c->hi_thresh);
+    if (*h->abort) {
+        return RC_HOOK_ABORT;
+    }
+    return (n < 0 || n > h->cand_cap) ? RC_HOOK_COUNT : n;
+}
+
+/* CacheHierarchy._fetch_for_prefetch: send a prefetch to the LLC/DRAM.
+ * Returns its completion, -1 when dropped (MSHR hit or MSHRs full), or
+ * RC_NOMEM. */
+static int64_t fetch_for_prefetch(Ctx *x, int64_t pf, int64_t now) {
     CoreArgs *c = x->c;
+    CacheArgs *llc = &x->s->llc;
+    /* LLC prefetch lookup (Cache.lookup, prefetch flavor). */
+    int64_t sp = imod(pf, llc->nsets);
+    llc->tick++;
+    llc->stats[ST_PREFETCH_ACCESSES]++;
+    int64_t wp = tag_find(llc, sp, pf);
+    int64_t comp;
+    if (wp >= 0) {
+        policy_on_hit(llc, sp * llc->ways + wp);
+        llc->stats[ST_PREFETCH_HITS]++;
+        comp = now + llc->lat;
+    } else {
+        llc->stats[ST_PREFETCH_MISSES]++;
+        if (mshr_find(c, pf) >= 0 || c->mshr_count >= c->mshr_cap) {
+            return -1;
+        }
+        comp = dram_access(x, pf, now + llc->lat, 1);
+        mshr_allocate(c, pf, comp, 1);
+    }
+    heap_push(c->pend_comp, c->pend_line, &c->pend_count, comp, pf);
+    return map_put(&x->infl, pf, comp) != 0 ? RC_NOMEM : comp;
+}
+
+/* CacheHierarchy._issue_prefetches: order-preserving dedup, degree cap,
+ * then the negative / out-of-page / L2 / LLC / in-flight filters. */
+static int64_t issue_prefetches(Ctx *x, const int64_t *cand, int64_t n,
+                                int64_t page, int64_t now) {
+    CoreArgs *c = x->c;
+    CacheArgs *l2 = &c->l2, *llc = &x->s->llc;
+    int64_t issued = 0;
+    for (int64_t i = 0; i < n && issued < c->max_degree; i++) {
+        int64_t pf = cand[i];
+        int dup = 0;
+        for (int64_t j = 0; j < i && !dup; j++) {
+            dup = cand[j] == pf;
+        }
+        if (dup || pf < 0 || (pf >> c->page_shift) != page ||
+            tag_find(l2, imod(pf, l2->nsets), pf) >= 0 ||
+            tag_find(llc, imod(pf, llc->nsets), pf) >= 0 ||
+            map_has(&x->infl, pf)) {
+            continue;
+        }
+        int64_t comp = fetch_for_prefetch(x, pf, now);
+        if (comp == RC_NOMEM) {
+            return RC_NOMEM;
+        }
+        if (comp < 0) {
+            c->pf_dropped++;
+            int64_t rc = outcome(&c->hooks, c->hooks.on_dropped, pf, now);
+            if (rc != 0) {
+                return rc;
+            }
+            continue;
+        }
+        issued++;
+        c->pf_issued++;
+    }
+    return 0;
+}
+
+/* CacheHierarchy._train_l1_prefetcher: the first max_degree candidates
+ * not already in L1 are fetched like L2 prefetches and filled into L1
+ * at once with the demand's pc; nothing is counted as issued. */
+static int64_t train_l1(Ctx *x, int64_t pc, int64_t line, int64_t page,
+                        int64_t offset, int is_load, int64_t now) {
+    CoreArgs *c = x->c;
+    CacheArgs *l1 = &c->l1;
+    int64_t n = train_hook(x, c->hooks.l1_train, pc, line, page, offset,
+                           is_load, now);
+    if (n < 0) {
+        return n;
+    }
+    if (n > c->max_degree) {
+        n = c->max_degree;
+    }
+    const int64_t *cand = c->hooks.cand;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t pf = cand[i];
+        if (pf < 0 || tag_find(l1, imod(pf, l1->nsets), pf) >= 0) {
+            continue;
+        }
+        int64_t comp = fetch_for_prefetch(x, pf, now);
+        if (comp == RC_NOMEM) {
+            return RC_NOMEM;
+        }
+        if (comp >= 0) {
+            fill_as(l1, pf, pc, 1);
+        }
+    }
+    return 0;
+}
+
+/* CacheHierarchy.process_fills: apply arrived prefetch fills. */
+static int64_t process_fills(Ctx *x, int64_t now) {
+    CoreArgs *c = x->c;
+    const HookArgs *h = &c->hooks;
     while (c->pend_count > 0 && c->pend_comp[0] <= now) {
-        int64_t completion, line;
+        int64_t completion, line, rc;
         heap_pop(c->pend_comp, c->pend_line, &c->pend_count, &completion,
                  &line);
         map_del(&x->infl, line);
         int as_prefetch = !map_has(&x->merged, line);
         map_del(&x->merged, line);
-        /* on_prefetch_useless (the evicted tag) is a no-op for Pythia */
-        fill_as(&x->s->llc, line, as_prefetch);
-        fill_as(&c->l2, line, as_prefetch);
-        if (c->train) {
+        int64_t useless = fill_as(&x->s->llc, line, 0, as_prefetch);
+        if (useless >= 0 &&
+            (rc = outcome(h, h->on_useless, useless, completion)) != 0) {
+            return rc;
+        }
+        fill_as(&c->l2, line, 0, as_prefetch);
+        if (c->train == TRAIN_PYTHIA) {
             eq_mark_filled(x, line); /* Pythia.on_prefetch_fill */
+        } else if ((rc = outcome(h, h->on_fill, line, completion)) != 0) {
+            return rc;
         }
     }
+    return 0;
 }
 
 /* ---------------------------------------------------------------------------
@@ -1218,10 +1423,11 @@ static void process_fills(Ctx *x, int64_t now) {
  * (batch.py's loop body, op for op).  Returns 0, or a negative rc.
  * ------------------------------------------------------------------------- */
 
-/* Room for one more record in every variable-size array it may grow. */
+/* Room for one more record in every variable-size array it may grow:
+ * up to max_degree prefetches each from the L2 and the L1 prefetcher. */
 static inline int has_headroom(const Ctx *x) {
     const CoreArgs *c = x->c;
-    int64_t d = c->max_degree;
+    int64_t d = c->max_degree * (c->hooks.l1_train != NULL ? 2 : 1);
     return c->pend_count + d + 1 <= c->pend_cap &&
            c->mshrh_count + d + 2 <= c->mshrh_cap &&
            x->infl.count + d + 1 <= c->infl_cap &&
@@ -1296,11 +1502,17 @@ static inline __attribute__((always_inline)) int64_t replay_record(Ctx *x,
 
     /* -- CacheHierarchy.demand_access ------------------------------------ */
     int64_t now = (int64_t)cycle;
-    if (c->pend_count > 0 && c->pend_comp[0] <= now) {
-        process_fills(x, now);
+    int64_t rc;
+    if (c->pend_count > 0 && c->pend_comp[0] <= now &&
+        (rc = process_fills(x, now)) != 0) {
+        return rc;
     }
     if (c->mshrh_count > 0 && c->mshrh_comp[0] <= now) {
         mshr_reclaim(c, now);
+    }
+    if (c->hooks.l1_train != NULL &&
+        (rc = train_l1(x, pc, line, page, offset, is_load, now)) != 0) {
+        return rc;
     }
 
     int64_t completion;
@@ -1308,62 +1520,33 @@ static inline __attribute__((always_inline)) int64_t replay_record(Ctx *x,
         completion = now + l1->lat;
     } else {
         /* L1 miss: the prefetcher's training event. */
-        if (c->train) {
-            double util;
-            if (s->ev_count > 0 && s->ev_ts[s->ev_head] < now - s->util_window) {
-                util = dram_utilization(x, now);
-            } else if (x->util_capacity_i > 0) {
-                util = s->window_busy / x->util_capacity;
-                if (util > 1.0) {
-                    util = 1.0;
-                }
-            } else {
-                util = 0.0;
+        if (c->train == TRAIN_PYTHIA) {
+            int64_t pf = train_cols(x, pc, line, page, offset,
+                                    training_util(x, now) >= c->hi_thresh);
+            if (pf == RC_NOMEM) {
+                return RC_NOMEM;
             }
-            int bw_high = util >= c->hi_thresh;
-            int64_t pf = train_cols(x, pc, line, page, offset, bw_high);
-            if (pf == -2) {
-                return -2;
+            if (pf >= 0 && (rc = issue_prefetches(x, &pf, 1, page, now)) != 0) {
+                return rc;
             }
-            /* _issue_prefetches + _fetch_for_prefetch (train_cols yields
-             * at most one candidate). */
-            if (pf >= 0 && 0 < c->max_degree && (pf >> c->page_shift) == page &&
-                tag_find(l2, imod(pf, l2->nsets), pf) < 0 &&
-                tag_find(llc, imod(pf, llc->nsets), pf) < 0 &&
-                !map_has(&x->infl, pf)) {
-                /* LLC prefetch lookup (Cache.lookup, prefetch flavor). */
-                int64_t sp = imod(pf, llc->nsets);
-                llc->tick++;
-                llc->stats[ST_PREFETCH_ACCESSES]++;
-                int64_t wp = tag_find(llc, sp, pf);
-                int64_t pf_comp = -1;
-                if (wp >= 0) {
-                    policy_on_hit(llc, sp * llc->ways + wp);
-                    llc->stats[ST_PREFETCH_HITS]++;
-                    pf_comp = now + llc->lat;
-                } else if (mshr_find(c, pf) >= 0 ||
-                           c->mshr_count >= c->mshr_cap) {
-                    llc->stats[ST_PREFETCH_MISSES]++;
-                    c->pf_dropped++; /* on_prefetch_dropped is a no-op */
-                } else {
-                    llc->stats[ST_PREFETCH_MISSES]++;
-                    pf_comp = dram_access(x, pf, now + llc->lat, 1);
-                    mshr_allocate(c, pf, pf_comp, 1);
-                }
-                if (pf_comp >= 0) {
-                    heap_push(c->pend_comp, c->pend_line, &c->pend_count,
-                              pf_comp, pf);
-                    if (map_put(&x->infl, pf, pf_comp) != 0) {
-                        return -2;
-                    }
-                    c->pf_issued++;
-                }
+        } else if (c->train == TRAIN_HOOK) {
+            int64_t n = train_hook(x, c->hooks.train, pc, line, page, offset,
+                                   is_load, now);
+            if (n < 0) {
+                return n;
+            }
+            if ((rc = issue_prefetches(x, c->hooks.cand, n, page, now)) != 0) {
+                return rc;
             }
         }
 
         int fill_l1 = 1, fill_l2 = 0;
-        if (demand_lookup(l2, s2, line, is_load)) {
-            /* on_demand_hit_prefetched is a no-op for Pythia */
+        int hit = demand_lookup(l2, s2, line, is_load);
+        if (hit) {
+            if (hit == HIT_FIRST_USE &&
+                (rc = outcome(&c->hooks, c->hooks.on_hit, line, now)) != 0) {
+                return rc;
+            }
             completion = now + l2->lat;
         } else {
             int64_t in_comp = map_get(&x->infl, line);
@@ -1371,14 +1554,21 @@ static inline __attribute__((always_inline)) int64_t replay_record(Ctx *x,
                 /* Late in-flight prefetch: merge, wait the rest. */
                 c->late_merges++;
                 if (map_put(&x->merged, line, 1) != 0) {
-                    return -2;
+                    return RC_NOMEM;
                 }
                 llc->stats[ST_DEMAND_ACCESSES]++;
                 llc->stats[ST_DEMAND_HITS]++;
                 llc->stats[ST_USEFUL_PREFETCHES]++;
+                if ((rc = outcome(&c->hooks, c->hooks.on_hit, line, now)) != 0) {
+                    return rc;
+                }
                 int64_t base = now + llc->lat;
                 completion = in_comp > base ? in_comp : base;
-            } else if (demand_lookup(llc, s3, line, is_load)) {
+            } else if ((hit = demand_lookup(llc, s3, line, is_load)) != 0) {
+                if (hit == HIT_FIRST_USE &&
+                    (rc = outcome(&c->hooks, c->hooks.on_hit, line, now)) != 0) {
+                    return rc;
+                }
                 completion = now + llc->lat;
                 fill_l2 = 1;
             } else {
@@ -1395,7 +1585,7 @@ static inline __attribute__((always_inline)) int64_t replay_record(Ctx *x,
                         c->mshr_stalls++;
                         int64_t wait_until = mshr_earliest(c);
                         if (wait_until < 0) {
-                            return -3;
+                            return RC_MSHR;
                         }
                         mshr_reclaim(c, wait_until);
                         if (wait_until > now) {
@@ -1426,7 +1616,7 @@ static inline __attribute__((always_inline)) int64_t replay_record(Ctx *x,
     }
     if ((double)completion > cycle) {
         if (c->out_count >= c->out_cap) {
-            return -4;
+            return RC_ROB;
         }
         int64_t tail = (c->out_head + c->out_count) & out_mask;
         c->out_issued[tail] = instructions;
@@ -1476,31 +1666,31 @@ static int64_t ctx_open(Ctx *x, CoreArgs *c, SharedArgs *s) {
 
     if (map_init(&x->infl, c->infl_cap) != 0 ||
         map_init(&x->merged, c->merged_cap) != 0) {
-        return -2;
+        return RC_NOMEM;
     }
     for (int64_t i = 0; i < c->infl_count; i++) {
         if (map_put(&x->infl, c->infl_line[i], c->infl_comp[i]) != 0) {
-            return -2;
+            return RC_NOMEM;
         }
     }
     for (int64_t i = 0; i < c->merged_count; i++) {
         if (map_put(&x->merged, c->merged_line[i], 1) != 0) {
-            return -2;
+            return RC_NOMEM;
         }
     }
-    if (!c->train) {
+    if (c->train != TRAIN_PYTHIA) {
         return 0;
     }
     if (map_init(&x->byline, c->eq_cap) != 0 ||
         map_init(&x->pages, c->ptab_cap) != 0) {
-        return -2;
+        return RC_NOMEM;
     }
     /* eq._by_line == most recent FIFO entry per prefetch line. */
     for (int64_t i = 0; i < c->eq_count; i++) {
         int64_t slot = eq_slot(c, i);
         if (c->eq_line[slot] >= 0) {
             if (map_put(&x->byline, c->eq_line[slot], slot) != 0) {
-                return -2;
+                return RC_NOMEM;
             }
         }
     }
@@ -1510,7 +1700,7 @@ static int64_t ctx_open(Ctx *x, CoreArgs *c, SharedArgs *s) {
     x->bases_scratch =
         malloc((size_t)(3 * c->nfeat * c->nplanes) * sizeof(int64_t));
     if (!x->pt_prev || !x->pt_next || !x->evicted_state || !x->bases_scratch) {
-        return -2;
+        return RC_NOMEM;
     }
     /* Slots are imported oldest-first; chain them in order. */
     x->pt_head = c->ptab_count > 0 ? 0 : -1;
@@ -1519,7 +1709,7 @@ static int64_t ctx_open(Ctx *x, CoreArgs *c, SharedArgs *s) {
         x->pt_prev[slot] = slot - 1;
         x->pt_next[slot] = slot + 1 < c->ptab_count ? slot + 1 : -1;
         if (map_put(&x->pages, c->pt_page[slot], slot) != 0) {
-            return -2;
+            return RC_NOMEM;
         }
     }
     return 0;
@@ -1636,11 +1826,12 @@ static int64_t ctx_export(Ctx *x) {
                        c->out_count, c->out_cap) != 0 ||
         ring_linearize(c->out_comp, sizeof(int64_t), c->out_head, c->out_count,
                        c->out_cap) != 0) {
-        return -2;
+        return RC_NOMEM;
     }
     c->out_head = 0;
-    if (c->train && (export_eq(c) != 0 || export_page_table(x) != 0)) {
-        return -2;
+    if (c->train == TRAIN_PYTHIA &&
+        (export_eq(c) != 0 || export_page_table(x) != 0)) {
+        return RC_NOMEM;
     }
     return 0;
 }
@@ -1651,7 +1842,7 @@ static int64_t shared_export(SharedArgs *s) {
                        s->ev_cap) != 0 ||
         ring_linearize(s->ev_busy, sizeof(double), s->ev_head, s->ev_count,
                        s->ev_cap) != 0) {
-        return -2;
+        return RC_NOMEM;
     }
     s->ev_head = 0;
     return 0;
@@ -1694,7 +1885,7 @@ int64_t repro_replay_span(CoreArgs *c, SharedArgs *s) {
     }
     c->processed = i - c->start;
     if (rc >= 0 && (ctx_export(&x) != 0 || shared_export(s) != 0)) {
-        rc = -2;
+        rc = RC_NOMEM;
     }
     ctx_close(&x);
     return rc;
@@ -1730,7 +1921,7 @@ int64_t repro_replay_lockstep(LockstepArgs *l) {
     int64_t rc = 0;
     Ctx *xs = calloc((size_t)(n > 0 ? n : 1), sizeof(Ctx));
     if (!xs) {
-        return -2;
+        return RC_NOMEM;
     }
     for (int64_t k = 0; k < n && rc == 0; k++) {
         rc = ctx_open(&xs[k], &l->cores[k], l->shared);
@@ -1749,7 +1940,7 @@ int64_t repro_replay_lockstep(LockstepArgs *l) {
         }
         Ctx *x = &xs[k];
         if (x->c->trace_len <= 0) {
-            rc = -5;
+            rc = RC_EMPTY_TRACE;
             break;
         }
         if (!has_headroom(x)) {
@@ -1776,11 +1967,11 @@ int64_t repro_replay_lockstep(LockstepArgs *l) {
     if (rc >= 0) {
         for (int64_t k = 0; k < n; k++) {
             if (ctx_export(&xs[k]) != 0) {
-                rc = -2;
+                rc = RC_NOMEM;
             }
         }
         if (shared_export(l->shared) != 0) {
-            rc = -2;
+            rc = RC_NOMEM;
         }
     }
     for (int64_t k = 0; k < n; k++) {

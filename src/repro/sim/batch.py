@@ -32,9 +32,12 @@ those changes, change the matching block here (the equivalence suite
 catches drift).
 
 The kernel handles every configuration except L1 prefetching (the
-multi-level Fig 8d experiments), for which the engine falls back to the
-scalar loop; both backends are semantically interchangeable, so the
-fallback is invisible outside throughput.
+multi-level Fig 8d experiments), which the native kernel and the scalar
+loop train; every backend is semantically interchangeable, so the
+choice is invisible outside throughput.  With native the default, this
+loop replays the spans too short to repay the native state round trip
+(``MIN_NATIVE_SPAN``), ``replay_backend="batched"`` cells, and every
+span when no C compiler is available.
 """
 
 from __future__ import annotations
@@ -45,20 +48,10 @@ from heapq import heappop, heappush
 from repro.sim.mshr import MshrEntry
 from repro.types import PAGE_SHIFT_LINES
 
-try:  # NumPy is optional; without it the engine stays on the scalar loop.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
 #: Records materialized per kernel epoch.  Aligned with the engine's
 #: ``_CONTROL_CHUNK`` so a controlled run's chunks decode in one epoch;
 #: bounds the transient footprint of the per-epoch column lists.
 EPOCH = 16_384
-
-
-def available() -> bool:
-    """True when the batched backend can run (NumPy importable)."""
-    return _np is not None
 
 
 #: Decoded-epoch memo: (trace stamp, span, set geometry) -> the decoded

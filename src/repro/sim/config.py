@@ -111,19 +111,21 @@ class SystemConfig:
     #: Bandwidth-utilization fraction above which the system reports "high
     #: bandwidth usage" to prefetchers (Pythia's system-level feedback).
     high_bw_threshold: float = 0.5
-    #: Replay-loop implementation: ``"native"`` (compiled C kernel,
-    #: :mod:`repro.sim._native`; falls back to batched without a C
-    #: compiler or on unsupported configurations), ``"batched"``
-    #: (columnar epoch kernel, :mod:`repro.sim.batch`; falls back to
-    #: scalar when it cannot apply) or ``"scalar"`` (the reference
-    #: per-record loop).  Multi-core mixes have only two lockstep
-    #: loops: ``"scalar"`` runs the Python one, and every other value
-    #: the native one when it can apply (see
+    #: Replay-loop implementation: ``"native"`` (the default: the
+    #: compiled C kernel, :mod:`repro.sim._native`, which runs every
+    #: prefetcher — ``none`` and basic Pythia in C, the rest through
+    #: Python training hooks — and hands spans shorter than
+    #: ``MIN_NATIVE_SPAN`` to batched; falls back to batched without a
+    #: C compiler), ``"batched"`` (columnar epoch kernel,
+    #: :mod:`repro.sim.batch`; falls back to scalar for L1 prefetchers)
+    #: or ``"scalar"`` (the reference per-record loop).  Multi-core
+    #: mixes have only two lockstep loops: ``"scalar"`` runs the Python
+    #: one, and every other value the native one when it can apply (see
     #: :class:`repro.sim.engine.MultiCoreEngine`).  All of them are
     #: bit-identical (pinned by ``tests/test_hotpath_equivalence.py``),
     #: so the toggle is excluded from result fingerprints — like
     #: ``PythiaConfig.qvstore_impl``, it is purely a speed knob.
-    replay_backend: str = field(default="batched", metadata={"semantic": False})
+    replay_backend: str = field(default="native", metadata={"semantic": False})
 
     def scaled_llc(self, factor: float) -> "SystemConfig":
         """Return a copy with the LLC capacity scaled by *factor* (Fig 8c)."""

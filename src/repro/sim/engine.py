@@ -507,12 +507,17 @@ class SimulationEngine:
         cancel: zero-argument callable; a truthy return raises
             :class:`SimulationCancelled` at the next epoch boundary.
 
-    Telemetry and checkpointing are off by default, and the default
-    configuration replays through the exact PR 2 hot loop — the perf
-    floors in ``BENCH_perf.json`` gate that this wrapper stays free.
-    Resume adoption is disabled while telemetry is on (a resumed run
-    cannot reconstruct the skipped windows' rows); checkpoints are
-    still written.
+    Telemetry and checkpointing are off by default.  Replay walks the
+    backend ladder native → batched → scalar (:meth:`_pick_backend`):
+    the default ``replay_backend="native"`` runs every prefetcher in the
+    compiled kernel, L1 prefetchers included, and hands spans shorter
+    than ``MIN_NATIVE_SPAN`` to batched; the perf floors in
+    ``BENCH_perf.json`` gate every rung.  Resume adoption is disabled
+    while telemetry is on (a resumed run cannot reconstruct the skipped
+    windows' rows); checkpoints are still written.  A prefetcher
+    exception raised inside a native span propagates unchanged; the
+    engine is unusable afterwards (the prefetcher has advanced past the
+    hierarchy's pre-span state).
     """
 
     def __init__(
@@ -555,19 +560,7 @@ class SimulationEngine:
             raise ValueError(
                 f"unknown replay_backend {backend!r}; use native|batched|scalar"
             )
-        # The batched kernel covers every configuration except L1
-        # prefetching; the fallback is semantically invisible (the two
-        # backends are bit-identical), so no error — just the slow loop.
-        # The native kernel narrows further (no compiler, unsupported
-        # policies/prefetchers) and falls back to batched the same way.
-        self._use_batched = (
-            backend != "scalar" and l1_prefetcher is None and batch.available()
-        )
-        self._use_native = (
-            backend == "native"
-            and self._use_batched
-            and _native.usable(self.hierarchy)
-        )
+        self._pick_backend()
         self._cols = None
         self._stamp = None
 
@@ -581,6 +574,20 @@ class SimulationEngine:
         self._window_base: dict | None = None
         if telemetry_window:
             self._window_base = self._telemetry_snapshot()
+
+    def _pick_backend(self) -> None:
+        """Walk the fallback ladder native → batched → scalar.
+
+        ``native`` needs a loaded kernel (:func:`repro.sim._native.usable`,
+        which loads it on first use); ``batched`` cannot train an L1
+        prefetcher.  Every rung is bit-identical, so a fallback changes
+        only throughput — the kernel's absence is logged once.
+        """
+        backend = self.config.replay_backend
+        self._use_native = backend == "native" and _native.usable(self.hierarchy)
+        self._use_batched = (
+            backend != "scalar" and self.hierarchy.l1_prefetcher is None
+        )
 
     # -- state capture / adoption -----------------------------------------
 
@@ -636,15 +643,10 @@ class SimulationEngine:
         ):
             raise ValueError("post-warmup state carries no warmup mark")
         self.hierarchy, self.core = state.restore()
-        if self.hierarchy.l1_prefetcher is not None:
-            # A restored hierarchy may carry an L1 prefetcher this engine
-            # was not built with; the batched kernel does not train it.
-            self._use_batched = False
-            self._use_native = False
-        elif self._use_native and not _native.usable(self.hierarchy):
-            # The restored hierarchy, not the one __init__ probed, is
-            # what replays — re-check it against the kernel's limits.
-            self._use_native = False
+        # The restored hierarchy, not the one __init__ probed, is what
+        # replays (it may even carry an L1 prefetcher this engine was not
+        # built with) — pick the backend for it.
+        self._pick_backend()
         self.position = state.records
         self.resumed_from = state.records
         self._crc = state.prefix_stamp
@@ -773,10 +775,9 @@ class SimulationEngine:
         """Advance replay to *target* records, honoring epoch boundaries.
 
         The per-chunk replay is the native compiled kernel
-        (:func:`repro.sim._native.replay_span`, when selected and
-        usable), the batched columnar kernel
-        (:func:`repro.sim.batch.replay_span`, the default backend), or
-        the scalar hoisted-method loop over one ``islice`` view — the
+        (:func:`repro.sim._native.replay_span`, the default backend),
+        the batched columnar kernel (:func:`repro.sim.batch.replay_span`),
+        or the scalar hoisted-method loop over one ``islice`` view — the
         PR 2 hot path, kept as the reference fallback.  All three are
         bit-identical, and boundaries never touch simulation state, so
         chunked and unchunked replay agree by construction either way.
@@ -789,7 +790,7 @@ class SimulationEngine:
         hierarchy, core = self.hierarchy, self.core
         batched = self._use_batched
         native = self._use_native
-        if batched and self._cols is None:
+        if (batched or native) and self._cols is None:
             self._cols = self.trace.columns()
             self._stamp = self.trace.content_stamp
         while self.position < target:
@@ -923,16 +924,18 @@ class MultiCoreEngine:
 
     Two implementations of the loop exist, bit-identical in results and
     in every piece of state they leave behind (pinned by
-    ``TestNativeLockstepEquivalence`` in
-    ``tests/test_hotpath_equivalence.py``): the Python loop in
+    ``TestNativeLockstepEquivalence`` and ``TestNativeHookEquivalence``
+    in ``tests/test_hotpath_equivalence.py``): the Python loop in
     :meth:`run`, which ``replay_backend="scalar"`` keeps as the
     reference, and the native kernel
     (:func:`repro.sim._native.replay_lockstep`), which replays the whole
-    run in one C call.  Every other backend value takes the native loop
-    when the kernel loads, the kernel supports every core's hierarchy
-    (``none`` or basic Pythia on LRU/SHiP caches), and the run has no
+    run in one C call — ``none`` and basic Pythia in C, every other
+    prefetcher through its Python training hooks.  Every other backend
+    value takes the native loop when the kernel loads and the run has no
     telemetry window and no progress or cancel callback; anything else
     runs the Python loop.  (The batched backend has no lockstep form.)
+    A prefetcher exception raised inside the native loop propagates
+    unchanged and leaves the engine unusable.
     """
 
     def __init__(

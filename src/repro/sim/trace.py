@@ -20,12 +20,9 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from repro.types import LINES_PER_PAGE, PAGE_SHIFT_LINES, line_of
+import numpy as _np
 
-try:  # NumPy is optional; the columnar decode is a batched-path accelerator.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+from repro.types import LINES_PER_PAGE, PAGE_SHIFT_LINES, line_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,8 +66,6 @@ class TraceColumns:
     __slots__ = ("length", "pc", "line", "is_load", "gap", "page", "offset")
 
     def __init__(self, records: Sequence[TraceRecord]) -> None:
-        if _np is None:  # pragma: no cover - exercised only without numpy
-            raise RuntimeError("TraceColumns requires numpy")
         n = len(records)
         self.length = n
         pc = _np.empty(n, dtype=_np.int64)

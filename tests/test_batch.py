@@ -44,11 +44,6 @@ def _run(config: SystemConfig, prefetcher: str, trace_name: str, length: int):
     )
 
 
-def test_available() -> None:
-    # The container ships NumPy; the batched default relies on it.
-    assert batch.available()
-
-
 @pytest.mark.parametrize("prefetcher", ["pythia", "spp", "none"])
 def test_stress_geometry_bit_identical(prefetcher: str) -> None:
     """Tiny SHiP caches + 2 MSHRs: every rare kernel branch fires, and

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -33,7 +34,7 @@ import pytest
 
 from repro import registry
 from repro.core.config import PythiaConfig
-from repro.sim.config import SystemConfig
+from repro.sim.config import CacheGeometry, SystemConfig
 from repro.core.features import (
     BASIC_FEATURES,
     FeatureExtractor,
@@ -41,7 +42,7 @@ from repro.core.features import (
     encode_feature,
 )
 from repro.core.qvstore import NumpyQVStore, QVStore, make_qvstore
-from repro.prefetchers.base import DemandContext
+from repro.prefetchers.base import DemandContext, Prefetcher
 from repro.sim.system import simulate
 from repro.types import make_line
 
@@ -474,9 +475,7 @@ class TestNativeBackendEquivalence:
         ],
     )
     def test_backends_bit_identical(self, trace_name, pf_name):
-        # spp is deliberately in the matrix: the native kernel does not
-        # support it, so those cells pin the per-cell fallback to
-        # batched rather than the C path itself.
+        # spp trains through the kernel's Python hooks, pythia in C.
         trace = registry.cached_trace(trace_name, 2000)
         results = {}
         for backend in ("native", "batched", "scalar"):
@@ -593,72 +592,82 @@ def _cache_state(cache) -> tuple:
     )
 
 
+def _core_state(hierarchy, core) -> dict:
+    """One core's private state: L1/L2, MSHR, fill queues, counters, core
+    model and (for Pythia) the agent, with float/int types visible."""
+    mshr = hierarchy.mshr
+    state = {
+        "l1": _cache_state(hierarchy.l1),
+        "l2": _cache_state(hierarchy.l2),
+        "mshr": (mshr._entries, mshr._by_completion, mshr.allocations, mshr.stalls),
+        "fills": (
+            hierarchy._pending_fills,
+            hierarchy._inflight_prefetch,
+            hierarchy._merged_inflight,
+        ),
+        "counters": (
+            hierarchy.prefetches_issued,
+            hierarchy.prefetches_dropped,
+            hierarchy.late_prefetch_merges,
+        ),
+        "core": (
+            repr(core.cycle),
+            core.instructions,
+            repr(core.stall_cycles),
+            list(core._outstanding),
+        ),
+    }
+    prefetcher = hierarchy.prefetcher
+    if hasattr(prefetcher, "agent"):
+        agent = prefetcher.agent
+        state["agent"] = (
+            agent.qvstore.export_table().tolist(),
+            [
+                (e.state, e.action, e.prefetch_line, e.reward, e.filled)
+                for e in agent.eq._fifo
+            ],
+            [
+                (page, h.last_offset, list(h.deltas), list(h.offsets))
+                for page, h in prefetcher.extractor._pages.items()
+            ],
+            list(prefetcher.extractor._last_pcs),
+            agent._rng.getstate(),
+            agent.updates,
+            agent.explorations,
+            prefetcher.action_counts,
+        )
+    return state
+
+
+def _dram_state(dram) -> tuple:
+    """DRAM counters, utilization window and per-channel state."""
+    return (
+        list(dram._events),
+        dram._window_busy,
+        dram._bucket_cycles,
+        dram._last_bucket_cycle,
+        dram.total_requests,
+        dram.demand_requests,
+        dram.prefetch_requests,
+        dram.busy_cycles,
+        [
+            (ch._bus_free, ch._demand_bus_free, ch._bank_free, ch._open_row,
+             ch.row_hits, ch.row_misses)
+            for ch in dram._channels
+        ],
+    )
+
+
 def _lockstep_state(engine) -> dict:
     """Everything a lockstep run leaves behind, with float/int types
     visible (``repr``) where Python may hold either."""
-    cores = []
-    for hierarchy, core in zip(engine.hierarchies, engine.cores):
-        mshr = hierarchy.mshr
-        state = {
-            "l1": _cache_state(hierarchy.l1),
-            "l2": _cache_state(hierarchy.l2),
-            "mshr": (mshr._entries, mshr._by_completion, mshr.allocations, mshr.stalls),
-            "fills": (
-                hierarchy._pending_fills,
-                hierarchy._inflight_prefetch,
-                hierarchy._merged_inflight,
-            ),
-            "counters": (
-                hierarchy.prefetches_issued,
-                hierarchy.prefetches_dropped,
-                hierarchy.late_prefetch_merges,
-            ),
-            "core": (
-                repr(core.cycle),
-                core.instructions,
-                repr(core.stall_cycles),
-                list(core._outstanding),
-            ),
-        }
-        prefetcher = hierarchy.prefetcher
-        if hasattr(prefetcher, "agent"):
-            agent = prefetcher.agent
-            state["agent"] = (
-                agent.qvstore.export_table().tolist(),
-                [
-                    (e.state, e.action, e.prefetch_line, e.reward, e.filled)
-                    for e in agent.eq._fifo
-                ],
-                [
-                    (page, h.last_offset, list(h.deltas), list(h.offsets))
-                    for page, h in prefetcher.extractor._pages.items()
-                ],
-                list(prefetcher.extractor._last_pcs),
-                agent._rng.getstate(),
-                agent.updates,
-                agent.explorations,
-                prefetcher.action_counts,
-            )
-        cores.append(state)
-    dram = engine.dram
     return {
-        "cores": cores,
+        "cores": [
+            _core_state(hierarchy, core)
+            for hierarchy, core in zip(engine.hierarchies, engine.cores)
+        ],
         "llc": _cache_state(engine.llc),
-        "dram": (
-            list(dram._events),
-            dram._window_busy,
-            dram._bucket_cycles,
-            dram._last_bucket_cycle,
-            dram.total_requests,
-            dram.demand_requests,
-            dram.prefetch_requests,
-            dram.busy_cycles,
-            [
-                (ch._bus_free, ch._demand_bus_free, ch._bank_free, ch._open_row,
-                 ch.row_hits, ch.row_misses)
-                for ch in dram._channels
-            ],
-        ),
+        "dram": _dram_state(engine.dram),
         "steps": engine.steps,
         "cursors": engine.cursors,
         "measured": engine.measured,
@@ -846,8 +855,9 @@ class TestNativeLockstepEquivalence:
 
     @pytest.mark.parametrize("case", ["spp", "telemetry"])
     def test_unsupported_runs_python_loop(self, case, lockstep_calls):
-        """An spp mix (no kernel support) and a telemetry-windowed pythia
-        mix both stay on the Python loop, with the same results."""
+        """A telemetry-windowed pythia mix stays on the Python loop; an
+        spp mix replays in the kernel through the training hooks.  Both
+        match the Python loop's results."""
         from repro.workloads.mixes import heterogeneous_mix_names
 
         names = heterogeneous_mix_names(2, 1, seed=4)[0][1]
@@ -856,6 +866,293 @@ class TestNativeLockstepEquivalence:
         (native, got), (_, want) = self._engines(
             names, registry.system("2c"), pf_name, 800, **kwargs
         )
-        assert lockstep_calls == []
-        assert not native._use_native
+        if case == "spp":
+            assert lockstep_calls == [native]
+            assert native._use_native
+        else:
+            assert lockstep_calls == []
+            assert not native._use_native
         assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
+
+
+class _Recording(Prefetcher):
+    """Wraps a registered prefetcher and logs every call the replay
+    makes into it — training (through ``train``, which the base
+    ``train_cols`` wrapper and the scalar loop both reach) and the four
+    outcome callbacks — by name and ``repr`` of the arguments, so an int
+    arriving as a float or a bool as an int shows as a difference."""
+
+    name = "recording"
+
+    def __init__(self, inner: str) -> None:
+        self.inner = registry.create(inner)
+        self.log: list[tuple[str, str]] = []
+
+    def train(self, ctx: DemandContext) -> list[int]:
+        fields = (
+            ctx.pc, ctx.line, ctx.page, ctx.offset, ctx.cycle, ctx.is_load,
+            ctx.bandwidth_utilization, ctx.bandwidth_high,
+        )
+        self.log.append(("train", repr(fields)))
+        return self.inner.train(ctx)
+
+    def on_prefetch_fill(self, line: int, cycle: int) -> None:
+        self.log.append(("fill", repr((line, cycle))))
+        self.inner.on_prefetch_fill(line, cycle)
+
+    def on_demand_hit_prefetched(self, line: int, cycle: int) -> None:
+        self.log.append(("hit", repr((line, cycle))))
+        self.inner.on_demand_hit_prefetched(line, cycle)
+
+    def on_prefetch_dropped(self, line: int, cycle: int) -> None:
+        self.log.append(("dropped", repr((line, cycle))))
+        self.inner.on_prefetch_dropped(line, cycle)
+
+    def on_prefetch_useless(self, line: int, cycle: int) -> None:
+        self.log.append(("useless", repr((line, cycle))))
+        self.inner.on_prefetch_useless(line, cycle)
+
+
+class TestNativeHookEquivalence:
+    """Every prefetcher replays natively, pinned native == scalar.
+
+    The kernel models ``none`` and basic Pythia in C and trains every
+    other prefetcher (and every L1 prefetcher) through the Python hooks.
+    Each case compares results and the end state the run leaves behind:
+    the prefetcher's pickled state always, and the hierarchy's where a
+    case drives the rare paths (drops, useless evictions, regrowth).
+    ``MIN_NATIVE_SPAN`` is forced to 0 so every span enters the kernel.
+    The whole class skips without a C compiler.
+    """
+
+    @staticmethod
+    def _config(backend, base=None):
+        return dataclasses.replace(
+            base if base is not None else SystemConfig(), replay_backend=backend
+        )
+
+    @pytest.fixture(autouse=True)
+    def _native_kernel(self, monkeypatch):
+        from repro.sim import _native
+        from repro.sim._native import bridge
+
+        if not _native.available():
+            pytest.skip("no C compiler: native replay backend unavailable")
+        monkeypatch.setattr(bridge, "MIN_NATIVE_SPAN", 0)
+
+    @pytest.fixture
+    def span_codes(self, monkeypatch):
+        """Return codes of every single-core kernel call."""
+        from repro.sim._native import bridge
+
+        lib = bridge.get_lib()
+        real = lib.repro_replay_span
+        codes = []
+
+        def recording(*args):
+            codes.append(real(*args))
+            return codes[-1]
+
+        monkeypatch.setattr(lib, "repro_replay_span", recording)
+        return codes
+
+    def _engines(self, trace, base=None, make=None, **kwargs):
+        """(native engine, scalar engine), both run, with their results."""
+        from repro.sim.engine import SimulationEngine
+
+        runs = []
+        for backend in ("native", "scalar"):
+            prefetcher, l1_prefetcher = make()
+            engine = SimulationEngine(
+                trace,
+                config=self._config(backend, base),
+                prefetcher=prefetcher,
+                l1_prefetcher=l1_prefetcher,
+                **kwargs,
+            )
+            runs.append((engine, engine.run()))
+        return runs
+
+    def _assert_equal(self, trace, base=None, make=None, **kwargs):
+        (native, got), (scalar, want) = self._engines(trace, base, make, **kwargs)
+        assert native._use_native
+        assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
+        assert _core_state(native.hierarchy, native.core) == _core_state(
+            scalar.hierarchy, scalar.core
+        )
+        assert _dram_state(native.hierarchy.dram) == _dram_state(scalar.hierarchy.dram)
+        assert _cache_state(native.hierarchy.llc) == _cache_state(scalar.hierarchy.llc)
+        for attr in ("prefetcher", "l1_prefetcher"):
+            assert pickle.dumps(getattr(native.hierarchy, attr)) == pickle.dumps(
+                getattr(scalar.hierarchy, attr)
+            ), attr
+        return native, got
+
+    @pytest.mark.parametrize("trace_name", ["spec06/mcf-1", "synth/phase-adversarial-1"])
+    @pytest.mark.parametrize("pf_name", registry.available_prefetchers())
+    def test_every_prefetcher_bit_identical(self, pf_name, trace_name):
+        trace = registry.cached_trace(trace_name, 2000)
+        self._assert_equal(
+            trace, make=lambda: (registry.create(pf_name), None), warmup_fraction=0.2
+        )
+
+    @pytest.mark.parametrize("pf_name", ["spp", "bingo", "spp_ppf"])
+    def test_windowed_runs_bit_identical(self, pf_name):
+        trace = registry.cached_trace("spec06/lbm-1", 2000)
+        _, got = self._assert_equal(
+            trace,
+            make=lambda: (registry.create(pf_name), None),
+            warmup_fraction=0.2,
+            telemetry_window=300,
+        )
+        assert len(got.timeline["rows"]) > 5
+
+    @pytest.mark.parametrize("pf_name", ["spp", "cp_hw"])
+    def test_checkpoint_resume_crosses_backends(self, pf_name):
+        """A snapshot written by either backend resumes under the other
+        into a fresh scalar run's exact result — the hooked prefetcher's
+        state rides in the same pickled payload as the hierarchy's."""
+        from repro.sim.engine import SimulationEngine
+
+        class Sink:
+            def __init__(self):
+                self.states = {}
+
+            def entries(self):
+                return sorted(self.states)
+
+            def has(self, records, drained_at):
+                return (records, drained_at) in self.states
+
+            def load(self, records, drained_at):
+                return self.states.get((records, drained_at))
+
+            def save(self, state):
+                self.states[(state.records, state.drained_at)] = state
+
+        warmup = 600
+        short = registry.cached_trace("spec06/lbm-1", 3000)
+        long = registry.cached_trace("spec06/lbm-1", 6000)
+        fresh = dataclasses.asdict(
+            simulate(
+                long,
+                config=self._config("scalar"),
+                prefetcher=registry.create(pf_name),
+                warmup_records=warmup,
+            )
+        )
+        for writer, resumer in (("native", "scalar"), ("scalar", "native")):
+            sink = Sink()
+            SimulationEngine(
+                short,
+                config=self._config(writer),
+                prefetcher=registry.create(pf_name),
+                warmup_records=warmup,
+                checkpoints=sink,
+            ).run()
+            assert sink.has(3000, (warmup,))
+            second = SimulationEngine(
+                long,
+                config=self._config(resumer),
+                prefetcher=registry.create(pf_name),
+                warmup_records=warmup,
+                checkpoints=sink,
+            )
+            resumed = dataclasses.asdict(second.run())
+            assert second.resumed_from == 3000, (writer, resumer)
+            assert resumed == fresh, (writer, resumer)
+
+    @pytest.mark.parametrize("mtps", [300, 2400])
+    @pytest.mark.parametrize("l2_name", ["streamer", "pythia"])
+    def test_fig8d_l1_l2_pairs(self, l2_name, mtps):
+        """Fig 8d's multi-level schemes: a stride L1 prefetcher, trained
+        on every L1 access through the L1 hook, under a hooked (streamer)
+        or C-modelled (pythia) L2 prefetcher."""
+        trace = registry.cached_trace("spec06/lbm-1", 2000)
+        native, _ = self._assert_equal(
+            trace,
+            base=SystemConfig().with_mtps(mtps),
+            make=lambda: (registry.create(l2_name), registry.create("stride")),
+            warmup_fraction=0.2,
+        )
+        assert native.hierarchy.l1.stats.prefetch_fills > 0
+
+    @pytest.mark.parametrize("cores", [2, 4])
+    @pytest.mark.parametrize("pf_name", ["spp", "bingo", "mlop", "spp_ppf"])
+    def test_lockstep_mixes_bit_identical(self, pf_name, cores, monkeypatch):
+        from repro.sim import _native
+        from repro.sim.engine import MultiCoreEngine
+        from repro.workloads.mixes import heterogeneous_mix_names
+
+        calls = []
+        real = _native.replay_lockstep
+        monkeypatch.setattr(
+            _native, "replay_lockstep", lambda engine: calls.append(engine) or real(engine)
+        )
+        names = heterogeneous_mix_names(cores, 1, seed=6)[0][1]
+        runs = []
+        for backend in ("native", "scalar"):
+            engine = MultiCoreEngine(
+                [registry.cached_trace(name, 1000) for name in names],
+                self._config(backend, registry.system(f"{cores}c")),
+                lambda: registry.create(pf_name),
+                0.2,
+            )
+            runs.append((engine, engine.run()))
+        (native, got), (scalar, want) = runs
+        assert calls == [native]
+        assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
+        assert _lockstep_state(native) == _lockstep_state(scalar)
+        assert [pickle.dumps(h.prefetcher) for h in native.hierarchies] == [
+            pickle.dumps(h.prefetcher) for h in scalar.hierarchies
+        ]
+
+    #: Few-line SHiP caches and 2-entry MSHRs: every fill evicts, most
+    #: prefetches are dropped, and a utilization window longer than the
+    #: run keeps every DRAM event, so the event ring outgrows its import
+    #: headroom and the kernel re-enters (rc=1).  A degree cap of 2
+    #: truncates the prefetchers' candidate lists, L1 and L2.
+    STRESS = dataclasses.replace(
+        SystemConfig(),
+        l1=CacheGeometry(4 * 64, 2, 4, 2, "ship"),
+        l2=CacheGeometry(8 * 64, 2, 14, 2, "ship"),
+        llc=CacheGeometry(16 * 64, 2, 34, 2, "ship"),
+        dram=dataclasses.replace(SystemConfig().dram, utilization_window=1 << 40),
+        max_prefetch_degree=2,
+    )
+
+    @pytest.mark.parametrize("pf_name", ["st+s+b+d+m", "spp_ppf", "pythia"])
+    def test_stress_geometry_drops_and_regrows(self, pf_name, span_codes):
+        trace = registry.cached_trace("synth/phase-adversarial-1", 3000)
+        native, _ = self._assert_equal(
+            trace,
+            base=self.STRESS,
+            make=lambda: (registry.create(pf_name), registry.create("streamer")),
+            warmup_fraction=0.2,
+        )
+        assert native.hierarchy.prefetches_dropped > 0
+        assert span_codes.count(1) >= 1 and span_codes[-1] == 0, span_codes
+
+    def test_recording_prefetcher_log_identical(self):
+        """The hooks reach the prefetcher with the scalar loop's calls:
+        the same training events and outcome callbacks, in the same
+        order, with the same argument values and Python types."""
+        trace = registry.cached_trace("synth/phase-adversarial-1", 3000)
+        # Small caches with 16 MSHRs: every outcome callback fires
+        # hundreds of times (the stress geometry starves them of fills).
+        config = dataclasses.replace(
+            SystemConfig(),
+            l1=CacheGeometry(4 * 64, 2, 4, 2),
+            l2=CacheGeometry(32 * 64, 4, 14, 16),
+            llc=CacheGeometry(64 * 64, 4, 34, 16, "lru"),
+        )
+        (native, got), (scalar, want) = self._engines(
+            trace,
+            base=config,
+            make=lambda: (_Recording("st+s+b+d+m"), None),
+            warmup_fraction=0.2,
+        )
+        assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
+        log = native.hierarchy.prefetcher.log
+        assert log == scalar.hierarchy.prefetcher.log
+        assert {kind for kind, _ in log} == {"train", "fill", "hit", "dropped", "useless"}

@@ -19,10 +19,13 @@ that fallback).
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import pytest
 
 from repro import registry
+from repro.prefetchers.base import Prefetcher
+from repro.prefetchers.stride import StridePrefetcher
 from repro.sim import _native
 from repro.sim._native import bridge
 from repro.sim.config import SystemConfig
@@ -72,27 +75,36 @@ def test_supports_gates_unsupported_configurations():
 
     trace = registry.cached_trace("spec06/lbm-1", 2000)
 
-    supported = SimulationEngine(
-        trace, config=_config("native"), prefetcher=registry.create("pythia")
-    )
+    def engine(pf_name, **kwargs):
+        return SimulationEngine(
+            trace, config=_config("native"), prefetcher=registry.create(pf_name), **kwargs
+        )
+
+    supported = engine("pythia")
     assert bridge.supports(supported.hierarchy)
     assert bridge.usable(supported.hierarchy)
+    assert bridge.training_mode(supported.hierarchy) == bridge.TRAIN_PYTHIA
+    assert bridge.training_mode(engine("none").hierarchy) == bridge.TRAIN_NONE
 
-    # A prefetcher the kernel has no implementation for.
-    spp = SimulationEngine(
-        trace, config=_config("native"), prefetcher=registry.create("spp")
-    )
-    assert not bridge.supports(spp.hierarchy)
+    # A prefetcher the kernel has no C model of trains through the hooks.
+    spp = engine("spp")
+    assert bridge.supports(spp.hierarchy)
+    assert bridge.training_mode(spp.hierarchy) == bridge.TRAIN_HOOK
+    assert spp._use_native
 
-    # An L1 prefetcher disables every fast backend before the bridge is
-    # even consulted.
-    l1 = SimulationEngine(
+    # So does an L1 prefetcher, which the batched backend cannot train.
+    l1 = engine("pythia", l1_prefetcher=registry.create("spp"))
+    assert l1._use_native and not l1._use_batched
+
+    # What the kernel cannot mirror is structural: a negative degree cap
+    # would let an L1 prefetcher issue past the per-record headroom.
+    negative = SimulationEngine(
         trace,
-        config=_config("native"),
-        prefetcher=registry.create("pythia"),
-        l1_prefetcher=registry.create("spp"),
+        config=dataclasses.replace(_config("native"), max_prefetch_degree=-1),
+        prefetcher=registry.create("spp"),
     )
-    assert not l1._use_native
+    assert not bridge.supports(negative.hierarchy)
+    assert not negative._use_native and negative._use_batched
 
 
 def test_short_spans_delegate_to_batched(monkeypatch):
@@ -140,3 +152,190 @@ def test_lockstep_mix_round_trip(pf_name, monkeypatch):
     ]
     assert len(calls) == 1
     assert repr(dataclasses.asdict(results[0])) == repr(dataclasses.asdict(results[1]))
+
+
+# -- prefetcher failures inside the kernel -----------------------------------
+
+
+class _FailingTrain(Prefetcher):
+    """A stride prefetcher whose ``train`` raises on its 100th call."""
+
+    name = "failing-train"
+    error = ValueError
+
+    def __init__(self) -> None:
+        self.inner = StridePrefetcher()
+        self.calls = 0
+
+    def train(self, ctx):
+        self.calls += 1
+        if self.calls == 100:
+            raise self.error("train failed on call 100")
+        return self.inner.train(ctx)
+
+
+class _FailingFill(Prefetcher):
+    """A stride prefetcher whose ``on_prefetch_fill`` raises."""
+
+    name = "failing-fill"
+
+    def __init__(self) -> None:
+        self.inner = StridePrefetcher()
+
+    def train(self, ctx):
+        return self.inner.train(ctx)
+
+    def on_prefetch_fill(self, line, cycle):
+        raise ValueError("on_prefetch_fill failed")
+
+
+class _InterruptedTrain(_FailingTrain):
+    error = KeyboardInterrupt
+
+
+@pytest.fixture
+def unraisable(monkeypatch):
+    """Everything reported through ``sys.unraisablehook`` (where ctypes
+    reports a callback exception it swallowed)."""
+    seen = []
+    monkeypatch.setattr(sys, "unraisablehook", seen.append)
+    return seen
+
+
+@pytest.mark.parametrize("path", ["single-core", "lockstep"])
+@pytest.mark.parametrize("failing", [_FailingTrain, _FailingFill])
+def test_prefetcher_exception_fails_the_cell(
+    failing, path, monkeypatch, capfd, unraisable
+):
+    """The prefetcher's own exception leaves the kernel with its type and
+    traceback; nothing is stored, ctypes prints nothing, and the session
+    goes on to run a healthy cell."""
+    from repro.api import ResultStore, Session
+
+    monkeypatch.setitem(registry._EXTRA_PREFETCHERS, "failing", failing)
+    session = Session(store=ResultStore(path=None), trace_length=1500)
+    traces = ["spec06/lbm-1", "ligra/cc-1"]
+    with pytest.raises(ValueError, match="failed") as excinfo:
+        if path == "single-core":
+            session.run_one(traces[0], "failing")
+        else:
+            session.run_mix(traces, "failing")
+    raising = "train" if failing is _FailingTrain else "on_prefetch_fill"
+    assert any(entry.name == raising for entry in excinfo.traceback)
+    assert len(session.store) == 0
+    assert "Exception ignored" not in capfd.readouterr().err
+    assert unraisable == []
+
+    if path == "single-core":
+        healthy = session.run_one(traces[0], "spp").result
+    else:
+        healthy, _ = session.run_mix(traces, "spp")
+    assert healthy.prefetches_issued > 0
+    assert len(session.store) == 2
+
+
+def test_keyboard_interrupt_in_a_hook_propagates(capfd, unraisable):
+    trace = registry.cached_trace("spec06/lbm-1", 2000)
+    with pytest.raises(KeyboardInterrupt):
+        simulate(trace, config=_config("native"), prefetcher=_InterruptedTrain())
+    assert "Exception ignored" not in capfd.readouterr().err
+    assert unraisable == []
+
+
+def test_exception_escaping_a_hook_handler_still_aborts(monkeypatch, capfd, unraisable):
+    """An exception raised before a hook's ``try`` (a KeyboardInterrupt
+    delivered on its first instruction) reaches ctypes, which reports it
+    through ``sys.unraisablehook``; the bridge routes it to the kernel's
+    abort word and re-raises it."""
+
+    def unguarded(train_cols, cands, failure):
+        def hook(*args):
+            got = train_cols(*args)
+            cands.array[: len(got)] = got
+            return len(got)
+
+        hook.failure = failure
+        return bridge._TRAIN_HOOK(hook)
+
+    monkeypatch.setattr(bridge, "_train_hook", unguarded)
+    trace = registry.cached_trace("spec06/lbm-1", 2000)
+    with pytest.raises(ValueError, match="call 100"):
+        simulate(trace, config=_config("native"), prefetcher=_FailingTrain())
+    assert "Exception ignored" not in capfd.readouterr().err
+    assert unraisable == []
+
+
+def test_bad_candidate_count_raises_native_replay_error(monkeypatch):
+    """A training hook that claims more candidates than its buffer holds
+    stops the kernel (rc=-7) at the first training event."""
+
+    def overclaiming(train_cols, cands, failure):
+        hook = lambda *args: cands.cap + 1  # noqa: E731
+        hook.failure = failure
+        return bridge._TRAIN_HOOK(hook)
+
+    monkeypatch.setattr(bridge, "_train_hook", overclaiming)
+    trace = registry.cached_trace("spec06/lbm-1", 2000)
+    with pytest.raises(_native.NativeReplayError) as excinfo:
+        simulate(trace, config=_config("native"), prefetcher=registry.create("spp"))
+    assert excinfo.value.rc == -7
+    assert excinfo.value.index == 0
+
+
+def test_lockstep_internal_error_carries_the_step():
+    """A core with an empty trace cannot step: the kernel stops (rc=-5)
+    and the error names the lockstep step."""
+    from repro.sim.engine import MultiCoreEngine
+    from repro.sim.trace import Trace
+
+    traces = [Trace("empty", []), registry.cached_trace("spec06/lbm-1", 500)]
+    engine = MultiCoreEngine(
+        traces,
+        registry.system("2c"),
+        lambda: registry.create("spp"),
+        warmup_records=0,
+        records_per_core=10,
+    )
+    with pytest.raises(_native.NativeReplayError) as excinfo:
+        engine.run()
+    assert (excinfo.value.rc, excinfo.value.index) == (-5, 0)
+
+
+def test_candidate_buffer_grows_without_truncation():
+    """A prefetcher returning far more candidates than the initial buffer
+    holds (duplicates, out-of-page and negative lines included) issues
+    and drops exactly what the scalar loop does.  Two MSHRs make most
+    prefetches drop, so a duplicate the dedup missed would be fetched
+    (and dropped) twice."""
+    from repro.sim.config import CacheGeometry
+    from repro.sim.engine import SimulationEngine
+
+    class Flood(Prefetcher):
+        name = "flood"
+
+        def train(self, ctx):
+            near = [ctx.line + d for d in (1, 1, 2, -1, 2, 3)]
+            return [*near, ctx.line - 500, *range(ctx.line + 4, ctx.line + 300), -1] * 2
+
+    config = dataclasses.replace(
+        SystemConfig(), llc=CacheGeometry(2 * 1024 * 1024, 16, 34, 2, "ship")
+    )
+    trace = registry.cached_trace("spec06/lbm-1", 2000)
+    runs = []
+    for backend in ("native", "scalar"):
+        engine = SimulationEngine(
+            trace,
+            config=dataclasses.replace(config, replay_backend=backend),
+            prefetcher=Flood(),
+        )
+        result = dataclasses.asdict(engine.run())
+        hierarchy = engine.hierarchy
+        runs.append(
+            (
+                result,
+                hierarchy.prefetches_dropped,
+                dataclasses.asdict(hierarchy.llc.stats),
+            )
+        )
+    assert runs[0] == runs[1]
+    assert runs[0][0]["prefetches_issued"] > 0 and runs[0][1] > 0

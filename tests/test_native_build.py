@@ -156,3 +156,43 @@ def test_no_compiler_mix_runs_python_loop(monkeypatch):
     assert not engines[0]._use_native
     results = [dataclasses.asdict(engine.run()) for engine in engines]
     assert results[0] == results[1]
+
+
+def test_kernel_loads_only_when_a_cell_simulates(monkeypatch, tmp_path):
+    """Native is the default backend, yet building a session, resolving
+    systems, fingerprinting an experiment and a warm run that hits the
+    store for every cell never touch the kernel; the first cold cell
+    loads it, once per process."""
+    from repro.api import ResultStore, Session
+
+    def experiment(session):
+        return (
+            session.experiment("lazy")
+            .with_traces("spec06/lbm-1")
+            .with_prefetchers("spp", "pythia")
+            .with_length(1000)
+        )
+
+    store_path = tmp_path / "store"
+    cold = Session(store=ResultStore(path=store_path))
+    assert cold.run(experiment(cold)).stats["simulated"] == 3
+    _native.reset()
+
+    def no_kernel():
+        raise AssertionError("the kernel was loaded")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(build, "load", no_kernel)
+        session = Session(store=ResultStore(path=store_path))
+        assert registry.system("1c").replay_backend == "native"
+        assert all(cell.fingerprint() for cell in experiment(session).cells())
+        warm = session.run(experiment(session))
+        assert warm.stats == {"cells": 3, "simulated": 0, "cached": 3}
+
+    loads = []
+    real_load = build.load
+    monkeypatch.setattr(build, "load", lambda: loads.append(1) or real_load())
+    session = Session(store=ResultStore(path=None), trace_length=1000)
+    for prefetcher in ("spp", "bingo"):
+        session.run_one("spec06/lbm-1", prefetcher)
+    assert loads == [1]
