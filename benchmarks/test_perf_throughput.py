@@ -8,14 +8,14 @@ reports best-of-N records/s, and — under ``make perfbench``
 the repo root so perf changes are visible in review diffs.
 
 Since ISSUE 7 every cell is measured on both replay backends: the
-batched-epoch engine (the default, ``records_per_s``) and the scalar
-per-record loop it must stay bit-identical to
+batched-epoch engine (``records_per_s``, the no-compiler fallback) and
+the scalar per-record loop it must stay bit-identical to
 (``scalar_records_per_s``, kept for the trajectory).  ISSUE 10 adds
-``native_records_per_s`` — the compiled C kernel — when a C compiler
-is present (the rows are ``null`` otherwise, with a visible notice, so
-the bench degrades exactly like the engine does).  The native SPP row
-measures the kernel's Python training hooks: SPP's own ``train`` runs
-in Python, everything around it in C.  Schema 4 adds
+``native_records_per_s`` — the compiled C kernel, now the default —
+when a C compiler is present (the rows are ``null`` otherwise, with a
+visible notice, so the bench degrades exactly like the engine does).
+The native SPP row measures the kernel's Python training hooks: SPP's
+own ``train`` runs in Python, everything around it in C.  Schema 4 adds
 ``lockstep_records_per_s``: a fixed homogeneous four-core
 ``spec06/lbm`` pythia mix (``MultiCoreEngine``, every core replaying
 ``MIX_RECORDS`` records) on the Python lockstep loop and on the native

@@ -4,7 +4,10 @@ Warm ``make lint`` reruns should cost file stamping, not re-analysis.
 The cache is a JSON sidecar (``scripts/lint_cache.json``, gitignored)
 holding *raw* — pre-pragma, pre-baseline — findings:
 
-* per file, keyed by the file's CRC32 content stamp plus the exact
+* per file, keyed by the file's CRC32 content stamp — folded with the
+  bytes of every other file a rule reads for it
+  (:meth:`~repro.analysis.rules.AstRule.reads`: the ``native`` rule
+  reads ``kernel.c`` beside ``sim/_native/build.py``) — plus the exact
   rule list applied to it, the AST findings and the file's pragma
   table (pragmas live in the file, so the CRC covers them);
 * per cross-file pass (``project``, ``introspect``), keyed by a CRC

@@ -23,8 +23,9 @@ The flow per invocation:
    instead of accreting.
 
 An optional :class:`~repro.analysis.cache.AnalysisCache` makes warm
-reruns incremental: unchanged files (by CRC32 content stamp, under an
-unchanged ruleset) reuse their recorded raw findings without being
+reruns incremental: unchanged files (by CRC32 content stamp, folded
+with every other file a rule reads for them, under an unchanged
+ruleset) reuse their recorded raw findings without being
 re-parsed, and the cross-file passes reuse theirs unless *any* stamp in
 the tree moved.  Suppression (pragmas, baseline, unused-pragma decay)
 always re-runs over the raw findings, so cache hits can never serve a
@@ -212,6 +213,11 @@ def run(
         )
         source = path.read_text()
         crc = zlib.crc32(source.encode())
+        # Fold in every other file a rule reads to check this one.
+        for name in applied:
+            for extra in AST_RULES[name]().reads(path, module):
+                data = b"\1" + extra.read_bytes() if extra.is_file() else b"\0"
+                crc = zlib.crc32(data, crc)
         report.files_checked += 1
         hit = (
             use_cache.lookup_file(display, crc, applied) if use_cache else None

@@ -75,6 +75,11 @@ class AstRule:
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
 
+    def reads(self, path: Path, module: str | None) -> list[Path]:
+        """Files besides *path* itself that :meth:`check` reads for it;
+        the incremental cache folds their bytes into *path*'s key."""
+        return []
+
     def finding(self, ctx: FileContext, node: ast.AST, message: str) -> Finding:
         return Finding(
             path=ctx.path,

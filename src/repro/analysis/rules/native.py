@@ -37,6 +37,11 @@ BUILD_MODULE = "repro.sim._native.build"
 CRC_CONSTANT = "KERNEL_SOURCE_CRC"
 
 
+def _kernel_source(path) -> Path:
+    """The ``kernel.c`` beside the build module at *path*."""
+    return Path(path).with_name("kernel.c")
+
+
 def _in_native_package(module: str | None) -> bool:
     if module is None:
         return False
@@ -56,6 +61,9 @@ class NativeRule(AstRule):
         yield from self._check_ctypes_containment(ctx)
         if ctx.module == BUILD_MODULE:
             yield from self._check_crc_pin(ctx)
+
+    def reads(self, path: Path, module: str | None) -> list[Path]:
+        return [_kernel_source(path)] if module == BUILD_MODULE else []
 
     def _check_ctypes_containment(self, ctx: FileContext) -> Iterator[Finding]:
         if _in_native_package(ctx.module):
@@ -96,7 +104,7 @@ class NativeRule(AstRule):
                             "the lint pass can verify it against kernel.c",
                         )
                         return
-        kernel = Path(ctx.path).with_name("kernel.c")
+        kernel = _kernel_source(ctx.path)
         if pinned is None:
             yield self.finding(
                 ctx,

@@ -472,19 +472,22 @@ class NumpyQVStore:
         return _np.array(self._cells, dtype=_np.float64)
 
     def import_table(self, table) -> None:
-        """Replace the cell buffer with *table* (flat ``float64``).
+        """Make the cell buffer equal *table* (flat ``float64``).
 
+        Writes only the cells whose bits changed (compared as int64, so a
+        ``0.0`` ↔ ``-0.0`` change lands), not a fresh float per cell.
         Drops the memoized state rows: their cached Q-reductions were
         computed against the old cells and the version counters cannot
         know what an external writer touched.  Everything re-derives
         lazily, so Q-values after import are pure functions of *table*.
         """
-        cells = table.tolist()
-        if len(cells) != len(self._cells):
-            raise ValueError(
-                f"table has {len(cells)} cells; store holds {len(self._cells)}"
-            )
-        self._cells[:] = cells
+        cells = self._cells
+        if len(table) != len(cells):
+            raise ValueError(f"table has {len(table)} cells; store holds {len(cells)}")
+        old = self.export_table().view(_np.int64)
+        changed = _np.flatnonzero(old != table.view(_np.int64))
+        for i, value in zip(changed.tolist(), table[changed].tolist()):
+            cells[i] = value
         self._state_cache.clear()
 
     # -- serialization -----------------------------------------------------

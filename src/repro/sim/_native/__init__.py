@@ -14,13 +14,13 @@ any other kernel failure raises :class:`NativeReplayError`.  The
 package is self-contained: :mod:`~repro.sim._native.build` compiles and
 caches the shared object on first use (only when a cell simulates),
 :mod:`~repro.sim._native.bridge` owns the ``ctypes`` state round trip
-(the only place in the tree allowed to import ``ctypes``), and
+(the only place in the tree allowed to import ``ctypes``) — the caches
+lend the kernel their own slot buffers, the rest is copied — and
 everything degrades to the batched loop when no compiler or build is
 available.
 """
 
 from repro.sim._native.bridge import (
-    MIN_NATIVE_SPAN,
     NativeReplayError,
     get_lib,
     replay_lockstep,
@@ -44,7 +44,6 @@ def reset() -> None:
 
 
 __all__ = [
-    "MIN_NATIVE_SPAN",
     "NativeReplayError",
     "available",
     "get_lib",

@@ -2,10 +2,10 @@
 
 The native backend is stateless per call.  :func:`replay_span` (one core,
 one record span) and :func:`replay_lockstep` (a whole multi-core mix)
-copy the simulation state into flat NumPy buffers, hand them to
-``kernel.c``, and copy the result back into the Python objects.  The
-state splits the way the kernel's argument structs do, and each half has
-one import and one export shared by both entry points:
+point ``kernel.c`` at the simulation state, call it, and write back what
+it could not share.  The state splits the way the kernel's argument
+structs do, and each half has one import and one export shared by both
+entry points:
 
 * :func:`_import_core` / :func:`_export_core` — one core's private state
   (``_CoreArgs``): trace columns, L1 and L2, MSHR, prefetch fill queues,
@@ -15,11 +15,13 @@ one import and one export shared by both entry points:
   (``_SharedArgs``): the LLC and DRAM.
 
 Both are built over one cache sub-struct (``_CacheArgs``).  The caches
-already hold their state in flat per-slot lists (:mod:`repro.sim.cache`),
-so each list crosses as one NumPy conversion each way; only the
-line→slot dict and the per-set fill counts are rebuilt from the tags on
-the way back.  The C kernel executes the exact operation sequence of
-:func:`repro.sim.batch.replay_span` (and, for mixes, of
+hold their per-slot state in typed buffers of the kernel's element types
+(:mod:`repro.sim.cache`), so the kernel receives pointers into the
+caches' own buffers and replays on them in place; only the line→slot
+dict, the per-set fill counts, the stats and the tick are rebuilt on the
+way back.  Everything else — MSHR, DRAM, core, and the Pythia agent — is
+still copied in and out.  The C kernel executes the exact operation
+sequence of :func:`repro.sim.batch.replay_span` (and, for mixes, of
 ``MultiCoreEngine.run``), so the round trip is bit-identical: a span
 replayed natively leaves every counter, cache line, Q-value, and RNG word
 exactly where the batched (or scalar) loop would have left it, and
@@ -40,18 +42,14 @@ callback.  A hook round trip costs about 1 µs (2-vCPU host), so a hooked
 prefetcher runs at the speed of its own ``train`` plus the C memory
 system.  A hook that raises stores the exception and sets an abort word;
 the kernel stops without exporting and :func:`_check` re-raises the
-original exception.  The simulator objects then hold their pre-call
-state, but the prefetcher has advanced, so the engine is unusable.
+original exception.  Any failed call (rc < 0) leaves the engine
+unusable: the caches hold the kernel's partial writes, and the
+prefetcher has advanced.
 
-A single-core span still costs ~13-22 ms of copying for the default
-hierarchy (2-vCPU host; most of it the 32,768-slot LLC's list
-conversions).  It is amortized over the span, so spans shorter than
-:data:`MIN_NATIVE_SPAN` (telemetry windows, warmup prefixes, control
-chunks near boundaries) are delegated to the batched backend instead —
-same results, better constant factor — unless an L1 prefetcher, which
-batched cannot train, forces them native.  A mix needs no such
-threshold: its whole run is one call, so the copy is paid once per
-cell.
+Every span replays here, whatever its length: a round trip on the
+default hierarchy costs ~4-8 ms (2-vCPU host; most of it the Pythia
+agent's copy and the ``_where`` rebuild), so a span of a few hundred
+records or fewer would run about as fast in the batched loop.
 
 ``ctypes`` usage is confined to this package (``repro.sim._native``);
 the ``native`` lint rule enforces that boundary.
@@ -72,20 +70,11 @@ from repro.core.features import FeatureExtractor, _PageHistory
 from repro.core.pythia import Pythia
 from repro.core.qvstore import NumpyQVStore
 from repro.prefetchers.base import Prefetcher
-from repro.sim import batch
 from repro.sim._native import build
 from repro.sim.cache import CacheStats
 from repro.sim.mshr import MshrEntry
 from repro.sim.replacement import LruPolicy, ShipPolicy
 from repro.types import LINES_PER_PAGE, PAGE_SHIFT_LINES
-
-#: Spans shorter than this are delegated to the batched backend: the
-#: state round trip (~13-22 ms, the batched time of ~300-450 pythia
-#: records) costs more than the interpreter saves, and a lower threshold
-#: raised the peak RSS of short-cell sessions (512 put every Fig 20
-#: search span on native: +9%).  Tests pin bit-identity with this set
-#: to 0 so every span exercises the kernel.
-MIN_NATIVE_SPAN = 2048
 
 _I64 = ctypes.c_int64
 _DBL = ctypes.c_double
@@ -332,17 +321,6 @@ def _pow2_at_least(n: int) -> int:
 _POLICY_FLAGS = {LruPolicy: 0, ShipPolicy: 1}
 
 
-def _u8(bits):
-    """A list of bools as a uint8 array (via ``bool_``: faster than a
-    direct per-element uint8 conversion)."""
-    return _np.array(bits, _np.bool_).view(_np.uint8)
-
-
-def _bits(arr):
-    """A 0/1 uint8 array back as a list of bools."""
-    return arr.view(_np.bool_).tolist()
-
-
 def _attach(args, bufs: dict, name: str, arr):
     """Point ``args.<name>`` at *arr*, kept alive in *bufs* under *name*."""
     bufs[name] = arr
@@ -532,22 +510,23 @@ def _check(rc: int, failure: _HookFailure, index: int, unit: str) -> None:
 
 
 def _import_cache(k: _CacheArgs, cache) -> dict:
-    """Convert one cache level's per-slot lists to arrays for the kernel.
+    """Point the kernel at one cache level's own per-slot buffers.
 
-    LRU caches leave the SHiP-only arrays null: the kernel touches them
-    only on its SHiP paths.
+    No copy: the kernel writes the cache's and its policy's typed
+    buffers in place.  LRU caches leave the SHiP-only pointers null: the
+    kernel touches them only on its SHiP paths.
     """
     bufs: dict = {}
     policy = cache._policy
     ship = _POLICY_FLAGS[type(policy)]
-    _attach(k, bufs, "tag", _np.array(cache._tag, _np.int64))
-    _attach(k, bufs, "pf", _u8(cache._pf))
-    _attach(k, bufs, "used", _u8(cache._used))
-    _attach(k, bufs, "meta_a", _np.array(policy.meta_a, _np.int64))
+    _attach(k, bufs, "tag", _np.frombuffer(cache._tag, _np.int64))
+    _attach(k, bufs, "pf", _np.frombuffer(cache._pf, _np.uint8))
+    _attach(k, bufs, "used", _np.frombuffer(cache._used, _np.uint8))
+    _attach(k, bufs, "meta_a", _np.frombuffer(policy.meta_a, _np.int64))
     if ship:
-        _attach(k, bufs, "meta_b", _np.array(policy.meta_b, _np.int64))
-        _attach(k, bufs, "meta_c", _u8(policy.meta_c))
-        _attach(k, bufs, "shct", _np.array(policy._shct, _np.int64))
+        _attach(k, bufs, "meta_b", _np.frombuffer(policy.meta_b, _np.int64))
+        _attach(k, bufs, "meta_c", _np.frombuffer(policy.meta_c, _np.uint8))
+        _attach(k, bufs, "shct", _np.frombuffer(policy._shct, _np.int64))
     stats = cache.stats
     _attach(
         k, bufs, "stats",
@@ -561,49 +540,22 @@ def _import_cache(k: _CacheArgs, cache) -> dict:
     return bufs
 
 
-#: Slots converted per step when copying an array back into its list,
-#: so an export never holds a full-size temporary list (a mix's shared
-#: LLC has 131,072 slots).
-_EXPORT_CHUNK = 8192
-
-
-def _copy_back(target: list, arr, convert=_np.ndarray.tolist) -> None:
-    """Overwrite list *target* with array *arr*'s values, chunk by chunk."""
-    for start in range(0, len(target), _EXPORT_CHUNK):
-        stop = start + _EXPORT_CHUNK
-        target[start:stop] = convert(arr[start:stop])
-
-
 def _export_cache(k: _CacheArgs, cache, bufs: dict) -> None:
-    """Write one cache level's arrays back into its per-slot lists.
+    """Rebuild what the kernel does not share with one cache level.
 
-    The lists are updated in place (the cache and its policy share
-    ``meta_a``); the residency dict, keyed by the tag list's own int
-    objects, and the per-set fill counts are rebuilt from the tags.
-    Each array leaves *bufs* once copied, so the arrays are freed as the
-    export goes.
+    The per-slot buffers are already current; the residency dict and
+    the per-set fill counts are rebuilt from the tags, and the stats and
+    tick are copied back.
     """
-    policy = cache._policy
-    tag = bufs.pop("tag")
+    tag = bufs["tag"]
     occupied = tag != -1
     cache._filled[:] = occupied.reshape(cache.num_sets, cache.ways).sum(axis=1).tolist()
-    resident = _np.flatnonzero(occupied).tolist()
-    del occupied
-    tags = cache._tag
-    _copy_back(tags, tag)
-    del tag
-    cache._where.clear()
-    cache._where.update(zip(map(tags.__getitem__, resident), resident))
-    del resident
-    _copy_back(cache._pf, bufs.pop("pf"), _bits)
-    _copy_back(cache._used, bufs.pop("used"), _bits)
-    _copy_back(policy.meta_a, bufs.pop("meta_a"))
-    if k.policy:
-        _copy_back(policy.meta_b, bufs.pop("meta_b"))
-        _copy_back(policy.meta_c, bufs.pop("meta_c"), _bits)
-        policy._shct[:] = bufs.pop("shct").tolist()
+    resident = _np.flatnonzero(occupied)
+    where = cache._where
+    where.clear()
+    where.update(zip(tag[resident].tolist(), resident.tolist()))
     stats = cache.stats
-    for name, value in zip(_STAT_FIELDS, bufs.pop("stats").tolist()):
+    for name, value in zip(_STAT_FIELDS, bufs["stats"].tolist()):
         setattr(stats, name, value)
     cache._tick = k.tick
 
@@ -1001,30 +953,21 @@ def _export_agent(c: _CoreArgs, bufs: dict, prefetcher) -> None:
 # -- the backend entry points ------------------------------------------------
 
 
-def replay_span(hierarchy, core, cols, start, stop, stamp=None) -> None:
+def replay_span(hierarchy, core, cols, start, stop) -> None:
     """Replay records ``[start, stop)`` through the compiled kernel.
 
-    Drop-in for :func:`repro.sim.batch.replay_span`, which it delegates
-    to for spans shorter than :data:`MIN_NATIVE_SPAN` (unless the
-    hierarchy has an L1 prefetcher, which only the kernel and the scalar
-    loop train) or if the kernel turns out to be unavailable.  The
-    *stamp* rides through to the batched backend's decoded-column memo
-    when delegating.
+    The native counterpart of :func:`repro.sim.batch.replay_span`, for
+    spans of any length.  The caller checks :func:`usable` first.
 
     Raises:
         BaseException: whatever a hooked prefetcher raised, re-raised
             with its type and traceback after the kernel stopped.
         NativeReplayError: the kernel reported an internal error.
-            Either way the kernel wrote nothing back: the hierarchy and
-            core keep their pre-span state, but a hooked prefetcher has
-            advanced past it, so the engine cannot be reused.
+            Either way the span stopped part-way: the caches hold the
+            kernel's partial writes and a hooked prefetcher has
+            advanced, so the engine cannot be reused.
     """
     lib = get_lib()
-    short = stop - start < MIN_NATIVE_SPAN and hierarchy.l1_prefetcher is None
-    if lib is None or short:
-        batch.replay_span(hierarchy, core, cols, start, stop, stamp=stamp)
-        return
-
     headroom = _headroom(hierarchy.config)
     failure = _HookFailure()
     c = _CoreArgs()
@@ -1062,9 +1005,10 @@ def replay_lockstep(engine) -> None:
     Raises:
         BaseException: whatever a hooked prefetcher raised (see
             :func:`replay_span`).
-        NativeReplayError: the kernel reported an internal error.  No
-            simulator state was written either way, but hooked
-            prefetchers have advanced, so the engine cannot be reused.
+        NativeReplayError: the kernel reported an internal error.
+            Either way the caches hold the kernel's partial writes and
+            hooked prefetchers have advanced, so the engine cannot be
+            reused.
     """
     from repro.sim.engine import CounterMark
 
@@ -1111,7 +1055,6 @@ def replay_lockstep(engine) -> None:
             _grow_core(c, cbufs, headroom)
         _grow_shared(s, shared_bufs, headroom)
 
-    # The shared LLC's arrays are the largest; export (and free) them first.
     _export_shared(s, engine.llc, engine.dram, shared_bufs)
     for i, (hierarchy, core) in enumerate(zip(engine.hierarchies, engine.cores)):
         _export_core(cores[i], hierarchy, core, core_bufs[i])

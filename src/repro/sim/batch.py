@@ -35,9 +35,8 @@ The kernel handles every configuration except L1 prefetching (the
 multi-level Fig 8d experiments), which the native kernel and the scalar
 loop train; every backend is semantically interchangeable, so the
 choice is invisible outside throughput.  With native the default, this
-loop replays the spans too short to repay the native state round trip
-(``MIN_NATIVE_SPAN``), ``replay_backend="batched"`` cells, and every
-span when no C compiler is available.
+loop replays ``replay_backend="batched"`` cells, and every span when no
+C compiler is available.
 """
 
 from __future__ import annotations

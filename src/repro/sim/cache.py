@@ -7,11 +7,12 @@ coverage and overprediction numbers, and what lets prefetchers receive
 "prefetch line was useful/useless" feedback.
 
 State is flat, one entry per *slot* (``slot = set * ways + way``), in
-plain lists the native kernel receives as arrays of the same shape:
+typed buffers the native kernel replays on in place (pickled as lists,
+see :class:`repro.sim.replacement.SlotBuffers`):
 
-* ``_tag`` — the resident line, or ``-1`` for an empty way (lines are
-  non-negative);
-* ``_pf`` / ``_used`` — the prefetched and used bits;
+* ``_tag`` (``array("q")``) — the resident line, or ``-1`` for an empty
+  way (lines are non-negative);
+* ``_pf`` / ``_used`` (``bytearray``) — the prefetched and used bits;
 * the replacement policy's ``meta_a`` (and, for SHiP, ``meta_b`` /
   ``meta_c``) per-slot metadata (:mod:`repro.sim.replacement`).
 
@@ -26,10 +27,11 @@ therefore only ever see full sets.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.sim.config import CacheGeometry
-from repro.sim.replacement import LruPolicy, make_policy
+from repro.sim.replacement import LruPolicy, SlotBuffers, make_policy
 from repro.types import prefetch_accuracy as _prefetch_accuracy
 
 
@@ -99,7 +101,7 @@ class EvictedLine:
     used: bool
 
 
-class Cache:
+class Cache(SlotBuffers):
     """A set-associative, write-allocate cache level.
 
     The cache is *functional plus statistics*: timing lives in the
@@ -111,6 +113,8 @@ class Cache:
         geometry: size/associativity/latency description.
     """
 
+    _BUFFERS = {"_tag": "q", "_pf": None, "_used": None}
+
     def __init__(self, name: str, geometry: CacheGeometry) -> None:
         if geometry.num_sets <= 0:
             raise ValueError(f"{name}: geometry yields no sets")
@@ -121,9 +125,9 @@ class Cache:
         self.latency = geometry.latency
         self.stats = CacheStats()
         slots = self.num_sets * self.ways
-        self._tag: list[int] = [-1] * slots
-        self._pf: list[bool] = [False] * slots
-        self._used: list[bool] = [False] * slots
+        self._tag = array("q", [-1]) * slots
+        self._pf = bytearray(slots)
+        self._used = bytearray(slots)
         self._where: dict[int, int] = {}
         self._filled: list[int] = [0] * self.num_sets
         self._policy = make_policy(geometry.replacement, slots)
@@ -132,6 +136,15 @@ class Cache:
         self._policy_is_lru = type(self._policy) is LruPolicy
         self._meta_a = self._policy.meta_a
         self._tick = 0
+
+    def __getstate__(self) -> dict:
+        state = super().__getstate__()
+        del state["_meta_a"]  # the policy's buffer, re-aliased on restore
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        super().__setstate__(state)
+        self._meta_a = self._policy.meta_a
 
     # -- public API ---------------------------------------------------------
 
@@ -226,7 +239,7 @@ class Cache:
             if not is_lru:  # LRU's on_evict is a no-op
                 self._policy.on_evict(slot)
             victim = self._tag[slot]
-            evicted = EvictedLine(victim, pf[slot], used[slot])
+            evicted = EvictedLine(victim, bool(pf[slot]), bool(used[slot]))
             del where[victim]
 
         where[line] = slot

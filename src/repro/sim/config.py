@@ -114,9 +114,9 @@ class SystemConfig:
     #: Replay-loop implementation: ``"native"`` (the default: the
     #: compiled C kernel, :mod:`repro.sim._native`, which runs every
     #: prefetcher — ``none`` and basic Pythia in C, the rest through
-    #: Python training hooks — and hands spans shorter than
-    #: ``MIN_NATIVE_SPAN`` to batched; falls back to batched without a
-    #: C compiler), ``"batched"`` (columnar epoch kernel,
+    #: Python training hooks — on every span, over the caches' own slot
+    #: buffers; falls back to batched without a C compiler),
+    #: ``"batched"`` (columnar epoch kernel,
     #: :mod:`repro.sim.batch`; falls back to scalar for L1 prefetchers)
     #: or ``"scalar"`` (the reference per-record loop).  Multi-core
     #: mixes have only two lockstep loops: ``"scalar"`` runs the Python

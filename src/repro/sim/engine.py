@@ -509,15 +509,15 @@ class SimulationEngine:
 
     Telemetry and checkpointing are off by default.  Replay walks the
     backend ladder native → batched → scalar (:meth:`_pick_backend`):
-    the default ``replay_backend="native"`` runs every prefetcher in the
-    compiled kernel, L1 prefetchers included, and hands spans shorter
-    than ``MIN_NATIVE_SPAN`` to batched; the perf floors in
-    ``BENCH_perf.json`` gate every rung.  Resume adoption is disabled
-    while telemetry is on (a resumed run cannot reconstruct the skipped
-    windows' rows); checkpoints are still written.  A prefetcher
-    exception raised inside a native span propagates unchanged; the
-    engine is unusable afterwards (the prefetcher has advanced past the
-    hierarchy's pre-span state).
+    the default ``replay_backend="native"`` replays every span of every
+    prefetcher in the compiled kernel, L1 prefetchers included; the
+    perf floors in ``BENCH_perf.json`` gate every rung.  Resume adoption
+    is disabled while telemetry is on (a resumed run cannot reconstruct
+    the skipped windows' rows); checkpoints are still written.  A
+    prefetcher exception or a :class:`repro.sim._native.NativeReplayError`
+    raised inside a native span propagates unchanged and leaves the
+    engine unusable (the caches hold the kernel's partial writes, and
+    the prefetcher has advanced).
     """
 
     def __init__(
@@ -806,10 +806,7 @@ class SimulationEngine:
                 boundary = min(boundary, start + _CONTROL_CHUNK)
 
             if native:
-                _native.replay_span(
-                    hierarchy, core, self._cols, start, boundary,
-                    stamp=self._stamp,
-                )
+                _native.replay_span(hierarchy, core, self._cols, start, boundary)
             elif batched:
                 batch.replay_span(
                     hierarchy, core, self._cols, start, boundary,
@@ -934,8 +931,10 @@ class MultiCoreEngine:
     value takes the native loop when the kernel loads and the run has no
     telemetry window and no progress or cancel callback; anything else
     runs the Python loop.  (The batched backend has no lockstep form.)
-    A prefetcher exception raised inside the native loop propagates
-    unchanged and leaves the engine unusable.
+    A prefetcher exception or a
+    :class:`repro.sim._native.NativeReplayError` raised inside the
+    native loop propagates unchanged and leaves the engine unusable
+    (the caches hold the kernel's partial writes).
     """
 
     def __init__(

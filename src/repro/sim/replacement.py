@@ -2,12 +2,13 @@
 
 The paper's LLC uses SHiP (Signature-based Hit Predictor, Wu et al.,
 MICRO 2011) while L1 and L2 uses LRU.  A policy owns its per-way
-metadata as flat per-slot lists parallel to the cache's tag list
+metadata as flat per-slot buffers parallel to the cache's tag buffer
 (``slot = set * ways + way``; see :class:`repro.sim.cache.Cache`) and
 split the way the native kernel splits it: ``meta_a`` (LRU tick or
 SHiP RRPV), and for SHiP ``meta_b`` (signature) and ``meta_c`` (reused
-bit).  The cache calls the policy with a slot; victim selection takes
-the set's slot range ``[base, end)``.
+bit), typed as the kernel reads them (``array("q")``, ``bytearray``
+for bits) so it replays on them in place.  The cache calls the policy
+with a slot; victim selection takes the set's slot range ``[base, end)``.
 
 Victim selection only ever sees *full* sets: the cache fills a set's
 empty ways first (see :class:`repro.sim.cache.Cache`).  SHiP keeps its
@@ -19,21 +20,44 @@ looping scan-and-increment rounds.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
 
 
-class ReplacementPolicy(ABC):
+class SlotBuffers:
+    """Pickles the typed buffers named in ``_BUFFERS`` as the plain lists
+    checkpoints have always held (flags as bools: under half the bytes
+    of the raw arrays), and restores either form as typed buffers."""
+
+    #: Buffer attribute -> ``array`` typecode, or ``None`` for a
+    #: ``bytearray`` of 0/1 flags.
+    _BUFFERS: dict[str, str | None] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name, code in self._BUFFERS.items():
+            state[name] = state[name].tolist() if code else list(map(bool, state[name]))
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, code in self._BUFFERS.items():
+            state[name] = array(code, state[name]) if code else bytearray(state[name])
+        self.__dict__.update(state)
+
+
+class ReplacementPolicy(SlotBuffers, ABC):
     """Interface for a per-cache replacement policy.
 
     The cache calls :meth:`on_fill` when a line is inserted into a
     slot, :meth:`on_hit` when it is re-referenced, :meth:`victim` to
     choose the slot to evict from a full set, and :meth:`on_evict`
     just before that slot is refilled.  A policy is built for the
-    cache's slot count (``num_sets * ways``); ``meta_a`` holds one int
-    per slot, and :meth:`on_fill` must fully reinitialize a slot's
-    metadata.
+    cache's slot count (``num_sets * ways``); ``meta_a`` holds one
+    int64 per slot, and :meth:`on_fill` must fully reinitialize a
+    slot's metadata.
     """
 
-    meta_a: list[int]
+    meta_a: array
+    _BUFFERS = {"meta_a": "q"}
 
     @abstractmethod
     def on_fill(self, slot: int, pc: int, is_prefetch: bool, tick: int) -> None:
@@ -60,7 +84,7 @@ class LruPolicy(ReplacementPolicy):
     """
 
     def __init__(self, slots: int) -> None:
-        self.meta_a = [0] * slots
+        self.meta_a = array("q", [0]) * slots
 
     def on_fill(self, slot: int, pc: int, is_prefetch: bool, tick: int) -> None:
         self.meta_a[slot] = tick
@@ -92,12 +116,13 @@ class ShipPolicy(ReplacementPolicy):
     RRPV_MAX = 3
     SHCT_SIZE = 1024
     SHCT_MAX = 7
+    _BUFFERS = {"meta_a": "q", "meta_b": "q", "meta_c": None, "_shct": "q"}
 
     def __init__(self, slots: int) -> None:
-        self.meta_a = [self.RRPV_MAX] * slots
-        self.meta_b = [0] * slots
-        self.meta_c = [False] * slots
-        self._shct = [self.SHCT_MAX // 2] * self.SHCT_SIZE
+        self.meta_a = array("q", [self.RRPV_MAX]) * slots
+        self.meta_b = array("q", [0]) * slots
+        self.meta_c = bytearray(slots)
+        self._shct = array("q", [self.SHCT_MAX // 2]) * self.SHCT_SIZE
 
     def _signature(self, pc: int) -> int:
         return (pc ^ (pc >> 10)) % self.SHCT_SIZE

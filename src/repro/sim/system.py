@@ -23,16 +23,7 @@ from typing import Callable
 
 from repro.prefetchers.base import Prefetcher
 from repro.sim.config import SystemConfig
-from repro.sim.engine import (  # noqa: F401  (re-exported: historical home)
-    MultiCoreEngine,
-    SimulationCancelled,
-    SimulationEngine,
-    SimulationResult,
-    _gc_paused,
-    _run_core,
-    _stats_delta,
-    _stats_snapshot,
-)
+from repro.sim.engine import MultiCoreEngine, SimulationEngine, SimulationResult
 from repro.sim.trace import Trace
 
 

@@ -61,14 +61,42 @@ def test_stress_geometry_bit_identical(prefetcher: str) -> None:
         assert got.prefetches_issued > 0
 
 
-def test_default_geometry_bit_identical_quick() -> None:
+@pytest.mark.parametrize(
+    ("trace_name", "prefetcher"),
+    [
+        ("synth/phase-regular-1", "pythia"),
+        # L1 and LLC demand hits, prefetched LLC lines a demand uses.
+        ("spec06/lbm-1", "spp"),
+        ("ligra/cc-1", "bingo"),
+    ],
+)
+def test_default_geometry_bit_identical_quick(trace_name: str, prefetcher: str) -> None:
     """The default (paper) geometry on a short slice — the common-case
     branches, LRU L1/L2 + SHiP LLC."""
     batched = replace(SystemConfig(), replay_backend="batched")
     scalar = replace(SystemConfig(), replay_backend="scalar")
-    got = _run(batched, "pythia", "synth/phase-regular-1", 2_500)
-    want = _run(scalar, "pythia", "synth/phase-regular-1", 2_500)
+    got = _run(batched, prefetcher, trace_name, 2_500)
+    want = _run(scalar, prefetcher, trace_name, 2_500)
     assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+def test_decode_memo_is_a_bounded_lru() -> None:
+    """Stamped decodes are memoized per (stamp, span, geometry); past
+    the entry cap the least recently used one is evicted."""
+    trace = registry.cached_trace("spec06/lbm-1", 2_000)
+    cols, stamp = trace.columns(), trace.content_stamp
+
+    def decode(start):
+        return batch.decode_span(cols, start, start + 10, 64, 1024, 2048, stamp=stamp)
+
+    batch._DECODE_CACHE.clear()
+    first = decode(0)
+    assert decode(0) is first
+    for start in range(1, batch._DECODE_CACHE_ENTRIES + 1):
+        decode(start)
+    assert len(batch._DECODE_CACHE) == batch._DECODE_CACHE_ENTRIES
+    assert decode(0) is not first
+    assert decode(0) == first
 
 
 def test_epoch_constant_matches_engine_chunk() -> None:

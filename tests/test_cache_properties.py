@@ -1,6 +1,6 @@
 """Property-based invariants for the cache model and replacement policies.
 
-The cache keeps its state in flat per-slot lists (``slot = set * ways +
+The cache keeps its state in flat per-slot buffers (``slot = set * ways +
 way``) beside a cache-wide line→slot dict and a per-set count of filled
 ways (:mod:`repro.sim.cache`).  These tests pin that layout's
 structural invariants by driving random (seeded, stdlib ``random``)
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import pickle
 import random
+from array import array
 
 import pytest
 
@@ -50,7 +51,7 @@ def small_cache(replacement: str, sets: int = 8, ways: int = 4) -> Cache:
 
 def set_tags(cache: Cache, set_idx: int) -> list[int]:
     base = set_idx * cache.ways
-    return cache._tag[base : base + cache.ways]
+    return list(cache._tag[base : base + cache.ways])
 
 
 def assert_structurally_consistent(cache: Cache) -> None:
@@ -158,7 +159,7 @@ def test_lru_policy_victim_matches_min_scan():
     policy = LruPolicy(8)
     # Two sets of four slots; the first set's smaller ticks must not
     # leak into the second set's victim search.
-    policy.meta_a[:] = [0, 0, 0, 0, 5, 3, 9, 3]
+    policy.meta_a[:] = array("q", [0, 0, 0, 0, 5, 3, 9, 3])
     # Victim is the lowest tick; ties break to the lowest way index,
     # matching the inlined ``meta.index(min(meta[base:end]), base)``.
     assert policy.victim(4, 8) == 5
@@ -179,14 +180,14 @@ def test_ship_victim_always_resident_and_aging_saturates(seed):
     for step in range(400):
         if rng.random() < 0.5:
             policy.on_hit(rng.randrange(2 * ways), pc=rng.randrange(1 << 12), tick=step)
-        before = policy.meta_a[base:end]
-        bystander = policy.meta_a[:base]
+        before = list(policy.meta_a[base:end])
+        bystander = list(policy.meta_a[:base])
         victim = policy.victim(base, end)
         assert base <= victim < end
         age = ShipPolicy.RRPV_MAX - max(before)
         assert policy.meta_a[victim] == ShipPolicy.RRPV_MAX
-        assert policy.meta_a[base:end] == [r + age for r in before]
-        assert policy.meta_a[:base] == bystander
+        assert list(policy.meta_a[base:end]) == [r + age for r in before]
+        assert list(policy.meta_a[:base]) == bystander
         # The victim is the lowest-indexed slot holding the max RRPV.
         assert victim - base == before.index(max(before))
         policy.on_evict(victim)

@@ -24,17 +24,21 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import random
+from array import array
 
 import pytest
 
 from repro import registry
 from repro.api.store import ResultStore
+from repro.sim.cache import Cache
 from repro.sim.engine import (
+    STATE_LAYOUT,
     EngineState,
     SimulationCancelled,
     SimulationEngine,
     Timeline,
 )
+from repro.sim.replacement import ShipPolicy, SlotBuffers
 from repro.sim.system import simulate, simulate_multi
 from repro.sim.config import baseline_multi_core
 
@@ -285,6 +289,69 @@ class TestStateLayout:
         ).run()
         state = sink.states[(3_000, (600,))]
         assert state.size_bytes < 1_000_000
+
+    def test_layout_2_snapshot_with_list_caches_restores(self, monkeypatch):
+        """A layout-2 snapshot pickled while the caches held plain lists
+        (``Cache._meta_a`` aliasing the policy's list) restores into typed
+        buffers and finishes the run bit-identically on the default
+        backend, which hands those buffers to the native kernel."""
+        assert STATE_LAYOUT == 2
+        trace = registry.cached_trace(TRACE, LENGTH)
+        expected = simulate(
+            trace, prefetcher=registry.create("pythia"), warmup_records=600
+        )
+        stop_at = 1_500
+        engine = SimulationEngine(
+            trace,
+            prefetcher=registry.create("pythia"),
+            warmup_records=600,
+            checkpoint_every=stop_at,
+            checkpoints=MemorySink(),
+        )
+        engine.cancel = lambda: engine.position >= stop_at
+        with pytest.raises(SimulationCancelled):
+            engine.run()
+
+        def caches(hierarchy):
+            return (hierarchy.l1, hierarchy.l2, hierarchy.llc)
+
+        # Put the engine's caches back in the list form they held before
+        # the buffers were typed, and pickle them without the
+        # buffer-aware __getstate__.
+        for cache in caches(engine.hierarchy):
+            policy = cache._policy
+            for owner, names in (
+                (cache, ("_tag", "_pf", "_used")),
+                (policy, ("meta_a", "meta_b", "meta_c", "_shct")),
+            ):
+                for name in names:
+                    buf = getattr(owner, name, None)
+                    if isinstance(buf, bytearray):
+                        setattr(owner, name, list(map(bool, buf)))
+                    elif buf is not None:
+                        setattr(owner, name, buf.tolist())
+            cache._meta_a = policy.meta_a
+        assert isinstance(engine.hierarchy.llc._policy, ShipPolicy)
+        with monkeypatch.context() as patch:
+            patch.delattr(Cache, "__getstate__")
+            patch.delattr(SlotBuffers, "__getstate__")
+            state = pickle.loads(pickle.dumps(engine.capture_state()))
+        old_llc = pickle.loads(state.payload)[0].llc.__dict__
+        assert old_llc["_meta_a"] is old_llc["_policy"].meta_a
+
+        fresh = SimulationEngine(
+            trace, prefetcher=registry.create("pythia"), warmup_records=600
+        )
+        fresh.adopt_state(state)
+        for cache in caches(fresh.hierarchy):
+            policy = cache._policy
+            assert type(cache._tag) is array and type(policy.meta_a) is array
+            assert type(cache._pf) is bytearray and type(cache._used) is bytearray
+            assert cache._meta_a is policy.meta_a
+        ship = fresh.hierarchy.llc._policy
+        assert type(ship.meta_b) is array and type(ship._shct) is array
+        assert type(ship.meta_c) is bytearray
+        assert result_dict(fresh.run()) == result_dict(expected)
 
 
 class TestCheckpointResume:

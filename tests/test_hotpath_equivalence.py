@@ -453,15 +453,11 @@ class TestNativeBackendEquivalence:
         return dataclasses.replace(SystemConfig(), replay_backend=backend)
 
     @pytest.fixture(autouse=True)
-    def _native_kernel(self, monkeypatch):
+    def _native_kernel(self):
         from repro.sim import _native
-        from repro.sim._native import bridge
 
         if not _native.available():
             pytest.skip("no C compiler: native replay backend unavailable")
-        # Small traces must exercise the C kernel, not the short-span
-        # delegation back to the batched backend.
-        monkeypatch.setattr(bridge, "MIN_NATIVE_SPAN", 0)
 
     @pytest.mark.parametrize("pf_name", ["pythia", "spp"])
     @pytest.mark.parametrize(
@@ -575,7 +571,7 @@ class TestNativeBackendEquivalence:
 
 
 def _cache_state(cache) -> tuple:
-    """A cache's per-slot lists, policy metadata, tick and counters."""
+    """A cache's per-slot buffers, policy metadata, tick and counters."""
     policy = cache._policy
     return (
         cache._tag,
@@ -921,7 +917,6 @@ class TestNativeHookEquivalence:
     Each case compares results and the end state the run leaves behind:
     the prefetcher's pickled state always, and the hierarchy's where a
     case drives the rare paths (drops, useless evictions, regrowth).
-    ``MIN_NATIVE_SPAN`` is forced to 0 so every span enters the kernel.
     The whole class skips without a C compiler.
     """
 
@@ -932,13 +927,11 @@ class TestNativeHookEquivalence:
         )
 
     @pytest.fixture(autouse=True)
-    def _native_kernel(self, monkeypatch):
+    def _native_kernel(self):
         from repro.sim import _native
-        from repro.sim._native import bridge
 
         if not _native.available():
             pytest.skip("no C compiler: native replay backend unavailable")
-        monkeypatch.setattr(bridge, "MIN_NATIVE_SPAN", 0)
 
     @pytest.fixture
     def span_codes(self, monkeypatch):

@@ -8,6 +8,8 @@ the contract the CLI leans on:
   the cross-file pass by the combined stamp);
 * touching one file re-analyzes exactly that file — plus the
   cross-file pass, which any stamp change must invalidate;
+* editing a file a rule reads for another file (``kernel.c`` for the
+  ``native`` rule's check of ``build.py``) re-analyzes that file;
 * bumping any rule's ``version`` changes the ruleset signature and
   invalidates everything;
 * suppression always re-runs over cached raw findings, so cache hits
@@ -18,6 +20,7 @@ the contract the CLI leans on:
 from __future__ import annotations
 
 import json
+import zlib
 from pathlib import Path
 
 import pytest
@@ -95,6 +98,32 @@ def test_touching_one_file_reanalyzes_exactly_it(tmp_path):
     warm = run_cached(pkg, AnalysisCache(sidecar))
     assert warm.files_reparsed == 0
     assert warm.project_reused
+
+
+@pytest.mark.quick
+def test_editing_a_file_a_rule_reads_reanalyzes_its_reader(tmp_path):
+    """The ``native`` rule checks ``sim/_native/build.py``'s pinned CRC
+    against the sibling ``kernel.c``: editing only ``kernel.c`` must
+    re-check ``build.py`` on the next warm run instead of serving its
+    cached clean verdict."""
+    pkg = write_tree(tmp_path)
+    native = pkg / "sim" / "_native"
+    native.mkdir()
+    (native / "__init__.py").write_text("")
+    kernel = native / "kernel.c"
+    kernel.write_text("int repro_kernel(void) { return 0; }\n")
+    crc = zlib.crc32(kernel.read_bytes())
+    (native / "build.py").write_text(f"KERNEL_SOURCE_CRC = 0x{crc:08X}\n")
+    sidecar = tmp_path / "cache.json"
+    assert run_cached(pkg, AnalysisCache(sidecar)).findings == []
+    warm = run_cached(pkg, AnalysisCache(sidecar))
+    assert warm.findings == [] and warm.files_reparsed == 0
+
+    kernel.write_text("int repro_kernel(void) { return 1; }\n")
+    edited = run_cached(pkg, AnalysisCache(sidecar))
+    assert [f.rule for f in edited.findings] == ["native"]
+    assert edited.findings[0].path.endswith("build.py")
+    assert edited.files_reparsed == 1  # build.py, re-checked
 
 
 @pytest.mark.quick

@@ -4,7 +4,7 @@ Small-trace, quick-tier drivers of ``repro.sim._native.bridge``: the
 full Python → C → Python state round trip for both the training
 (Pythia) and non-training (no-prefetch) kernels, a two-core mix through
 the lockstep entry, the configuration ``supports()`` gate, and the
-short-span delegation back to the batched backend.  The heavyweight
+caches lending the kernel their own slot buffers.  The heavyweight
 bit-identity matrix (five trace families, windowed, cross-backend
 checkpointed resumes, and the lockstep mixes) lives in
 ``tests/test_hotpath_equivalence.py``; this file is the fast coverage
@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 
+import numpy as np
 import pytest
 
 from repro import registry
@@ -35,12 +36,9 @@ pytestmark = pytest.mark.quick
 
 
 @pytest.fixture(autouse=True)
-def native_kernel(monkeypatch):
+def native_kernel():
     if not _native.available():
         pytest.skip("no C compiler: native replay backend unavailable")
-    # 2000-record traces produce spans well under the production
-    # threshold; force them through the C kernel.
-    monkeypatch.setattr(bridge, "MIN_NATIVE_SPAN", 0)
 
 
 def _config(backend: str) -> SystemConfig:
@@ -107,24 +105,78 @@ def test_supports_gates_unsupported_configurations():
     assert not negative._use_native and negative._use_batched
 
 
-def test_short_spans_delegate_to_batched(monkeypatch):
-    """Below the span threshold the bridge hands off to the batched
-    kernel wholesale — same results, no C round trip."""
-    monkeypatch.setattr(bridge, "MIN_NATIVE_SPAN", 1 << 30)
-    calls = []
-    real_get_lib = bridge.get_lib
+#: (owner, attribute, kernel element type) of every per-slot buffer the
+#: kernel receives, by its ``_CacheArgs`` field.
+_SHARED_BUFFERS = {
+    "tag": ("cache", "_tag", np.int64),
+    "pf": ("cache", "_pf", np.uint8),
+    "used": ("cache", "_used", np.uint8),
+    "meta_a": ("policy", "meta_a", np.int64),
+    "meta_b": ("policy", "meta_b", np.int64),
+    "meta_c": ("policy", "meta_c", np.uint8),
+    "shct": ("policy", "_shct", np.int64),
+}
 
-    def counting_get_lib():
-        lib = real_get_lib()
-        calls.append(lib)
-        return lib
 
-    monkeypatch.setattr(bridge, "get_lib", counting_get_lib)
-    assert _cell("native", "pythia") == _cell("batched", "pythia")
-    # The engine probed the kernel for usability, but every span was
-    # delegated — so no span entered the C entry point (get_lib calls
-    # come only from usable()).
-    assert all(lib is not None for lib in calls)
+def test_kernel_replays_on_the_caches_own_buffers(monkeypatch):
+    """Every cache level lends the kernel its own slot buffers: each
+    pointer the bridge stores is the address of the cache's (or its
+    policy's) buffer, no copy is made, the buffers survive the span, and
+    the residency index rebuilt afterwards agrees with the tags."""
+    from repro.sim.engine import SimulationEngine
+
+    seen = []
+    real_import = bridge._import_cache
+
+    def recording(k, cache):
+        bufs = real_import(k, cache)
+        seen.append(
+            (cache, {field: getattr(k, field) for field in _SHARED_BUFFERS})
+        )
+        return bufs
+
+    monkeypatch.setattr(bridge, "_import_cache", recording)
+    trace = registry.cached_trace("spec06/lbm-1", 2000)
+    engine = SimulationEngine(
+        trace, config=_config("native"), prefetcher=registry.create("pythia")
+    )
+    hierarchy = engine.hierarchy
+    caches = (hierarchy.l1, hierarchy.l2, hierarchy.llc)
+
+    def buffers(cache):
+        owners = {"cache": cache, "policy": cache._policy}
+        return {
+            field: getattr(owners[owner], name, None)
+            for field, (owner, name, _) in _SHARED_BUFFERS.items()
+        }
+
+    before = [buffers(cache) for cache in caches]
+    engine.run()
+    assert [cache for cache, _ in seen[:3]] == list(caches)
+    assert len(seen) == 3 * 2  # the warmup span and the measured span
+    for cache, pointers in seen:
+        for field, buf in buffers(cache).items():
+            if buf is None:  # SHiP-only buffers of an LRU cache: null
+                assert pointers[field] is None
+                continue
+            dtype = _SHARED_BUFFERS[field][2]
+            assert pointers[field] == np.frombuffer(buf, dtype).ctypes.data, (
+                cache.name,
+                field,
+            )
+    assert type(hierarchy.llc._policy).__name__ == "ShipPolicy"
+    for cache, previous in zip(caches, before):
+        assert all(buf is previous[field] for field, buf in buffers(cache).items())
+        assert cache._meta_a is cache._policy.meta_a
+        tags = cache._tag
+        assert cache._where == {
+            tag: slot for slot, tag in enumerate(tags) if tag != -1
+        }
+        assert cache._filled == [
+            sum(tag != -1 for tag in tags[s * cache.ways : (s + 1) * cache.ways])
+            for s in range(cache.num_sets)
+        ]
+        assert cache.occupancy > 0
 
 
 @pytest.mark.parametrize("pf_name", ["pythia", "none"])

@@ -1,10 +1,12 @@
 """Tests for LRU and SHiP replacement policies.
 
-Policies hold flat per-slot metadata lists and only ever see full sets:
+Policies hold flat per-slot metadata buffers and only ever see full sets:
 the cache fills a set's empty ways before consulting ``victim`` (covered
 by ``tests/test_cache.py``), so ``victim(base, end)`` takes just the
 set's slot range.
 """
+
+from array import array
 
 import pytest
 
@@ -30,13 +32,13 @@ class TestLru:
 
     def test_hit_promotes(self):
         policy = LruPolicy(2)
-        policy.meta_a[:] = [1, 2]
+        policy.meta_a[:] = array("q", [1, 2])
         policy.on_hit(0, pc=0, tick=99)
         assert policy.victim(0, 2) == 1
 
     def test_tie_breaks_to_lowest_way(self):
         policy = LruPolicy(4)
-        policy.meta_a[:] = [7, 3, 3, 9]
+        policy.meta_a[:] = array("q", [7, 3, 3, 9])
         assert policy.victim(0, 4) == 1
 
 
@@ -74,7 +76,7 @@ class TestShip:
     def test_incremental_aging_matches_scan_loop(self):
         """One-pass victim == the textbook scan-and-increment rounds."""
         policy = ShipPolicy(4)
-        policy.meta_a[:] = [1, 2, 0, 2]
+        policy.meta_a[:] = array("q", [1, 2, 0, 2])
         reference = list(policy.meta_a)
         victim = policy.victim(0, 4)
         # Reference: age everything until the first way reaches RRPV_MAX.
@@ -84,7 +86,7 @@ class TestShip:
             i for i, r in enumerate(reference) if r >= ShipPolicy.RRPV_MAX
         )
         assert victim == expected_way == 1
-        assert policy.meta_a == reference
+        assert list(policy.meta_a) == reference
 
     def test_unreused_eviction_decrements_shct(self):
         policy = ShipPolicy(1)
