@@ -25,12 +25,9 @@
 #                    batching, exceptions), whole-program rules
 #                    (concurrency, hotpath), and introspection rules
 #                    (fingerprint, checkpoint) over src/repro,
-#                    benchmarks/, scripts/, and tests/, gated against
-#                    scripts/lint_baseline.json.  Warm reruns are
-#                    incremental via scripts/lint_cache.json.
-#   make lint-changed - same checker, but only over the files git
-#                    reports as modified/untracked (plus the cross-file
-#                    passes); the cache covers the rest.
+#                    benchmarks/, scripts/, and tests/; per-line
+#                    pragmas are the only suppression.  Every run
+#                    parses every file and writes nothing.
 #   make sanitize  - the native single-core and lockstep suites against an
 #                    AddressSanitizer + UndefinedBehaviorSanitizer build of
 #                    kernel.c (scripts/sanitize.py; needs libasan/libubsan).
@@ -43,7 +40,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: quick sweep-smoke resume-smoke stress-smoke test bench perfbench profile lint lint-changed sanitize coverage all
+.PHONY: quick sweep-smoke resume-smoke stress-smoke test bench perfbench profile lint sanitize coverage all
 
 quick:
 	$(PY) -m pytest -m quick -q
@@ -71,9 +68,6 @@ profile:
 
 lint:
 	$(PY) -m repro.analysis
-
-lint-changed:
-	$(PY) -m repro.analysis --changed
 
 sanitize:
 	$(PY) scripts/sanitize.py

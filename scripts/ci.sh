@@ -33,10 +33,8 @@
 # (determinism, layering, hygiene, batching, exceptions), the
 # whole-program rules (concurrency, hotpath), and the introspection
 # rules (fingerprint, checkpoint) must all come back clean over
-# src/repro + benchmarks + scripts + tests, modulo per-line pragmas and
-# the committed baseline (scripts/lint_baseline.json).  The checker's
-# summary line prints its wall time; warm reruns hit
-# scripts/lint_cache.json and re-parse nothing.
+# src/repro + benchmarks + scripts + tests, modulo per-line pragmas.
+# The checker's summary line prints its wall time.
 #
 # When the compiler ships the AddressSanitizer runtime, the sanitizer
 # tier (`make sanitize`, scripts/sanitize.py) re-runs the native

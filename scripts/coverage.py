@@ -63,7 +63,6 @@ FLOOR_MARGIN = 2.0
 COVERAGE_TESTS = [
     "tests/test_analysis.py",
     "tests/test_project_rules.py",
-    "tests/test_lint_cache.py",
     "tests/test_api_session.py",
     "tests/test_search.py",
     "tests/test_registry.py",

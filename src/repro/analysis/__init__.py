@@ -16,13 +16,13 @@ Architecture (see ``repro.analysis.rules`` for the rule registry):
   ``hygiene``);
 * import-time introspection rules inspect the live package once
   (``fingerprint``, ``checkpoint``);
-* per-line ``# repro: ignore[rule]`` pragmas and the committed
-  ``scripts/lint_baseline.json`` suppress findings — both are
-  themselves checked for staleness (``unused-pragma``,
-  ``stale-baseline``).
+* whole-program rules parse the package tree once (``concurrency``,
+  ``hotpath``);
+* per-line ``# repro: ignore[rule]`` pragmas suppress findings, and a
+  pragma that suppresses nothing is itself a finding
+  (``unused-pragma``).
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import Report, collect_files, module_name_of, run
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.pragmas import PragmaIndex
@@ -38,7 +38,6 @@ from repro.analysis.rules import (
 
 __all__ = [
     "AST_RULES",
-    "Baseline",
     "AstRule",
     "FileContext",
     "Finding",

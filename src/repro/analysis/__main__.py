@@ -2,24 +2,19 @@
 
 Exit codes: ``0`` clean (or everything suppressed), ``1`` findings,
 ``2`` usage error.  ``make lint`` runs this over the default tree set
-(``src/repro`` + ``benchmarks`` + ``scripts`` + ``tests``) with the
-committed baseline and the incremental cache; CI gates on it (see
-``scripts/ci.sh``).  ``--changed`` narrows the file list to what git
-says is modified (``make lint-changed``), leaning on the cache for
-everything else.
+(``src/repro`` + ``benchmarks`` + ``scripts`` + ``tests``); CI gates on
+it (see ``scripts/ci.sh``).  Every run parses every file and writes
+nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.cache import AnalysisCache
 from repro.analysis.engine import run
 from repro.analysis.rules import (
     AST_RULES,
@@ -27,9 +22,6 @@ from repro.analysis.rules import (
     PROJECT_RULES,
     all_rule_names,
 )
-
-DEFAULT_BASELINE = Path("scripts/lint_baseline.json")
-DEFAULT_CACHE = Path("scripts/lint_cache.json")
 
 #: Trees linted by default — the package source plus every tree that
 #: holds executable Python riding on it.
@@ -39,34 +31,6 @@ DEFAULT_TREES = (
     Path("scripts"),
     Path("tests"),
 )
-
-
-def _changed_paths() -> list[Path] | None:
-    """``.py`` files git reports as modified or untracked, restricted
-    to the default trees; ``None`` when git is unavailable."""
-    names: set[str] = set()
-    for args in (
-        ("git", "diff", "--name-only", "HEAD"),
-        ("git", "ls-files", "--others", "--exclude-standard"),
-    ):
-        try:
-            proc = subprocess.run(
-                args, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        names.update(line.strip() for line in proc.stdout.splitlines())
-    roots = tuple(str(tree).split("/", 1)[0] for tree in DEFAULT_TREES)
-    return [
-        Path(name)
-        for name in sorted(names)
-        if name.endswith(".py")
-        and name.split("/", 1)[0] in roots
-        # Explicit paths bypass collect_files' fixture-corpus
-        # exclusion, so re-apply it here.
-        and not name.startswith("tests/data/")
-        and Path(name).exists()
-    ]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,42 +59,9 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated rule allowlist (default: every rule)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"grandfathered-findings file (default: {DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="record the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
         "--no-introspect",
         action="store_true",
         help="skip the import-time rules (fingerprint, checkpoint)",
-    )
-    parser.add_argument(
-        "--no-project",
-        action="store_true",
-        help="skip the whole-program rules (concurrency, hotpath)",
-    )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        default=DEFAULT_CACHE,
-        help=f"incremental result cache sidecar (default: {DEFAULT_CACHE})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the incremental cache",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="analyze only files git reports as changed (plus the "
-        "cross-file passes)",
     )
     parser.add_argument(
         "--list-rules",
@@ -153,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
                 if name in PROJECT_RULES
                 else "introspection"
             )
-            print(f"{name:14s} [{kind}] v{cls.version} {cls.description}")
+            print(f"{name:14s} [{kind}] {cls.description}")
         return 0
 
     rules = None
@@ -163,51 +94,11 @@ def main(argv: list[str] | None = None) -> int:
         if unknown:
             parser.error(f"unknown rules: {', '.join(sorted(unknown))}")
 
-    if args.changed:
-        changed = _changed_paths()
-        if changed is None:
-            parser.error("--changed requires git")
-        if not changed:
-            print("analysis: no changed python files — clean")
-            return 0
-        paths = changed
-    elif args.paths:
-        paths = args.paths
-    else:
-        paths = [tree for tree in DEFAULT_TREES if tree.exists()]
-
-    baseline_path = args.baseline
-    if baseline_path is None and DEFAULT_BASELINE.exists():
-        baseline_path = DEFAULT_BASELINE
-    baseline = (
-        Baseline()
-        if args.update_baseline or baseline_path is None
-        else Baseline.load(baseline_path)
-    )
-
-    cache = None if args.no_cache else AnalysisCache(args.cache)
+    paths = args.paths or [tree for tree in DEFAULT_TREES if tree.exists()]
 
     started = time.perf_counter()
-    report = run(
-        paths,
-        rules=rules,
-        baseline=baseline,
-        introspect=not args.no_introspect,
-        project=not args.no_project,
-        cache=cache,
-    )
+    report = run(paths, rules=rules, introspect=not args.no_introspect)
     elapsed = time.perf_counter() - started
-
-    if args.update_baseline:
-        target = args.baseline or DEFAULT_BASELINE
-        recordable = [
-            f
-            for f in report.findings
-            if f.rule not in ("unused-pragma", "stale-baseline")
-        ]
-        Baseline.save(target, recordable)
-        print(f"analysis: baseline re-recorded with {len(recordable)} findings in {target}")
-        return 0
 
     if args.format == "json":
         print(
@@ -216,10 +107,6 @@ def main(argv: list[str] | None = None) -> int:
                     "findings": [f.as_json() for f in report.findings],
                     "suppressed": report.suppressed,
                     "files_checked": report.files_checked,
-                    "files_reused": report.files_reused,
-                    "files_reparsed": report.files_reparsed,
-                    "project_reused": report.project_reused,
-                    "introspect_reused": report.introspect_reused,
                     "elapsed_seconds": round(elapsed, 3),
                 },
                 indent=2,
@@ -228,16 +115,10 @@ def main(argv: list[str] | None = None) -> int:
     else:
         for finding in report.findings:
             print(finding.render())
-        cross = (
-            "cached"
-            if report.project_reused and report.introspect_reused
-            else "ran"
-        )
         summary = (
             f"analysis: {len(report.findings)} finding(s), "
             f"{report.suppressed} suppressed, {report.files_checked} file(s) "
-            f"({report.files_reused} cached, {report.files_reparsed} "
-            f"re-parsed; cross-file {cross}) in {elapsed:.2f}s"
+            f"in {elapsed:.2f}s"
         )
         print(summary if report.findings else f"{summary} — clean")
 

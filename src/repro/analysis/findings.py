@@ -2,8 +2,7 @@
 
 A :class:`Finding` is one rule violation at one source location.  The
 tuple is deliberately small and order-friendly so findings can be
-sorted, diffed against the committed baseline, and rendered as either
-text or JSON without any extra machinery.
+sorted and rendered as either text or JSON without any extra machinery.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ def repo_relative(path: str) -> str:
     """Trim an absolute source path down to its ``src/repro/...`` tail.
 
     Findings from different passes (per-file, whole-program,
-    introspection) must agree on path spelling so pragma lookups and
-    baseline keys match; this is the shared normal form.  Paths outside
+    introspection) must agree on path spelling so pragma lookups
+    match; this is the shared normal form.  Paths outside
     a ``repro`` package pass through unchanged.
     """
     parts = PurePath(path).parts
@@ -32,10 +31,9 @@ def repo_relative(path: str) -> str:
 class Severity(enum.Enum):
     """How bad a finding is.
 
-    ``ERROR`` findings fail the build; ``WARNING`` findings are reported
-    but only fail under ``--strict``.  Every shipped rule emits errors —
-    the warning level exists so a new rule can be soak-tested on real
-    trees before it starts gating CI.
+    The CLI fails on any unsuppressed finding, whatever its severity;
+    the level is reported in the text and JSON output.  Every shipped
+    rule emits errors.
     """
 
     WARNING = "warning"
@@ -75,13 +73,3 @@ class Finding:
             "message": self.message,
             "severity": self.severity.value,
         }
-
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Identity used for baseline matching.
-
-        Line numbers are excluded so unrelated edits above a
-        grandfathered finding do not un-suppress it; a baselined finding
-        is identified by where it is, which rule fired, and what it
-        says.
-        """
-        return (self.path, self.rule, self.message)

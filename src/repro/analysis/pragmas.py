@@ -108,24 +108,6 @@ class PragmaIndex:
                 governed = decorator_targets.get(governed, governed)
                 self._by_line[governed] = pragma
 
-    @classmethod
-    def from_entries(cls, entries: list[list]) -> "PragmaIndex":
-        """Rebuild from :meth:`entries` output without re-tokenizing —
-        the incremental cache's warm path."""
-        index = cls.__new__(cls)
-        index._by_line = {
-            governed: Pragma(line=line, rules=frozenset(rules))
-            for governed, line, rules in entries
-        }
-        return index
-
-    def entries(self) -> list[list]:
-        """JSON-serializable form: ``[governed, source line, rules]``."""
-        return [
-            [governed, pragma.line, sorted(pragma.rules)]
-            for governed, pragma in sorted(self._by_line.items())
-        ]
-
     def suppresses(self, line: int, rule: str) -> bool:
         """True if a pragma governs *line* for *rule* (marks it used)."""
         pragma = self._by_line.get(line)

@@ -13,9 +13,7 @@ whole tree once and derives
   outside its defining statement, plus ``global``-declared assignments,
   attribute/subscript stores, and mutating method calls
   (``.update(...)``, ``.append(...)``, …) that target module state,
-  whether addressed directly or through an import alias;
-* per-file **CRC32 content stamps**, the invalidation currency shared
-  with the incremental cache (:mod:`repro.analysis.cache`).
+  whether addressed directly or through an import alias.
 
 :mod:`repro.analysis.callgraph` layers def/use call resolution on top;
 :class:`~repro.analysis.rules.ProjectRule` subclasses consume both.
@@ -28,7 +26,6 @@ structures come out, no files needed.
 from __future__ import annotations
 
 import ast
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -128,7 +125,6 @@ class ModuleInfo:
 
     module: str
     path: str
-    crc: int
     tree: ast.Module
     #: module-level import aliases: alias → dotted target.  A plain
     #: ``import a.b`` binds ``a`` → ``a``; ``import a.b as c`` binds
@@ -283,34 +279,11 @@ class ProjectContext:
             ctx._scan_function(info)
         return ctx
 
-    @staticmethod
-    def stamp_files(root: Path) -> dict[str, int]:
-        """CRC32 content stamps of every project file (no parsing)."""
-        stamps: dict[str, int] = {}
-        for file in sorted(root.rglob("*.py")):
-            if "__pycache__" not in file.parts:
-                stamps[str(file)] = zlib.crc32(file.read_bytes())
-        return stamps
-
-    def stamp(self) -> int:
-        """One CRC over every module's content stamp — changes when any
-        file changes, the invalidation key for cross-file rules."""
-        crc = 0
-        for module in sorted(self.modules):
-            info = self.modules[module]
-            crc = zlib.crc32(f"{module}:{info.crc};".encode(), crc)
-        return crc
-
     # -- phase 1: module structure ----------------------------------------
 
     def _scan_module(self, module: str, path: str, source: str) -> None:
         tree = ast.parse(source)
-        info = ModuleInfo(
-            module=module,
-            path=path,
-            crc=zlib.crc32(source.encode()),
-            tree=tree,
-        )
+        info = ModuleInfo(module=module, path=path, tree=tree)
         self.modules[module] = info
         assign_counts: dict[str, int] = {}
         immutable: dict[str, bool] = {}

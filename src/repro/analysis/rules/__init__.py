@@ -7,8 +7,7 @@ Three pass kinds exist:
 * :class:`ProjectRule` — whole-program: receives a
   :class:`~repro.analysis.project.ProjectContext` (every file parsed,
   symbols and call graph resolvable across modules) and yields findings
-  anywhere in the tree.  Runs once per invocation; invalidated by any
-  file change in the incremental cache.
+  anywhere in the tree.  Runs once per invocation.
 * :class:`IntrospectionRule` — imports the live package and inspects
   real objects (config dataclasses, registered prefetchers, the
   checkpoint object graph).  Runs once per invocation, anchored to the
@@ -17,10 +16,6 @@ Three pass kinds exist:
 Rules self-register via :func:`register`; ``python -m repro.analysis
 --list-rules`` renders the registry.  Adding a rule is: subclass one of
 the bases in a new module here, decorate it, import the module below.
-
-Every rule carries a ``version`` integer folded into the incremental
-cache's ruleset signature — bump it when a rule's semantics change so
-cached verdicts from the old semantics are discarded.
 """
 
 from __future__ import annotations
@@ -69,16 +64,9 @@ class AstRule:
     name: str = ""
     description: str = ""
     severity: Severity = Severity.ERROR
-    #: Cache-invalidation counter: bump on any semantic change.
-    version: int = 1
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
-
-    def reads(self, path: Path, module: str | None) -> list[Path]:
-        """Files besides *path* itself that :meth:`check` reads for it;
-        the incremental cache folds their bytes into *path*'s key."""
-        return []
 
     def finding(self, ctx: FileContext, node: ast.AST, message: str) -> Finding:
         return Finding(
@@ -96,15 +84,13 @@ class ProjectRule:
     ``check`` receives the parsed project — symbol tables, the
     mutable-global write index, and (via
     :class:`~repro.analysis.callgraph.CallGraph`) call resolution — and
-    yields findings anchored anywhere in the tree.  Pragmas and the
-    baseline address them exactly like AST findings.
+    yields findings anchored anywhere in the tree.  Pragmas address
+    them exactly like AST findings.
     """
 
     name: str = ""
     description: str = ""
     severity: Severity = Severity.ERROR
-    #: Cache-invalidation counter: bump on any semantic change.
-    version: int = 1
 
     def check(self, project: "ProjectContext") -> Iterator[Finding]:
         raise NotImplementedError
@@ -123,15 +109,13 @@ class IntrospectionRule:
     """Base for import-time rules over the live ``repro`` package.
 
     ``check`` yields findings whose path/line point at the *definition
-    site* of the offending object (via ``inspect``), so pragmas and the
-    baseline address them exactly like AST findings.
+    site* of the offending object (via ``inspect``), so pragmas address
+    them exactly like AST findings.
     """
 
     name: str = ""
     description: str = ""
     severity: Severity = Severity.ERROR
-    #: Cache-invalidation counter: bump on any semantic change.
-    version: int = 1
 
     def check(self) -> Iterator[Finding]:
         raise NotImplementedError
@@ -183,17 +167,6 @@ def all_rule_names() -> list[str]:
     return sorted({*AST_RULES, *PROJECT_RULES, *INTROSPECTION_RULES})
 
 
-def rule_versions() -> list[tuple[str, int]]:
-    """``(name, version)`` for every registered rule, sorted — the raw
-    material of the incremental cache's ruleset signature."""
-    pairs = [
-        (name, cls.version)
-        for registry in (AST_RULES, PROJECT_RULES, INTROSPECTION_RULES)
-        for name, cls in registry.items()
-    ]
-    return sorted(pairs)
-
-
 # Import the shipped rules so registration happens on package import.
 from repro.analysis.rules import (  # noqa: E402  (registration imports)
     batching,
@@ -218,7 +191,6 @@ __all__ = [
     "ProjectRule",
     "all_rule_names",
     "register",
-    "rule_versions",
     "batching",
     "checkpoints",
     "concurrency",

@@ -112,7 +112,6 @@ class ConcurrencyRule(ProjectRule):
         "atomic-write helpers; session single-flight state mutates only "
         "under the session lock"
     )
-    version = 2
 
     def check(self, project: ProjectContext) -> Iterator[Finding]:
         yield from self._check_reachable_writes(project)

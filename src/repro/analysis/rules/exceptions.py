@@ -91,7 +91,6 @@ class ExceptionsRule(AstRule):
         "broad except handlers in api/sim must re-raise or record — "
         "never silently swallow SimulationCancelled/KeyboardInterrupt"
     )
-    version = 1
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.in_package(*RESTRICTED_PACKAGES):

@@ -118,7 +118,6 @@ class HotpathRule(ProjectRule):
         "closures, resolve mutable globals, or enter try frames inside "
         "loop bodies"
     )
-    version = 1
 
     def __init__(self, hot: tuple[str, ...] | None = None) -> None:
         self._hot = HOT_FUNCTIONS if hot is None else hot

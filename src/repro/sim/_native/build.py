@@ -2,12 +2,10 @@
 
 ``kernel.c`` is a single translation unit with no dependencies beyond
 libc, so "the build system" is one ``cc`` invocation.  The shared
-object is cached keyed by a CRC of the C source: editing the kernel
+object is cached keyed by a CRC of the C source bytes that
+:func:`build` compiles (:func:`object_path`): editing the kernel
 changes the CRC, which changes the cache file name, which forces a
-rebuild — no mtime comparisons, no stale binaries.  ``KERNEL_SOURCE_CRC``
-pins the CRC of the *committed* source; the ``native`` lint rule
-recomputes it so a kernel edit that forgets the constant fails CI
-instead of silently shipping a stale binding.
+rebuild — no mtime comparisons, no stale binaries.
 
 Everything degrades gracefully: no compiler on PATH, a failed compile,
 or a corrupt cached object all make :func:`load` return ``None`` (after
@@ -28,10 +26,6 @@ import zlib
 from pathlib import Path
 
 _LOG = logging.getLogger("repro.sim.native")
-
-#: CRC-32 of the committed ``kernel.c`` (the ``native`` lint rule
-#: recomputes this from the source and fails on drift).
-KERNEL_SOURCE_CRC = 0xB906B5C4
 
 #: ``-ffp-contract=off`` is load-bearing: fused multiply-adds would
 #: round differently from Python's separate multiply and add, breaking

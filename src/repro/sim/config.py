@@ -127,6 +127,13 @@ class SystemConfig:
     #: ``PythiaConfig.qvstore_impl``, it is purely a speed knob.
     replay_backend: str = field(default="native", metadata={"semantic": False})
 
+    def __post_init__(self) -> None:
+        if self.replay_backend not in ("native", "batched", "scalar"):
+            raise ValueError(
+                f"unknown replay_backend {self.replay_backend!r}; "
+                "use native|batched|scalar"
+            )
+
     def scaled_llc(self, factor: float) -> "SystemConfig":
         """Return a copy with the LLC capacity scaled by *factor* (Fig 8c)."""
         new_llc = replace(self.llc, size_bytes=int(self.llc.size_bytes * factor))

@@ -21,11 +21,16 @@ record zero.
 
 Bit-identity rules the design.  Three invariants matter:
 
-1. **Windows are free.**  Window boundaries only read counters; the
-   per-record path is byte-for-byte the PR 2 hot loop, and with
-   telemetry/checkpointing off the replay collapses to the exact
-   one-``islice``-per-segment structure the throughput floors were
-   calibrated on.
+1. **Windows read, never write.**  Window, checkpoint and
+   control-chunk boundaries only read counters, so chunked and
+   unchunked replay are bit-identical.  They are not free: each
+   boundary ends one replay span, and on the default native backend
+   every span pays one state round trip across the FFI — a few
+   milliseconds on the default hierarchy (1-record spans on a 2-vCPU
+   host: ~2.5 ms for ``none``, ~6 ms for Pythia; see
+   :mod:`repro.sim._native.bridge`).  With telemetry, checkpointing,
+   progress and cancellation all off, a single-core run is at most two
+   spans: warmup and measured.
 2. **The warmup drain is semantic.**  The historical loop drains the
    core's outstanding loads at the warmup/measure boundary, so replay
    state downstream of that boundary depends on *where* the boundary
@@ -555,11 +560,6 @@ class SimulationEngine:
         self.progress = progress
         self.cancel = cancel
 
-        backend = self.config.replay_backend
-        if backend not in ("native", "batched", "scalar"):
-            raise ValueError(
-                f"unknown replay_backend {backend!r}; use native|batched|scalar"
-            )
         self._pick_backend()
         self._cols = None
         self._stamp = None
@@ -778,7 +778,7 @@ class SimulationEngine:
         (:func:`repro.sim._native.replay_span`, the default backend),
         the batched columnar kernel (:func:`repro.sim.batch.replay_span`),
         or the scalar hoisted-method loop over one ``islice`` view — the
-        PR 2 hot path, kept as the reference fallback.  All three are
+        reference loop the other two are pinned to.  All three are
         bit-identical, and boundaries never touch simulation state, so
         chunked and unchunked replay agree by construction either way.
         """

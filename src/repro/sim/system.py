@@ -13,8 +13,10 @@ instructions): warmup records train the caches and prefetcher but are
 excluded from every reported statistic.  The engine adds — all off by
 default — per-window telemetry (:class:`repro.sim.engine.Timeline`),
 checkpoint/resume against a store namespace, and progress/cancellation
-hooks; with every option off the wrappers replay through the exact PR 2
-hot loop.
+hooks.  Their boundaries only read counters, so results are
+bit-identical with every option on or off; each boundary does cost one
+more replay span (a native span's state round trip is a few
+milliseconds, see :mod:`repro.sim.engine`).
 """
 
 from __future__ import annotations

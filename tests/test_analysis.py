@@ -1,10 +1,10 @@
-"""The invariant checker: rules, pragmas, baseline, CLI, and the gate.
+"""The invariant checker: rules, pragmas, CLI, and the gate.
 
 Three layers of assurance:
 
 * **fixture snippets** (``tests/data/lint/``) — each AST rule fires on
-  its bad fixture, stays silent on the good one, and every suppression
-  channel (trailing pragma, standalone pragma, baseline entry) holds;
+  its bad fixture, stays silent on the good one, and every pragma form
+  (trailing, standalone, multi-rule) suppresses;
 * **introspection rules** — synthetic config dataclasses and slotted
   classes with deliberately broken pickle hooks are injected as rule
   roots, pinning each failure mode the rules exist to catch (callable
@@ -18,7 +18,10 @@ Three layers of assurance:
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -26,7 +29,7 @@ from typing import Any, Callable
 import pytest
 
 import repro
-from repro.analysis import Baseline, Finding, PragmaIndex, run
+from repro.analysis import Finding, PragmaIndex, Report, all_rule_names, run
 from repro.analysis.__main__ import main
 from repro.analysis.engine import module_name_of
 from repro.analysis.rules.checkpoints import CheckpointCoverageRule
@@ -36,13 +39,12 @@ FIXTURES = Path(__file__).parent / "data" / "lint"
 SRC_REPRO = Path(repro.__file__).parent
 
 
-def run_fixture(name: str, module: str, rules=None, **kwargs):
+def run_fixture(name: str, module: str, rules=None):
     return run(
         [FIXTURES / name],
         rules=rules,
         module_override=module,
         introspect=False,
-        **kwargs,
     )
 
 
@@ -184,50 +186,8 @@ def test_native_allows_ctypes_inside_the_native_package():
     assert "native" not in rules_fired(report)
 
 
-@pytest.mark.quick
-def test_native_crc_pin_detects_kernel_drift(tmp_path):
-    kernel = tmp_path / "kernel.c"
-    kernel.write_bytes(b"int kernel(void) { return 0; }\n")
-    import zlib
-
-    crc = zlib.crc32(kernel.read_bytes()) & 0xFFFFFFFF
-    build = tmp_path / "build.py"
-
-    build.write_text(f"KERNEL_SOURCE_CRC = 0x{crc:08X}\n")
-    report = run(
-        [build], module_override="repro.sim._native.build", introspect=False
-    )
-    assert "native" not in rules_fired(report)
-
-    build.write_text(f"KERNEL_SOURCE_CRC = 0x{crc ^ 1:08X}\n")
-    report = run(
-        [build], module_override="repro.sim._native.build", introspect=False
-    )
-    messages = [f.message for f in report.findings if f.rule == "native"]
-    assert any("stale-binding guard" in m for m in messages)
-
-    build.write_text("OTHER = 1\n")
-    report = run(
-        [build], module_override="repro.sim._native.build", introspect=False
-    )
-    messages = [f.message for f in report.findings if f.rule == "native"]
-    assert any("must pin KERNEL_SOURCE_CRC" in m for m in messages)
-
-
-@pytest.mark.quick
-def test_native_crc_pin_matches_the_committed_kernel():
-    # The real build module's pinned constant must match the shipped
-    # kernel.c — this is the check CI relies on.
-    report = run(
-        [SRC_REPRO / "sim" / "_native" / "build.py"],
-        module_override="repro.sim._native.build",
-        introspect=False,
-    )
-    assert "native" not in rules_fired(report)
-
-
 # ---------------------------------------------------------------------------
-# pragmas and baseline
+# pragmas
 # ---------------------------------------------------------------------------
 
 
@@ -269,56 +229,10 @@ def test_standalone_pragma_above_decorators_governs_the_def(tmp_path):
 
 
 @pytest.mark.quick
-def test_pragma_entries_round_trip():
-    # The cache's warm path rebuilds indexes from serialized entries;
-    # suppression and unused-pragma bookkeeping must survive the trip.
-    source = (
-        "x = eval('1')  # repro: ignore[hygiene]\n"
-        "# repro: ignore[determinism]\n"
-        "y = 2\n"
-    )
-    index = PragmaIndex(source)
-    rebuilt = PragmaIndex.from_entries(index.entries())
-    assert rebuilt.suppresses(1, "hygiene")
-    assert rebuilt.suppresses(3, "determinism")
-    assert not rebuilt.suppresses(2, "determinism")
-    # `suppresses` marks pragmas used; a fresh rebuild is all-unused.
-    untouched = PragmaIndex.from_entries(index.entries())
-    assert {tuple(sorted(p.rules)) for p in untouched.unused()} == {
-        ("determinism",),
-        ("hygiene",),
-    }
-
-
-@pytest.mark.quick
 def test_pragma_examples_in_docstrings_are_inert():
     index = PragmaIndex('"""docs: # repro: ignore[determinism]"""\nx = 1\n')
     assert not index.suppresses(1, "determinism")
     assert not index.suppresses(2, "determinism")
-
-
-@pytest.mark.quick
-def test_baseline_suppresses_and_reports_stale(tmp_path):
-    report = run_fixture("determinism_bad.py", "repro.sim.badfixture")
-    assert report.findings
-    baseline_file = tmp_path / "baseline.json"
-    Baseline.save(baseline_file, report.findings)
-
-    grandfathered = run_fixture(
-        "determinism_bad.py",
-        "repro.sim.badfixture",
-        baseline=Baseline.load(baseline_file),
-    )
-    assert grandfathered.findings == []
-    assert grandfathered.suppressed == len(report.findings)
-
-    # An entry that no longer fires must decay loudly.
-    stale = run_fixture(
-        "determinism_ok.py",
-        "repro.sim.okfixture",
-        baseline=Baseline.load(baseline_file),
-    )
-    assert rules_fired(stale) == {"stale-baseline"}
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +364,7 @@ def test_checkpoint_rule_flags_unpicklable_member():
 
 @pytest.mark.quick
 def test_cli_exit_codes_and_json(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # no committed baseline in reach
+    monkeypatch.chdir(tmp_path)
     bad = FIXTURES / "determinism_bad.py"
     # Fixture paths carry no repro module prefix, so package-scoped
     # rules skip them unless the tree is laid out as repro/... — build
@@ -472,20 +386,95 @@ def test_cli_exit_codes_and_json(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.quick
-def test_cli_update_baseline_then_gate(tmp_path, capsys, monkeypatch):
+def test_cli_writes_nothing(tmp_path, capsys, monkeypatch):
+    # The checker is read-only: two runs from a scratch working
+    # directory leave its listing exactly as it was.
     monkeypatch.chdir(tmp_path)
     pkg = tmp_path / "repro" / "sim"
     pkg.mkdir(parents=True)
     (pkg / "fixture.py").write_text((FIXTURES / "determinism_bad.py").read_text())
-    baseline = tmp_path / "baseline.json"
 
-    args = [str(pkg), "--no-introspect", "--baseline", str(baseline)]
-    assert main(args + ["--update-baseline"]) == 0
-    assert baseline.exists()
+    def listing() -> list[str]:
+        return sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+
+    before = listing()
+    assert main([str(pkg), "--no-introspect"]) == 1
+    first = capsys.readouterr().out
+    assert main([str(pkg), "--no-introspect"]) == 1
+    second = capsys.readouterr().out
+    assert listing() == before
+    # Same verdict both times; the summaries differ only in wall time.
+    assert first.rsplit(" in ", 1)[0] == second.rsplit(" in ", 1)[0]
+
+
+@pytest.mark.quick
+def test_cli_sees_an_edit_that_keeps_size_and_mtime(tmp_path, capsys, monkeypatch):
+    # Nothing carries over between runs: an edit that leaves the file's
+    # size and modification time as they were still flips the verdict.
+    monkeypatch.chdir(tmp_path)
+    pkg = tmp_path / "repro" / "sim"
+    pkg.mkdir(parents=True)
+    module = pkg / "fixture.py"
+    clean = (
+        "import random\n\n\n"
+        "def pick(options, seed):\n"
+        "    return random.Random(seed).choice(options)\n"
+    )
+    body = "import random\n\n\ndef pick(options, seed):\n    return random.choice(options)\n"
+    bad = body + "#" * (len(clean) - len(body) - 1) + "\n"
+    assert len(bad) == len(clean)
+
+    argv = [str(pkg), "--no-introspect", "--rules", "determinism"]
+    module.write_text(clean)
+    before = module.stat()
+    assert main(argv) == 0
     capsys.readouterr()
-    # Grandfathered: same tree now passes against the recorded baseline.
-    assert main(args) == 0
-    assert "suppressed" in capsys.readouterr().out
+
+    module.write_text(bad)
+    os.utime(module, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = module.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "fixture.py:5:" in out and "[determinism]" in out
+
+
+@pytest.mark.quick
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--cache", "lint_cache.json"],
+        ["--no-cache"],
+        ["--changed"],
+        ["--baseline", "lint_baseline.json"],
+        ["--update-baseline"],
+        ["--no-project"],
+    ],
+    ids=lambda argv: argv[0].lstrip("-"),
+)
+def test_cli_has_no_cache_baseline_or_project_switches(argv, capsys):
+    # Every run takes the one path, so these switches are usage errors
+    # rather than options that are quietly accepted.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.quick
+def test_run_takes_paths_and_three_options():
+    params = inspect.signature(run).parameters
+    assert list(params) == ["paths", "rules", "introspect", "module_override"]
+    assert all(
+        param.kind is inspect.Parameter.KEYWORD_ONLY
+        for name, param in params.items()
+        if name != "paths"
+    )
+    assert [f.name for f in dataclasses.fields(Report)] == [
+        "findings",
+        "suppressed",
+        "files_checked",
+    ]
 
 
 @pytest.mark.quick
@@ -503,6 +492,19 @@ def test_cli_list_rules(capsys):
 
 
 @pytest.mark.quick
+def test_cli_list_rules_prints_name_and_kind_per_rule(capsys):
+    assert main(["--list-rules"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == all_rule_names()
+    # The kind follows the name directly; rules carry no version.
+    assert {line.split()[1] for line in lines} <= {
+        "[ast]",
+        "[project]",
+        "[introspection]",
+    }
+
+
+@pytest.mark.quick
 def test_module_name_derivation():
     assert module_name_of(Path("src/repro/sim/cache.py")) == "repro.sim.cache"
     assert module_name_of(Path("src/repro/api/__init__.py")) == "repro.api"
@@ -517,11 +519,11 @@ def test_module_name_derivation():
 def test_full_tree_is_clean_including_introspection():
     """`python -m repro.analysis src/repro` must exit 0 on this tree.
 
-    This is the committed-baseline-stays-empty guarantee: every rule
-    (AST and introspection) over the real package, no suppressions
-    needed.  Introspection warms a real replay graph per registered
-    prefetcher, so this also pins "every prefetcher checkpoints".
+    Every rule (AST, whole-program and introspection) over the real
+    package; pragmas are the only suppression.  Introspection warms a
+    real replay graph per registered prefetcher, so this also pins
+    "every prefetcher checkpoints".
     """
-    report = run([SRC_REPRO], baseline=Baseline(), introspect=True)
+    report = run([SRC_REPRO], introspect=True)
     assert report.findings == []
     assert report.files_checked > 50

@@ -43,7 +43,7 @@ from repro.core.features import (
 )
 from repro.core.qvstore import NumpyQVStore, QVStore, make_qvstore
 from repro.prefetchers.base import DemandContext, Prefetcher
-from repro.sim.system import simulate
+from repro.sim.system import simulate, simulate_multi
 from repro.types import make_line
 
 EXPECTED_FILE = Path(__file__).parent / "data" / "quick_smoke_expected.json"
@@ -366,6 +366,15 @@ class TestBatchedBackendEquivalence:
         trace = registry.cached_trace("spec06/lbm-1", 2000)
         with pytest.raises(ValueError, match="replay_backend"):
             simulate(trace, config=self._config("simd"))
+        # Mixes reject it too, rather than silently picking a loop.
+        with pytest.raises(ValueError, match="replay_backend"):
+            simulate_multi(
+                [trace, trace],
+                dataclasses.replace(
+                    SystemConfig(num_cores=2), replay_backend="bogus"
+                ),
+                lambda: registry.create("none"),
+            )
 
     def test_checkpoint_resume_100k_to_200k(self):
         """The perfbench-scale extension: run 100k records under the

@@ -18,6 +18,7 @@ and out so outcomes cannot leak between tests (or into other files).
 from __future__ import annotations
 
 import dataclasses
+import zlib
 
 import pytest
 
@@ -49,6 +50,18 @@ int64_t repro_abi_sizeof(int64_t which) { (void)which; return -1; }
 int64_t repro_replay_span(void *core, void *shared) { (void)core; (void)shared; return -2; }
 int64_t repro_replay_lockstep(void *args) { (void)args; return -2; }
 """
+
+
+def test_object_path_is_named_by_the_source_bytes(tmp_path):
+    # The cached object's name is the CRC-32 of the bytes compiled, so an
+    # edited kernel always maps to a new file and can never bind a stale
+    # build; no separately maintained checksum is needed.
+    source = build.kernel_source_path().read_bytes()
+    path = build.object_path(source, tmp_path)
+    assert path == build.object_path(source, tmp_path)
+    assert path.parent == tmp_path
+    assert path.name == f"kernel-{zlib.crc32(source):08x}.so"
+    assert build.object_path(source + b"\n", tmp_path) != path
 
 
 def test_build_caches_by_source_crc(tmp_path):

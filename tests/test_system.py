@@ -1,9 +1,12 @@
 """Tests for the simulation loops (single- and multi-core)."""
 
+import dataclasses
+
 import pytest
 
 from repro.prefetchers import create
 from repro.sim import baseline_multi_core, baseline_single_core, simulate, simulate_multi
+from repro.sim.config import SystemConfig
 from repro.sim.trace import Trace, TraceRecord
 from repro.types import make_line
 
@@ -91,3 +94,19 @@ def test_config_sweeps():
     base = baseline_single_core()
     assert base.with_mtps(150).dram.mtps == 150
     assert base.scaled_llc(0.5).llc.size_bytes == base.llc.size_bytes // 2
+
+
+@pytest.mark.parametrize("backend", ["native", "batched", "scalar"])
+def test_system_config_accepts_every_replay_backend(backend):
+    for base in (baseline_single_core(), baseline_multi_core(2)):
+        assert dataclasses.replace(base, replay_backend=backend).replay_backend == backend
+
+
+@pytest.mark.parametrize("backend", ["bogus", "Native", ""])
+def test_system_config_rejects_unknown_replay_backend(backend):
+    # One check at construction serves both engines, so a typo fails
+    # before any replay loop is chosen.
+    with pytest.raises(ValueError, match="replay_backend"):
+        SystemConfig(replay_backend=backend)
+    with pytest.raises(ValueError, match="replay_backend"):
+        dataclasses.replace(baseline_multi_core(2), replay_backend=backend)
