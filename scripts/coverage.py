@@ -48,6 +48,7 @@ FLOOR_FILE = REPO / "scripts" / "coverage_floor.json"
 TARGET_PACKAGES = [
     "src/repro/analysis",
     "src/repro/api",
+    "src/repro/core",
     "src/repro/workloads",
     "src/repro/sim",
     "src/repro/sim/engine.py",
@@ -90,6 +91,13 @@ COVERAGE_TESTS = [
     "tests/test_hierarchy.py",
     "tests/test_replacement.py",
     "tests/test_metrics.py",
+    # src/repro/core drivers: the Pythia agent's unit suites.
+    "tests/test_eq.py",
+    "tests/test_features.py",
+    "tests/test_agent_pythia.py",
+    "tests/test_qvstore.py",
+    "tests/test_tile_coding.py",
+    "tests/test_rewards_pipeline.py",
 ]
 
 

@@ -24,7 +24,7 @@ Architecture (see ``repro.analysis.rules`` for the rule registry):
 """
 
 from repro.analysis.engine import Report, collect_files, module_name_of, run
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.pragmas import PragmaIndex
 from repro.analysis.rules import (
     AST_RULES,
@@ -45,7 +45,6 @@ __all__ = [
     "IntrospectionRule",
     "PragmaIndex",
     "Report",
-    "Severity",
     "all_rule_names",
     "collect_files",
     "module_name_of",

@@ -1,4 +1,4 @@
-"""Finding records and severities for the static-analysis pass.
+"""Finding records for the static-analysis pass.
 
 A :class:`Finding` is one rule violation at one source location.  The
 tuple is deliberately small and order-friendly so findings can be
@@ -7,8 +7,7 @@ sorted and rendered as either text or JSON without any extra machinery.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import PurePath
 
 
@@ -28,18 +27,6 @@ def repo_relative(path: str) -> str:
     return path
 
 
-class Severity(enum.Enum):
-    """How bad a finding is.
-
-    The CLI fails on any unsuppressed finding, whatever its severity;
-    the level is reported in the text and JSON output.  Every shipped
-    rule emits errors.
-    """
-
-    WARNING = "warning"
-    ERROR = "error"
-
-
 @dataclass(frozen=True, slots=True)
 class Finding:
     """One rule violation.
@@ -51,18 +38,18 @@ class Finding:
         rule: the rule identifier, e.g. ``"determinism"`` — the same
             name a ``# repro: ignore[rule]`` pragma suppresses.
         message: human-readable description of the violation.
-        severity: gate level (see :class:`Severity`).
+
+    The CLI fails on any unsuppressed finding.
     """
 
     path: str
     line: int
     rule: str
     message: str
-    severity: Severity = field(default=Severity.ERROR)
 
     def render(self) -> str:
         """One-line text rendering: ``path:line: [rule] message``."""
-        return f"{self.path}:{self.line}: {self.severity.value}: [{self.rule}] {self.message}"
+        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
     def as_json(self) -> dict:
         """JSON-serializable form (used by ``--format json``)."""
@@ -71,5 +58,4 @@ class Finding:
             "line": self.line,
             "rule": self.rule,
             "message": self.message,
-            "severity": self.severity.value,
         }

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Type
 
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.analysis.project import ProjectContext
@@ -59,11 +59,10 @@ class FileContext:
 
 class AstRule:
     """Base for pure-syntax rules.  Subclasses yield findings from
-    :meth:`check`; helpers keep path/severity plumbing out of rules."""
+    :meth:`check`; helpers keep path plumbing out of rules."""
 
     name: str = ""
     description: str = ""
-    severity: Severity = Severity.ERROR
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -74,7 +73,6 @@ class AstRule:
             line=getattr(node, "lineno", 1),
             rule=self.name,
             message=message,
-            severity=self.severity,
         )
 
 
@@ -90,7 +88,6 @@ class ProjectRule:
 
     name: str = ""
     description: str = ""
-    severity: Severity = Severity.ERROR
 
     def check(self, project: "ProjectContext") -> Iterator[Finding]:
         raise NotImplementedError
@@ -101,7 +98,6 @@ class ProjectRule:
             line=line,
             rule=self.name,
             message=message,
-            severity=self.severity,
         )
 
 
@@ -115,7 +111,6 @@ class IntrospectionRule:
 
     name: str = ""
     description: str = ""
-    severity: Severity = Severity.ERROR
 
     def check(self) -> Iterator[Finding]:
         raise NotImplementedError
@@ -133,7 +128,6 @@ class IntrospectionRule:
             line=line,
             rule=self.name,
             message=message,
-            severity=self.severity,
         )
 
 

@@ -21,7 +21,7 @@ class SarsaAgent:
     def __init__(self, config: PythiaConfig) -> None:
         self.config = config
         self.qvstore = make_qvstore(config)
-        self.eq = EvaluationQueue(config.eq_size)
+        self.eq = EvaluationQueue(config.eq_size, len(config.features))
         self._rng = random.Random(config.seed)
         self._rng_random = self._rng.random  # bound-method hoist (hot path)
         self._epsilon = config.epsilon
@@ -36,17 +36,18 @@ class SarsaAgent:
         action, _ = self.qvstore.best_action(state)
         return action
 
-    def record(self, entry: EqEntry, bandwidth_high: bool = False) -> None:
+    def record(self, entry: EqEntry, bandwidth_high: bool = False) -> EqEntry | None:
         """Insert a taken action into the EQ; learn from the eviction.
 
         If the EQ evicts an entry that never earned a reward, the
         prefetch was inaccurate: assign R_IN for the *current* bandwidth
         condition, then run the SARSA update against the EQ head
-        (Algorithm 1, lines 23-29).
+        (Algorithm 1, lines 23-29).  Returns the evicted entry with the
+        reward it was updated with, or ``None``.
         """
         evicted = self.eq.insert(entry)
         if evicted is None:
-            return
+            return None
         if evicted.reward is None:
             evicted.reward = self.config.rewards.inaccurate(bandwidth_high)
         head = self.eq.head
@@ -62,6 +63,7 @@ class SarsaAgent:
             next_action,
         )
         self.updates += 1
+        return evicted
 
     def next_eviction(self) -> EqEntry | None:
         """The entry that will be evicted by the next insert, if full."""

@@ -17,17 +17,24 @@ at the EQ *head* form the SARSA update pair.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 from repro.core.qvstore import StateValues
+
+#: ``EvaluationQueue.flags`` bits.
+HAS_REWARD = 1
+FILLED = 2
 
 
 @dataclass(slots=True)
 class EqEntry:
     """One recently-taken action awaiting its Q-value update.
 
-    Slotted: one entry is created per trained demand request.
+    The value type at the queue's public edges (:meth:`EvaluationQueue.
+    insert`, :attr:`~EvaluationQueue.head`, :meth:`~EvaluationQueue.
+    search`): the queue stores fields, not entries, so an entry it
+    returns is a copy.
 
     Attributes:
         state: feature values observed when the action was taken.
@@ -46,63 +53,172 @@ class EqEntry:
 
     @property
     def has_reward(self) -> bool:
-        """Whether a reward level has been assigned yet.
-
-        (Hot paths test ``entry.reward is None`` directly; the property
-        is kept for readability elsewhere.)
-        """
+        """Whether a reward level has been assigned yet."""
         return self.reward is not None
 
 
 class EvaluationQueue:
-    """Fixed-capacity FIFO of :class:`EqEntry` with address lookup."""
+    """Fixed-capacity FIFO of taken actions with address lookup.
 
-    def __init__(self, capacity: int) -> None:
+    The queue is a ring of per-slot typed buffers, the layout the native
+    kernel replays on in place (``CoreArgs.eq_*``):
+
+    * ``state`` (``array("q")``, ``capacity * num_features``) — each
+      slot's feature values;
+    * ``action`` (``array("q")``) — the action index;
+    * ``line`` (``array("q")``) — the prefetch line, ``-1`` for none;
+    * ``reward`` (``array("d")``) — the reward, valid under
+      :data:`HAS_REWARD`;
+    * ``flags`` (``bytearray``) — :data:`HAS_REWARD` | :data:`FILLED`;
+
+    with the oldest entry at slot ``head_slot`` and ``count`` entries
+    resident.  :meth:`by_line` maps each prefetch line to the slot of its
+    most recent resident entry.  The hot path (:meth:`repro.core.pythia.
+    Pythia.train_cols`) works on slots through :meth:`evict` and
+    :meth:`push`.
+    """
+
+    def __init__(self, capacity: int, num_features: int = 2) -> None:
         if capacity <= 0:
             raise ValueError("EQ capacity must be positive")
         self.capacity = capacity
-        self._fifo: deque[EqEntry] = deque()
-        self._by_line: dict[int, EqEntry] = {}
+        self.num_features = num_features
+        self.state = array("q", bytes(8 * capacity * num_features))
+        self.action = array("q", bytes(8 * capacity))
+        self.line = array("q", [-1]) * capacity
+        self.reward = array("d", bytes(8 * capacity))
+        self.flags = bytearray(capacity)
+        self.head_slot = 0
+        self.count = 0
+        self._by_line: dict[int, int] | None = {}
 
     def __len__(self) -> int:
-        return len(self._fifo)
+        return self.count
+
+    def state_at(self, slot: int) -> StateValues:
+        """The feature values held in *slot*."""
+        base = slot * self.num_features
+        return tuple(self.state[base : base + self.num_features])
+
+    def entry_at(self, slot: int) -> EqEntry:
+        """A copy of *slot*'s entry."""
+        line = self.line[slot]
+        flags = self.flags[slot]
+        return EqEntry(
+            self.state_at(slot),
+            self.action[slot],
+            prefetch_line=line if line >= 0 else None,
+            reward=self.reward[slot] if flags & HAS_REWARD else None,
+            filled=bool(flags & FILLED),
+        )
 
     @property
     def head(self) -> EqEntry | None:
         """Oldest resident entry (the SARSA (S2, A2) source)."""
-        return self._fifo[0] if self._fifo else None
+        return self.entry_at(self.head_slot) if self.count else None
+
+    def by_line(self) -> dict[int, int]:
+        """``line -> slot`` of the most recent resident entry per prefetch
+        line.  After :meth:`drop_index` it is rebuilt from the ring on
+        first use, oldest to newest, so the most recent entry wins."""
+        by_line = self._by_line
+        if by_line is None:
+            slots = self._ring()
+            by_line = dict(zip(map(self.line.__getitem__, slots), slots))
+            by_line.pop(-1, None)  # the entries without a prefetch line
+            self._by_line = by_line
+        return by_line
+
+    def drop_index(self) -> None:
+        """Forget :meth:`by_line` after the ring was written from outside
+        (the native kernel replays on it in place)."""
+        self._by_line = None
+
+    def __getstate__(self) -> dict:
+        """Pickle the ring alone; :meth:`by_line` is rebuilt on first use
+        after restore."""
+        state = self.__dict__.copy()
+        state["_by_line"] = None
+        return state
 
     def search(self, line: int) -> EqEntry | None:
         """Find the most recent resident entry prefetching *line*."""
-        return self._by_line.get(line)
+        slot = self.by_line().get(line)
+        return None if slot is None else self.entry_at(slot)
 
     def mark_filled(self, line: int) -> bool:
         """Set the filled bit for *line*'s entry (Algorithm 1 line 32)."""
-        entry = self._by_line.get(line)
-        if entry is None:
+        slot = self.by_line().get(line)
+        if slot is None:
             return False
-        entry.filled = True
+        self.flags[slot] |= FILLED
         return True
 
+    def evict(self) -> int:
+        """Drop the oldest entry; return its slot.
+
+        The slot's fields stay readable until the next :meth:`push`,
+        which (the queue being full) overwrites exactly this slot.
+        """
+        slot = self.head_slot
+        line = self.line[slot]
+        if line >= 0:
+            by_line = self.by_line()
+            if by_line.get(line) == slot:
+                del by_line[line]
+        self.head_slot = (slot + 1) % self.capacity
+        self.count -= 1
+        return slot
+
+    def push(
+        self, state: StateValues, action: int, line: int, reward: float, flags: int
+    ) -> None:
+        """Append an entry on raw fields (``line`` -1 for none); the
+        queue must not be full."""
+        slot = (self.head_slot + self.count) % self.capacity
+        base = slot * self.num_features
+        buf = self.state
+        for value in state:
+            buf[base] = value
+            base += 1
+        self.action[slot] = action
+        self.line[slot] = line
+        self.reward[slot] = reward
+        self.flags[slot] = flags
+        self.count += 1
+        if line >= 0:
+            self.by_line()[line] = slot
+
     def insert(self, entry: EqEntry) -> EqEntry | None:
-        """Append *entry*; returns the evicted entry if the EQ was full."""
-        evicted: EqEntry | None = None
-        if len(self._fifo) >= self.capacity:
-            evicted = self._fifo.popleft()
-            if (
-                evicted.prefetch_line is not None
-                and self._by_line.get(evicted.prefetch_line) is evicted
-            ):
-                del self._by_line[evicted.prefetch_line]
-        self._fifo.append(entry)
-        if entry.prefetch_line is not None:
-            self._by_line[entry.prefetch_line] = entry
+        """Append *entry*; returns (a copy of) the evicted entry if the EQ
+        was full."""
+        if len(entry.state) != self.num_features:
+            raise ValueError(
+                f"state has {len(entry.state)} features; the EQ holds {self.num_features}"
+            )
+        evicted = self.entry_at(self.evict()) if self.count >= self.capacity else None
+        line = entry.prefetch_line
+        reward = entry.reward
+        self.push(
+            entry.state,
+            entry.action,
+            -1 if line is None else line,
+            0.0 if reward is None else reward,
+            (HAS_REWARD if reward is not None else 0) | (FILLED if entry.filled else 0),
+        )
         return evicted
 
     def clear(self) -> None:
         """Drop all entries (Algorithm 1 line 3)."""
-        self._fifo.clear()
-        self._by_line.clear()
+        self.head_slot = 0
+        self.count = 0
+        self._by_line = {}
 
     def __iter__(self):
-        return iter(self._fifo)
+        """Copies of the resident entries, oldest first."""
+        return map(self.entry_at, self._ring())
+
+    def _ring(self) -> list[int]:
+        """The resident slots, oldest first."""
+        cap = self.capacity
+        return [i % cap for i in range(self.head_slot, self.head_slot + self.count)]

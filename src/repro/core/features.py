@@ -22,8 +22,9 @@ delta 0").
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from array import array
+from collections import OrderedDict
+from dataclasses import dataclass
 from operator import attrgetter
 
 from repro.prefetchers.base import DemandContext
@@ -203,13 +204,10 @@ def compile_encoder(spec: FeatureSpec):
     return encode
 
 
-@dataclass(slots=True)
-class _PageHistory:
-    """Per-page delta/offset history (the artifact's signature-table role)."""
-
-    last_offset: int = -1
-    deltas: deque = field(default_factory=lambda: deque(maxlen=4))
-    offsets: deque = field(default_factory=lambda: deque(maxlen=4))
+#: History depth per page (the last-4 offsets and deltas).
+HISTORY = 4
+#: PCs kept for the PC-path features.
+PC_HISTORY = 3
 
 
 class FeatureExtractor:
@@ -217,12 +215,117 @@ class FeatureExtractor:
 
     Tracks the global PC path and per-page offset/delta histories
     (bounded LRU, like the hardware's signature table).
+
+    The state lives in typed per-slot buffers, the layout the native
+    kernel replays on in place (``CoreArgs.pt_*``, ``last_pcs``): for
+    each page-table slot ``pt_page``, ``pt_lastoff`` (``-1`` before the
+    first access), ``pt_deltas`` and ``pt_offsets`` (``HISTORY`` each,
+    oldest first) as ``array("q")``, and their lengths ``pt_dlen`` /
+    ``pt_olen`` as ``bytearray``; plus ``last_pcs`` (``array("q")``,
+    oldest first) with ``lastpc_count`` valid.  A new page takes the next
+    unused slot, or the oldest page's once the table is full, so the
+    slots in use are always ``range(ptab_count)``.  :meth:`page_index`
+    maps each resident page to its slot in LRU order, oldest first; the
+    kernel exchanges that order as ``pt_order`` (:meth:`lru_order`,
+    :meth:`drop_index`).
     """
 
     def __init__(self, page_table_size: int = 256) -> None:
+        if page_table_size <= 0:
+            raise ValueError("page table size must be positive")
         self.page_table_size = page_table_size
-        self._pages: OrderedDict[int, _PageHistory] = OrderedDict()
-        self._last_pcs: deque[int] = deque(maxlen=3)
+        self.pt_page = array("q", bytes(8 * page_table_size))
+        self.pt_lastoff = array("q", bytes(8 * page_table_size))
+        self.pt_deltas = array("q", bytes(8 * HISTORY * page_table_size))
+        self.pt_offsets = array("q", bytes(8 * HISTORY * page_table_size))
+        self.pt_dlen = bytearray(page_table_size)
+        self.pt_olen = bytearray(page_table_size)
+        self.pt_order = array("q", bytes(8 * page_table_size))
+        self.ptab_count = 0
+        self.last_pcs = array("q", bytes(8 * PC_HISTORY))
+        self.lastpc_count = 0
+        self._pages: OrderedDict[int, int] | None = OrderedDict()
+
+    def page_index(self) -> OrderedDict[int, int]:
+        """Resident page -> slot in LRU order, oldest first.  After
+        :meth:`drop_index` it is rebuilt from ``pt_order`` on first use."""
+        pages = self._pages
+        if pages is None:
+            order = self.pt_order[: self.ptab_count]
+            pages = OrderedDict(zip(map(self.pt_page.__getitem__, order), order))
+            self._pages = pages
+        return pages
+
+    def lru_order(self) -> None:
+        """Write the resident slots into ``pt_order[:ptab_count]`` in LRU
+        order, oldest first (already there after :meth:`drop_index`)."""
+        if self._pages is not None:
+            self.pt_order[: self.ptab_count] = array("q", self._pages.values())
+
+    def drop_index(self) -> None:
+        """Forget :meth:`page_index` after the buffers, ``pt_order`` and
+        ``ptab_count`` were written from outside (the native kernel
+        replays on them in place)."""
+        self._pages = None
+
+    def __getstate__(self) -> dict:
+        """Pickle the buffers alone: the page index travels as its LRU
+        order and is rebuilt on first use after restore."""
+        self.lru_order()
+        state = self.__dict__.copy()
+        state["_pages"] = None
+        return state
+
+    def _touch(self, page: int, offset: int, pc: int) -> tuple[int, int, int]:
+        """Advance *page*'s history and the PC path by one access.
+
+        Returns ``(base, length, delta)``: *page*'s window is
+        ``pt_deltas``/``pt_offsets[base : base + length]``.  The two
+        windows always hold the same number of entries.
+        """
+        pages = self.page_index()
+        slot = pages.get(page)
+        if slot is None:
+            slot = self.ptab_count
+            if slot < self.page_table_size:
+                self.ptab_count = slot + 1
+            else:
+                slot = pages.popitem(last=False)[1]
+            pages[page] = slot
+            self.pt_page[slot] = page
+            n = delta = 0
+        else:
+            pages.move_to_end(page)
+            n = self.pt_dlen[slot]
+            delta = offset - self.pt_lastoff[slot]
+        self.pt_lastoff[slot] = offset
+        deltas = self.pt_deltas
+        offsets = self.pt_offsets
+        base = slot * HISTORY
+        if n < HISTORY:
+            deltas[base + n] = delta
+            offsets[base + n] = offset
+            n += 1
+            self.pt_dlen[slot] = self.pt_olen[slot] = n
+        else:  # a deque(maxlen=HISTORY): drop the oldest
+            deltas[base] = deltas[base + 1]
+            deltas[base + 1] = deltas[base + 2]
+            deltas[base + 2] = deltas[base + 3]
+            deltas[base + 3] = delta
+            offsets[base] = offsets[base + 1]
+            offsets[base + 1] = offsets[base + 2]
+            offsets[base + 2] = offsets[base + 3]
+            offsets[base + 3] = offset
+        last_pcs = self.last_pcs
+        count = self.lastpc_count
+        if count < PC_HISTORY:
+            last_pcs[count] = pc
+            self.lastpc_count = count + 1
+        else:
+            last_pcs[0] = last_pcs[1]
+            last_pcs[1] = last_pcs[2]
+            last_pcs[2] = pc
+        return base, n, delta
 
     def observe_basic(self, ctx: DemandContext) -> tuple[int, int]:
         """Fused observe+encode for the paper's basic state-vector.
@@ -243,58 +346,24 @@ class FeatureExtractor:
         takes them as arguments instead of re-deriving them from a
         context object.  Same state advance, same encoding, same result.
         """
-        pages = self._pages
-        history = pages.get(page)
-        if history is None:
-            history = _PageHistory()
-            pages[page] = history
-            while len(pages) > self.page_table_size:
-                pages.popitem(last=False)
-        else:
-            pages.move_to_end(page)
-
-        last = history.last_offset
-        delta = 0 if last < 0 else offset - last
-        history.last_offset = offset
-        deltas = history.deltas
-        deltas.append(delta)
-        history.offsets.append(offset)
-        self._last_pcs.append(pc)
-
+        base, n, delta = self._touch(page, offset, pc)
         # encode_feature(PC_DELTA): _mix(pc, delta & 0x7F), unrolled.
         acc = ((0x811C9DC5 ^ (pc & 0xFFFFFFFF)) * 0x01000193) & 0xFFFFFFFF
         pc_delta = ((acc ^ (delta & 0x7F)) * 0x01000193) & 0xFFFFFFFF
         # encode_feature(LAST4_DELTAS): the folded delta sequence.
         fold = 0
-        for d in deltas:
+        for d in self.pt_deltas[base : base + n]:
             fold = ((fold << 7) ^ (d & 0x7F)) & 0xFFFFFFFF
         return pc_delta, fold
 
     def observe(self, ctx: DemandContext) -> Observation:
         """Fold one demand request into the histories; return components."""
-        history = self._pages.get(ctx.page)
-        if history is None:
-            history = _PageHistory()
-            self._pages[ctx.page] = history
-            while len(self._pages) > self.page_table_size:
-                self._pages.popitem(last=False)
-        else:
-            self._pages.move_to_end(ctx.page)
-
-        if history.last_offset < 0:
-            delta = 0
-        else:
-            delta = ctx.offset - history.last_offset
-        history.last_offset = ctx.offset
-        history.deltas.append(delta)
-        history.offsets.append(ctx.offset)
-
+        last_pcs = self.last_pcs
         pc_path = 0
-        for pc in self._last_pcs:
-            pc_path ^= pc
-        prev_pc = self._last_pcs[-1] if self._last_pcs else 0
-        self._last_pcs.append(ctx.pc)
-
+        for i in range(self.lastpc_count):
+            pc_path ^= last_pcs[i]
+        prev_pc = last_pcs[self.lastpc_count - 1] if self.lastpc_count else 0
+        base, n, delta = self._touch(ctx.page, ctx.offset, ctx.pc)
         return Observation(
             pc=ctx.pc,
             pc_path=pc_path ^ ctx.pc,
@@ -303,11 +372,13 @@ class FeatureExtractor:
             page=ctx.page,
             offset=ctx.offset,
             delta=delta,
-            last4_offsets=tuple(history.offsets),
-            last4_deltas=tuple(history.deltas),
+            last4_offsets=tuple(self.pt_offsets[base : base + n]),
+            last4_deltas=tuple(self.pt_deltas[base : base + n]),
         )
 
     def reset(self) -> None:
         """Clear all histories."""
-        self._pages.clear()
-        self._last_pcs.clear()
+        self._pages = OrderedDict()
+        self.ptab_count = 0
+        self.lastpc_count = 0
+

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.core.agent import SarsaAgent
 from repro.core.config import PythiaConfig
-from repro.core.eq import EqEntry
+from repro.core.eq import FILLED, HAS_REWARD
 from repro.core.features import (
     BASIC_FEATURES,
     FeatureExtractor,
@@ -105,17 +105,20 @@ class Pythia(Prefetcher):
         config = self.config
         rewards = config.rewards
         agent = self.agent
+        eq = agent.eq
+        flags = eq.flags
         rewards_assigned = self.rewards_assigned
 
         # (1) Reward a resident entry whose prefetch this demand vindicates.
-        entry = agent.eq._by_line.get(line)
-        if entry is not None and entry.reward is None:
-            if entry.filled:
-                entry.reward = rewards.accurate_timely
+        slot = eq.by_line().get(line)
+        if slot is not None and not flags[slot] & HAS_REWARD:
+            if flags[slot] & FILLED:
+                eq.reward[slot] = rewards.accurate_timely
                 rewards_assigned["accurate_timely"] += 1
             else:
-                entry.reward = rewards.accurate_late
+                eq.reward[slot] = rewards.accurate_late
                 rewards_assigned["accurate_late"] += 1
+            flags[slot] |= HAS_REWARD
 
         # (2) Extract the state-vector.
         if self._basic_features:
@@ -146,38 +149,42 @@ class Pythia(Prefetcher):
         # (4) Generate the prefetch / classify degenerate actions.
         prefetches: list[int] = []
         target_offset = offset + offset_delta
+        prefetch_line = -1
+        reward = 0.0
+        new_flags = HAS_REWARD
         if offset_delta == 0:
-            new_entry = EqEntry(state, action, prefetch_line=None)
-            new_entry.reward = rewards.no_prefetch(bandwidth_high)
+            reward = rewards.no_prefetch(bandwidth_high)
             rewards_assigned["no_prefetch"] += 1
         elif not 0 <= target_offset < LINES_PER_PAGE:
-            new_entry = EqEntry(state, action, prefetch_line=None)
-            new_entry.reward = rewards.coverage_loss
+            reward = rewards.coverage_loss
             rewards_assigned["coverage_loss"] += 1
         else:
             prefetch_line = make_line(page, target_offset)
-            new_entry = EqEntry(state, action, prefetch_line=prefetch_line)
+            new_flags = 0
             prefetches.append(prefetch_line)
 
-        # (5) Insert; eviction assigns R_IN + the SARSA update
-        # (SarsaAgent.record, inlined).
-        evicted = agent.eq.insert(new_entry)
-        if evicted is not None:
-            if evicted.reward is None:
-                evicted.reward = rewards.inaccurate(bandwidth_high)
-            head = agent.eq.head
-            if head is None:  # capacity 1: degenerate, bootstrap on itself
-                next_state, next_action = evicted.state, evicted.action
-            else:
-                next_state, next_action = head.state, head.action
-            agent.qvstore.sarsa_update(
-                evicted.state,
-                evicted.action,
-                evicted.reward,
-                next_state,
-                next_action,
-            )
-            agent.updates += 1
+        # (5) Insert; eviction assigns R_IN + the SARSA update against
+        # the head after the insert (SarsaAgent.record, inlined).
+        if eq.count < eq.capacity:
+            eq.push(state, action, prefetch_line, reward, new_flags)
+            return prefetches
+        evicted = eq.evict()
+        evicted_state = eq.state_at(evicted)
+        evicted_action = eq.action[evicted]
+        if flags[evicted] & HAS_REWARD:
+            evicted_reward = eq.reward[evicted]
+        else:
+            evicted_reward = rewards.inaccurate(bandwidth_high)
+        eq.push(state, action, prefetch_line, reward, new_flags)
+        head = eq.head_slot
+        agent.qvstore.sarsa_update(
+            evicted_state,
+            evicted_action,
+            evicted_reward,
+            eq.state_at(head),
+            eq.action[head],
+        )
+        agent.updates += 1
         return prefetches
 
     def _encode_state(self, obs: Observation) -> StateValues:

@@ -33,6 +33,7 @@ dependency).
 
 from __future__ import annotations
 
+from array import array
 from operator import add as _add, itemgetter
 
 import numpy as _np
@@ -185,7 +186,7 @@ class _NumpyVault:
         num_actions = store._num_actions
         rows = store._vault_rows(self._feature, value)
         base = rows[0] * num_actions
-        total = cells[base : base + num_actions]
+        total = cells[base : base + num_actions].tolist()
         for r in rows[1:]:
             base = r * num_actions
             for a in range(num_actions):
@@ -208,15 +209,16 @@ class NumpyQVStore:
     The whole store is one preallocated flat cell buffer laid out as
     ``(features, planes, entries, actions)`` in row-major order — the
     element index of ``(row, action)`` is ``row * num_actions + action``
-    with row id ``(f * planes + p) * entries + i``.  The live buffer is
-    a Python ``list`` of floats: every hot access is a single scalar
-    read or read-modify-write, and CPython list indexing beats both
-    ``ndarray.item()`` and small-array gathers at this geometry (the
-    name is kept for checkpoint-pickle compatibility; serialization
-    still round-trips through one NumPy ``float64`` table, which is why
-    the class requires NumPy).  Python floats are IEEE-754 doubles and
-    every reduction below keeps the reference store's left-to-right
-    association, so the two implementations stay bit-identical.
+    with row id ``(f * planes + p) * entries + i``.  The buffer is an
+    ``array("d")``, the layout the native kernel replays on in place
+    (``CoreArgs.qcells``): every hot access here is a single scalar read
+    or read-modify-write, and checkpoints serialize it as one NumPy
+    ``float64`` table.  An ``array("d")`` element and a Python float are
+    the same IEEE-754 double, and every reduction below keeps the
+    reference store's left-to-right association, so the two
+    implementations stay bit-identical.  A writer other than this class
+    (the kernel) must clear ``_state_cache`` afterwards: the version
+    counters cannot see its writes.
 
     On top sits a per-state cache holding everything derived from a
     state value in one entry — flat row ids, element bases, a versions
@@ -247,7 +249,7 @@ class NumpyQVStore:
         num_rows = self._num_features * self._num_planes * self._entries
         init = config.initial_q / config.num_planes
         #: The flat cell buffer (see class docstring for the layout).
-        self._cells: list[float] = [init] * (num_rows * self._num_actions)
+        self._cells = array("d", [init]) * (num_rows * self._num_actions)
         #: Per-row update counters backing cache invalidation.
         self._versions: list[int] = [0] * num_rows
         self._alpha = config.alpha
@@ -328,7 +330,7 @@ class NumpyQVStore:
             q = None
             for f in range(0, len(bases), planes):
                 base = bases[f]
-                row = cells[base : base + num_actions]
+                row = cells[base : base + num_actions].tolist()
                 for p in range(1, planes):
                     b = bases[f + p]
                     row = list(map(_add, row, cells[b : b + num_actions]))
@@ -458,49 +460,14 @@ class NumpyQVStore:
         """Total Q-value entries across vaults (Table 4 accounting)."""
         return len(self._cells)
 
-    # -- buffer export (native replay backend) -----------------------------
-
-    def export_table(self):
-        """Copy the flat cell buffer out as one ``float64`` array.
-
-        The layout is the flat ``_cells`` order (row-major over
-        features x planes x entries x actions) — the exact element
-        indexing ``_q_one``/``sarsa_update`` use, so a kernel that
-        reads/writes the buffer with the same bases arithmetic sees the
-        same doubles.
-        """
-        return _np.array(self._cells, dtype=_np.float64)
-
-    def import_table(self, table) -> None:
-        """Make the cell buffer equal *table* (flat ``float64``).
-
-        Writes only the cells whose bits changed (compared as int64, so a
-        ``0.0`` ↔ ``-0.0`` change lands), not a fresh float per cell.
-        Drops the memoized state rows: their cached Q-reductions were
-        computed against the old cells and the version counters cannot
-        know what an external writer touched.  Everything re-derives
-        lazily, so Q-values after import are pure functions of *table*.
-        """
-        cells = self._cells
-        if len(table) != len(cells):
-            raise ValueError(f"table has {len(table)} cells; store holds {len(cells)}")
-        old = self.export_table().view(_np.int64)
-        changed = _np.flatnonzero(old != table.view(_np.int64))
-        for i, value in zip(changed.tolist(), table[changed].tolist()):
-            cells[i] = value
-        self._state_cache.clear()
-
     # -- serialization -----------------------------------------------------
 
     def __getstate__(self):
         """Pickle only the semantic state: the config and the Q-table.
 
         The cell buffer is serialized as one NumPy ``float64`` table of
-        shape ``(features, planes, entries, actions)`` — the same
-        payload format as every previously-written checkpoint, so old
-        snapshots restore into the list-backed store unchanged (a
-        ``float64`` and a Python float are the same IEEE-754 double).
-        The memo caches hold pure, rebuildable accelerations, and the
+        shape ``(features, planes, entries, actions)``.  The memo caches
+        hold pure, rebuildable accelerations, and the
         version counters only gate those caches; restoring re-derives
         everything from ``(config, table)`` with empty caches —
         Q-values, and therefore simulated behaviour, are bit-identical.
@@ -512,7 +479,7 @@ class NumpyQVStore:
 
     def __setstate__(self, state) -> None:
         self.__init__(state["config"])
-        self._cells[:] = state["table"].reshape(-1).tolist()
+        self._cells = array("d", _np.asarray(state["table"], _np.float64).tobytes())
 
 
 def make_qvstore(config: PythiaConfig):

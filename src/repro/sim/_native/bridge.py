@@ -9,17 +9,22 @@ entry points:
 
 * :func:`_import_core` / :func:`_export_core` — one core's private state
   (``_CoreArgs``): trace columns, L1 and L2, MSHR, prefetch fill queues,
-  core model, and — when the kernel models the prefetcher — the full
-  Pythia agent;
+  core model, and — when the kernel models the prefetcher — the Pythia
+  agent;
 * :func:`_import_shared` / :func:`_export_shared` — what the cores share
   (``_SharedArgs``): the LLC and DRAM.
 
 Both are built over one cache sub-struct (``_CacheArgs``).  The caches
 hold their per-slot state in typed buffers of the kernel's element types
 (:mod:`repro.sim.cache`), so the kernel receives pointers into the
-caches' own buffers and replays on them in place; only the line→slot
-dict, the per-set fill counts, the stats and the tick are rebuilt on the
-way back.  Everything else — MSHR, DRAM, core, and the Pythia agent — is
+caches' own buffers and replays on them in place; on the way back the
+line→slot dict and the per-set fill counts are patched from the slots
+whose tag changed, and the stats and the tick are copied.  Pythia's
+agent lends its buffers the same way (:func:`_import_agent`): the
+Q-table, the EQ ring, the page table with its LRU order, and the PC
+history; only the ring and table positions, the counters and the RNG
+words are copied, and the EQ's line index and the page index are
+rebuilt from the buffers on first use.  MSHR, DRAM and the core are
 still copied in and out.  The C kernel executes the exact operation
 sequence of :func:`repro.sim.batch.replay_span` (and, for mixes, of
 ``MultiCoreEngine.run``), so the round trip is bit-identical: a span
@@ -46,10 +51,10 @@ original exception.  Any failed call (rc < 0) leaves the engine
 unusable: the caches hold the kernel's partial writes, and the
 prefetcher has advanced.
 
-Every span replays here, whatever its length: a round trip on the
-default hierarchy costs ~4-8 ms (2-vCPU host; most of it the Pythia
-agent's copy and the ``_where`` rebuild), so a span of a few hundred
-records or fewer would run about as fast in the batched loop.
+Every span replays here, whatever its length.  Besides the replay, a
+round trip costs what the span changed (the slots it filled) plus a
+fixed part: a 1-record span on a warmed default 1c hierarchy takes
+~0.4 ms with no prefetcher and ~0.6 ms with Pythia (2-vCPU host).
 
 ``ctypes`` usage is confined to this package (``repro.sim._native``);
 the ``native`` lint rule enforces that boundary.
@@ -61,12 +66,12 @@ import ctypes
 import dataclasses
 import random
 import sys
-from collections import deque
+from array import array
 
 import numpy as _np
 
-from repro.core.eq import EqEntry, EvaluationQueue
-from repro.core.features import FeatureExtractor, _PageHistory
+from repro.core.eq import EvaluationQueue
+from repro.core.features import FeatureExtractor
 from repro.core.pythia import Pythia
 from repro.core.qvstore import NumpyQVStore
 from repro.prefetchers.base import Prefetcher
@@ -80,8 +85,10 @@ _I64 = ctypes.c_int64
 _DBL = ctypes.c_double
 _PTR = ctypes.c_void_p
 
-_PT_HIST = 4  # _PageHistory deque maxlen
-_LAST_PCS = 3  # FeatureExtractor._last_pcs maxlen
+#: ``Pythia.rewards_assigned`` keys in the kernel's ``rw_assigned`` order.
+_ASSIGNED = (
+    "accurate_timely", "accurate_late", "coverage_loss", "inaccurate", "no_prefetch",
+)
 #: CacheStats field order, which the kernel's stats arrays follow.
 _STAT_FIELDS = tuple(f.name for f in dataclasses.fields(CacheStats))
 #: Words per core in the lockstep mark arrays (kernel.c MARK_I64/F64).
@@ -175,7 +182,8 @@ class _CoreArgs(ctypes.Structure):
         ("eq_reward", _PTR), ("eq_flags", _PTR),
         ("pt_page", _PTR), ("pt_lastoff", _PTR), ("pt_deltas", _PTR),
         ("pt_offsets", _PTR), ("pt_dlen", _PTR), ("pt_olen", _PTR),
-        ("last_pcs", _PTR), ("mt", _PTR), ("plane_shifts", _PTR),
+        ("pt_order", _PTR), ("last_pcs", _PTR), ("mt", _PTR),
+        ("plane_shifts", _PTR),
         # int64 scalars
         ("trace_len", _I64),
         ("start", _I64), ("stop", _I64), ("processed", _I64),
@@ -326,6 +334,16 @@ def _attach(args, bufs: dict, name: str, arr):
     bufs[name] = arr
     setattr(args, name, arr.ctypes.data)
     return arr
+
+
+def _lend(args, bufs: dict, name: str, buf) -> None:
+    """Point ``args.<name>`` at the typed buffer *buf* itself (no copy).
+
+    The view kept in *bufs* holds a buffer export, so *buf* cannot be
+    resized while the kernel holds the pointer.
+    """
+    view = bufs[name] = ctypes.c_char.from_buffer(buf)
+    setattr(args, name, ctypes.addressof(view))
 
 
 def _headroom(config) -> int:
@@ -514,19 +532,20 @@ def _import_cache(k: _CacheArgs, cache) -> dict:
 
     No copy: the kernel writes the cache's and its policy's typed
     buffers in place.  LRU caches leave the SHiP-only pointers null: the
-    kernel touches them only on its SHiP paths.
+    kernel touches them only on its SHiP paths.  The one copy taken is
+    of the tags, which :func:`_export_cache` diffs against.
     """
-    bufs: dict = {}
+    bufs: dict = {"tag_before": _np.frombuffer(cache._tag, _np.int64).copy()}
     policy = cache._policy
     ship = _POLICY_FLAGS[type(policy)]
-    _attach(k, bufs, "tag", _np.frombuffer(cache._tag, _np.int64))
-    _attach(k, bufs, "pf", _np.frombuffer(cache._pf, _np.uint8))
-    _attach(k, bufs, "used", _np.frombuffer(cache._used, _np.uint8))
-    _attach(k, bufs, "meta_a", _np.frombuffer(policy.meta_a, _np.int64))
+    _lend(k, bufs, "tag", cache._tag)
+    _lend(k, bufs, "pf", cache._pf)
+    _lend(k, bufs, "used", cache._used)
+    _lend(k, bufs, "meta_a", policy.meta_a)
     if ship:
-        _attach(k, bufs, "meta_b", _np.frombuffer(policy.meta_b, _np.int64))
-        _attach(k, bufs, "meta_c", _np.frombuffer(policy.meta_c, _np.uint8))
-        _attach(k, bufs, "shct", _np.frombuffer(policy._shct, _np.int64))
+        _lend(k, bufs, "meta_b", policy.meta_b)
+        _lend(k, bufs, "meta_c", policy.meta_c)
+        _lend(k, bufs, "shct", policy._shct)
     stats = cache.stats
     _attach(
         k, bufs, "stats",
@@ -541,19 +560,29 @@ def _import_cache(k: _CacheArgs, cache) -> dict:
 
 
 def _export_cache(k: _CacheArgs, cache, bufs: dict) -> None:
-    """Rebuild what the kernel does not share with one cache level.
+    """Bring what the kernel does not share with one cache level up to date.
 
-    The per-slot buffers are already current; the residency dict and
-    the per-set fill counts are rebuilt from the tags, and the stats and
-    tick are copied back.
+    The per-slot buffers are already current.  The residency dict is
+    patched from the slots whose tag the span changed: every old tag is
+    dropped before any new one is added, because a line can move between
+    slots within one span (at import ``_where`` agreed with the tags, so
+    each old tag still maps to its slot when it is dropped).  Lines are
+    never invalidated, so the per-set fill counts change only when an
+    empty way filled, and are then recounted from the tags.  The stats
+    and tick are copied back.
     """
-    tag = bufs["tag"]
-    occupied = tag != -1
-    cache._filled[:] = occupied.reshape(cache.num_sets, cache.ways).sum(axis=1).tolist()
-    resident = _np.flatnonzero(occupied)
-    where = cache._where
-    where.clear()
-    where.update(zip(tag[resident].tolist(), resident.tolist()))
+    tag = _np.frombuffer(cache._tag, _np.int64)
+    before = bufs["tag_before"]
+    changed = _np.flatnonzero(tag != before)
+    if changed.size:
+        where = cache._where
+        old = before[changed]
+        for line in old[old != -1].tolist():
+            del where[line]
+        where.update(zip(tag[changed].tolist(), changed.tolist()))
+        if (old == -1).any():
+            occupied = (tag != -1).reshape(cache.num_sets, cache.ways)
+            cache._filled[:] = occupied.sum(axis=1).tolist()
     stats = cache.stats
     for name, value in zip(_STAT_FIELDS, bufs["stats"].tolist()):
         setattr(stats, name, value)
@@ -728,19 +757,23 @@ def _import_core(
 
 
 def _import_agent(c: _CoreArgs, bufs: dict, prefetcher) -> None:
-    """Import Pythia's Q-table, EQ, page table, PC history and RNG."""
+    """Point the kernel at Pythia's own Q-table, EQ, page table and PC
+    history; copy in the action table, rewards, counters and RNG words."""
     config = prefetcher.config
     agent = prefetcher.agent
+    eq = agent.eq
     extractor = prefetcher.extractor
-    nfeat = len(config.features)
-    _attach(c, bufs, "qcells", agent.qvstore.export_table())
-    _attach(c, bufs, "act_deltas", _np.array(config.actions, _np.int64))
-    _attach(c, bufs, "act_counts", _np.array(prefetcher.action_counts, _np.int64))
+    extractor.lru_order()
+    version, words, bufs["rng_gauss"] = agent._rng.getstate()
+    if version != 3:  # pragma: no cover - CPython always uses 3
+        raise RuntimeError(f"unsupported Random state version {version}")
     rewards = config.rewards
-    _attach(
-        c, bufs, "rw",
-        _np.array(
-            [
+    copies = bufs["copies"] = {
+        "act_deltas": array("q", config.actions),
+        "act_counts": array("q", prefetcher.action_counts),
+        "rw": array(
+            "d",
+            (
                 rewards.accurate_timely,
                 rewards.accurate_late,
                 rewards.coverage_loss,
@@ -748,72 +781,39 @@ def _import_agent(c: _CoreArgs, bufs: dict, prefetcher) -> None:
                 rewards.inaccurate_low_bw,
                 rewards.no_prefetch_high_bw,
                 rewards.no_prefetch_low_bw,
-            ],
-            _np.float64,
+            ),
         ),
-    )
-    assigned = prefetcher.rewards_assigned
-    _attach(
-        c, bufs, "rw_assigned",
-        _np.array(
-            [
-                assigned["accurate_timely"],
-                assigned["accurate_late"],
-                assigned["coverage_loss"],
-                assigned["inaccurate"],
-                assigned["no_prefetch"],
-            ],
-            _np.int64,
-        ),
-    )
-    eq = agent.eq
+        "rw_assigned": array("q", map(prefetcher.rewards_assigned.__getitem__, _ASSIGNED)),
+        "mt": array("I", words[:624]),  # 32-bit words: "I" on LP64
+        "plane_shifts": array("q", config.plane_shifts),
+    }
+    for field, buf in (
+        ("qcells", agent.qvstore._cells),
+        ("eq_state", eq.state),
+        ("eq_action", eq.action),
+        ("eq_line", eq.line),
+        ("eq_reward", eq.reward),
+        ("eq_flags", eq.flags),
+        ("pt_page", extractor.pt_page),
+        ("pt_lastoff", extractor.pt_lastoff),
+        ("pt_deltas", extractor.pt_deltas),
+        ("pt_offsets", extractor.pt_offsets),
+        ("pt_dlen", extractor.pt_dlen),
+        ("pt_olen", extractor.pt_olen),
+        ("pt_order", extractor.pt_order),
+        ("last_pcs", extractor.last_pcs),
+        *copies.items(),
+    ):
+        _lend(c, bufs, field, buf)
     c.eq_cap = eq.capacity
-    c.eq_head = 0
-    c.eq_count = len(eq._fifo)
-    eq_state = _attach(c, bufs, "eq_state", _np.zeros(c.eq_cap * nfeat, _np.int64))
-    eq_action = _attach(c, bufs, "eq_action", _np.zeros(c.eq_cap, _np.int64))
-    eq_line = _attach(c, bufs, "eq_line", _np.full(c.eq_cap, -1, _np.int64))
-    eq_reward = _attach(c, bufs, "eq_reward", _np.zeros(c.eq_cap, _np.float64))
-    eq_flags = _attach(c, bufs, "eq_flags", _np.zeros(c.eq_cap, _np.uint8))
-    for i, entry in enumerate(eq._fifo):
-        eq_state[i * nfeat : (i + 1) * nfeat] = entry.state
-        eq_action[i] = entry.action
-        if entry.prefetch_line is not None:
-            eq_line[i] = entry.prefetch_line
-        flags = 0
-        if entry.reward is not None:
-            flags |= 1
-            eq_reward[i] = entry.reward
-        if entry.filled:
-            flags |= 2
-        eq_flags[i] = flags
+    c.eq_head = eq.head_slot
+    c.eq_count = eq.count
     c.ptab_cap = extractor.page_table_size
-    c.ptab_count = len(extractor._pages)
-    pt_page = _attach(c, bufs, "pt_page", _np.zeros(c.ptab_cap, _np.int64))
-    pt_lastoff = _attach(c, bufs, "pt_lastoff", _np.zeros(c.ptab_cap, _np.int64))
-    pt_deltas = _attach(c, bufs, "pt_deltas", _np.zeros(c.ptab_cap * _PT_HIST, _np.int64))
-    pt_offsets = _attach(c, bufs, "pt_offsets", _np.zeros(c.ptab_cap * _PT_HIST, _np.int64))
-    pt_dlen = _attach(c, bufs, "pt_dlen", _np.zeros(c.ptab_cap, _np.uint8))
-    pt_olen = _attach(c, bufs, "pt_olen", _np.zeros(c.ptab_cap, _np.uint8))
-    for i, (page, hist) in enumerate(extractor._pages.items()):
-        pt_page[i] = page
-        pt_lastoff[i] = hist.last_offset
-        base = i * _PT_HIST
-        pt_deltas[base : base + len(hist.deltas)] = list(hist.deltas)
-        pt_dlen[i] = len(hist.deltas)
-        pt_offsets[base : base + len(hist.offsets)] = list(hist.offsets)
-        pt_olen[i] = len(hist.offsets)
-    last_pcs = _attach(c, bufs, "last_pcs", _np.zeros(_LAST_PCS, _np.int64))
-    c.lastpc_count = len(extractor._last_pcs)
-    last_pcs[: c.lastpc_count] = list(extractor._last_pcs)
-    version, words, bufs["rng_gauss"] = agent._rng.getstate()
-    if version != 3:  # pragma: no cover - CPython always uses 3
-        raise RuntimeError(f"unsupported Random state version {version}")
-    _attach(c, bufs, "mt", _np.array(words[:624], _np.uint32))
+    c.ptab_count = extractor.ptab_count
+    c.lastpc_count = extractor.lastpc_count
     c.mt_index = words[624]
-    _attach(c, bufs, "plane_shifts", _np.array(config.plane_shifts, _np.int64))
     c.nact = config.num_actions
-    c.nfeat = nfeat
+    c.nfeat = len(config.features)
     c.nplanes = config.num_planes
     c.plane_entries = config.plane_entries
     c.agent_updates = agent.updates
@@ -886,68 +886,26 @@ def _export_core(c: _CoreArgs, hierarchy, core, bufs: dict) -> None:
 
 
 def _export_agent(c: _CoreArgs, bufs: dict, prefetcher) -> None:
+    """Take back what the kernel did not write in place: the ring and
+    page-table positions, the counters and the RNG.  The two index dicts
+    are rebuilt from the buffers on first use."""
     agent = prefetcher.agent
+    # The kernel's Q writes bypassed the version counters.
+    agent.qvstore._state_cache.clear()
+    eq = agent.eq
+    eq.head_slot = c.eq_head
+    eq.count = c.eq_count
+    eq.drop_index()
     extractor = prefetcher.extractor
-    nfeat = c.nfeat
-    agent.qvstore.import_table(bufs["qcells"])
-    prefetcher.action_counts[:] = bufs["act_counts"].tolist()
-    assigned = prefetcher.rewards_assigned
-    (
-        assigned["accurate_timely"],
-        assigned["accurate_late"],
-        assigned["coverage_loss"],
-        assigned["inaccurate"],
-        assigned["no_prefetch"],
-    ) = bufs["rw_assigned"].tolist()
+    extractor.ptab_count = c.ptab_count
+    extractor.lastpc_count = c.lastpc_count
+    extractor.drop_index()
+    copies = bufs["copies"]
+    prefetcher.action_counts[:] = copies["act_counts"]
+    prefetcher.rewards_assigned.update(zip(_ASSIGNED, copies["rw_assigned"]))
     agent.updates = c.agent_updates
     agent.explorations = c.agent_explorations
-    eq = agent.eq
-    fifo = eq._fifo
-    by_line = eq._by_line
-    fifo.clear()
-    by_line.clear()
-    n = c.eq_count
-    state_l = bufs["eq_state"][: n * nfeat].tolist()
-    action_l = bufs["eq_action"][:n].tolist()
-    line_l = bufs["eq_line"][:n].tolist()
-    reward_l = bufs["eq_reward"][:n].tolist()
-    flags_l = bufs["eq_flags"][:n].tolist()
-    for i in range(n):
-        flags = flags_l[i]
-        line = line_l[i]
-        entry = EqEntry(
-            state=tuple(state_l[i * nfeat : (i + 1) * nfeat]),
-            action=action_l[i],
-            prefetch_line=line if line >= 0 else None,
-            reward=reward_l[i] if flags & 1 else None,
-            filled=bool(flags & 2),
-        )
-        fifo.append(entry)
-        if entry.prefetch_line is not None:
-            # Oldest-to-newest with overwrite == most recent wins,
-            # the invariant insert() maintains.
-            by_line[entry.prefetch_line] = entry
-    pages = extractor._pages
-    pages.clear()
-    n = c.ptab_count
-    page_l = bufs["pt_page"][:n].tolist()
-    lastoff_l = bufs["pt_lastoff"][:n].tolist()
-    dlen_l = bufs["pt_dlen"][:n].tolist()
-    olen_l = bufs["pt_olen"][:n].tolist()
-    deltas_l = bufs["pt_deltas"][: n * _PT_HIST].tolist()
-    offsets_l = bufs["pt_offsets"][: n * _PT_HIST].tolist()
-    for i in range(n):
-        base = i * _PT_HIST
-        pages[page_l[i]] = _PageHistory(
-            last_offset=lastoff_l[i],
-            deltas=deque(deltas_l[base : base + dlen_l[i]], maxlen=_PT_HIST),
-            offsets=deque(offsets_l[base : base + olen_l[i]], maxlen=_PT_HIST),
-        )
-    extractor._last_pcs.clear()
-    extractor._last_pcs.extend(bufs["last_pcs"][: c.lastpc_count].tolist())
-    agent._rng.setstate(
-        (3, tuple(bufs["mt"].tolist()) + (c.mt_index,), bufs["rng_gauss"])
-    )
+    agent._rng.setstate((3, (*copies["mt"], c.mt_index), bufs["rng_gauss"]))
 
 
 # -- the backend entry points ------------------------------------------------

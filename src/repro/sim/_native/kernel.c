@@ -178,12 +178,13 @@ typedef struct CoreArgs {
     int64_t *eq_line; /* -1 == no prefetch line */
     double *eq_reward;
     uint8_t *eq_flags; /* bit0 has_reward, bit1 filled */
-    int64_t *pt_page;  /* page table slots, oldest-first */
+    int64_t *pt_page;  /* [ptab_cap] page table slots */
     int64_t *pt_lastoff;
     int64_t *pt_deltas;  /* [ptab_cap * 4] */
     int64_t *pt_offsets; /* [ptab_cap * 4] */
     uint8_t *pt_dlen;
     uint8_t *pt_olen;
+    int64_t *pt_order; /* [ptab_cap] slots in LRU order, oldest first */
     int64_t *last_pcs;     /* [3] */
     uint32_t *mt;          /* [624] Mersenne Twister words */
     int64_t *plane_shifts; /* [nplanes] */
@@ -1702,12 +1703,13 @@ static int64_t ctx_open(Ctx *x, CoreArgs *c, SharedArgs *s) {
     if (!x->pt_prev || !x->pt_next || !x->evicted_state || !x->bases_scratch) {
         return RC_NOMEM;
     }
-    /* Slots are imported oldest-first; chain them in order. */
-    x->pt_head = c->ptab_count > 0 ? 0 : -1;
-    x->pt_tail = c->ptab_count > 0 ? c->ptab_count - 1 : -1;
-    for (int64_t slot = 0; slot < c->ptab_count; slot++) {
-        x->pt_prev[slot] = slot - 1;
-        x->pt_next[slot] = slot + 1 < c->ptab_count ? slot + 1 : -1;
+    /* Chain the slots in the LRU order the bridge passed. */
+    x->pt_head = c->ptab_count > 0 ? c->pt_order[0] : -1;
+    x->pt_tail = c->ptab_count > 0 ? c->pt_order[c->ptab_count - 1] : -1;
+    for (int64_t i = 0; i < c->ptab_count; i++) {
+        int64_t slot = c->pt_order[i];
+        x->pt_prev[slot] = i > 0 ? c->pt_order[i - 1] : -1;
+        x->pt_next[slot] = i + 1 < c->ptab_count ? c->pt_order[i + 1] : -1;
         if (map_put(&x->pages, c->pt_page[slot], slot) != 0) {
             return RC_NOMEM;
         }
@@ -1750,70 +1752,13 @@ static int ring_linearize(void *arr, size_t size, int64_t head, int64_t count,
     return 0;
 }
 
-/* Rewrite the page-table slot arrays in LRU order (oldest first). */
-static int export_page_table(Ctx *x) {
-    CoreArgs *c = x->c;
-    int64_t n = c->ptab_count;
-    if (n == 0) {
-        return 0;
-    }
-    int64_t *order = malloc((size_t)n * sizeof(int64_t));
-    int64_t *ti64 = malloc((size_t)(n * 4) * sizeof(int64_t));
-    if (!order || !ti64) {
-        free(order);
-        free(ti64);
-        return -1;
-    }
+/* Write the page table's LRU order (oldest first) into pt_order. */
+static void export_page_order(Ctx *x) {
     int64_t k = 0;
-    for (int64_t slot = x->pt_head; slot >= 0 && k < n; slot = x->pt_next[slot]) {
-        order[k++] = slot;
+    for (int64_t slot = x->pt_head; slot >= 0 && k < x->c->ptab_count;
+         slot = x->pt_next[slot]) {
+        x->c->pt_order[k++] = slot;
     }
-    if (k != n) {
-        free(order);
-        free(ti64);
-        return -1;
-    }
-#define PT_PERMUTE_I64(field, stride)                                          \
-    do {                                                                       \
-        for (int64_t i = 0; i < n; i++) {                                      \
-            for (int64_t j = 0; j < (stride); j++) {                           \
-                ti64[i * (stride) + j] = c->field[order[i] * (stride) + j];    \
-            }                                                                  \
-        }                                                                      \
-        memcpy(c->field, ti64, (size_t)(n * (stride)) * sizeof(int64_t));      \
-    } while (0)
-    PT_PERMUTE_I64(pt_page, 1);
-    PT_PERMUTE_I64(pt_lastoff, 1);
-    PT_PERMUTE_I64(pt_deltas, 4);
-    PT_PERMUTE_I64(pt_offsets, 4);
-#undef PT_PERMUTE_I64
-    uint8_t *tu8 = (uint8_t *)ti64;
-    for (int64_t i = 0; i < n; i++) {
-        tu8[i] = c->pt_dlen[order[i]];
-    }
-    memcpy(c->pt_dlen, tu8, (size_t)n);
-    for (int64_t i = 0; i < n; i++) {
-        tu8[i] = c->pt_olen[order[i]];
-    }
-    memcpy(c->pt_olen, tu8, (size_t)n);
-    free(order);
-    free(ti64);
-    return 0;
-}
-
-/* Rotate the EQ ring so the FIFO head lands at slot 0. */
-static int export_eq(CoreArgs *c) {
-    int64_t head = c->eq_head, count = c->eq_count, cap = c->eq_cap;
-    c->eq_head = 0;
-    if (ring_linearize(c->eq_state, (size_t)c->nfeat * sizeof(int64_t), head,
-                       count, cap) != 0 ||
-        ring_linearize(c->eq_action, sizeof(int64_t), head, count, cap) != 0 ||
-        ring_linearize(c->eq_line, sizeof(int64_t), head, count, cap) != 0 ||
-        ring_linearize(c->eq_reward, sizeof(double), head, count, cap) != 0 ||
-        ring_linearize(c->eq_flags, sizeof(uint8_t), head, count, cap) != 0) {
-        return -1;
-    }
-    return 0;
 }
 
 /* Write one core's C-side structures back into its arrays. */
@@ -1829,9 +1774,8 @@ static int64_t ctx_export(Ctx *x) {
         return RC_NOMEM;
     }
     c->out_head = 0;
-    if (c->train == TRAIN_PYTHIA &&
-        (export_eq(c) != 0 || export_page_table(x) != 0)) {
-        return RC_NOMEM;
+    if (c->train == TRAIN_PYTHIA) {
+        export_page_order(x);
     }
     return 0;
 }

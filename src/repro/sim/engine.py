@@ -368,12 +368,14 @@ class CounterMark:
 def _gc_paused():
     """Pause cyclic GC around the replay loop.
 
-    The per-record hot path allocates heavily (EQ entries, contexts,
-    state tuples) but creates no reference cycles, so generational
-    collections only burn time scanning live simulator state.  The
-    collector is re-enabled on exit (even on error); no collection is
-    forced — a full collect here would scan every resident trace, and
-    the next natural collection reclaims any cycles just as well.
+    The Python replay loops allocate per record (contexts, state tuples,
+    candidate lists) but create no reference cycles, so generational
+    collections only burn time scanning live simulator state; a native
+    span allocates nothing per record, only what the bridge rebuilds per
+    span.  The collector is re-enabled on exit (even on error); no
+    collection is forced — a full collect here would scan every resident
+    trace, and the next natural collection reclaims any cycles just as
+    well.
     """
     if not gc.isenabled():
         yield  # already managed by an outer run (e.g. the multi-core engine)
@@ -420,8 +422,10 @@ def _run_core(
 #: the checkpoint namespace key.  Result fingerprints do not see it — a
 #: layout change that keeps results bit-identical keeps every stored
 #: result.  Layout 2: flat per-slot cache lists (layout 1 held per-way
-#: line and SHiP metadata objects).
-STATE_LAYOUT = 2
+#: line and SHiP metadata objects).  Layout 3: Pythia's EQ and page
+#: table as per-slot typed buffers (layout 2 held ``EqEntry`` and
+#: per-page history objects).
+STATE_LAYOUT = 3
 
 
 @dataclass(slots=True)
@@ -429,9 +433,11 @@ class EngineState:
     """One serializable snapshot of a mid-run simulation.
 
     ``payload`` is the pickled ``(hierarchy, core)`` pair — caches with
-    replacement metadata, MSHRs, DRAM state, and the prefetcher
-    (including the NumPy Q-store, whose pickling preserves the shared
-    table; see :meth:`repro.core.qvstore.NumpyQVStore.__getstate__`).
+    replacement metadata, MSHRs, DRAM state, and the prefetcher.  A
+    Pythia prefetcher pickles its agent in the typed buffers the native
+    kernel replays on: the EQ ring and the page table as they are, the
+    Q-table as one ``float64`` table (see
+    :meth:`repro.core.qvstore.NumpyQVStore.__getstate__`).
     The remaining fields are the resume-compatibility envelope:
 
     * ``records`` — trace cursor: how many records the state consumed;

@@ -42,16 +42,18 @@ class TestSarsaAgent:
         agent = SarsaAgent(cfg)
         unrewarded = EqEntry(state=(1, 2), action=0, prefetch_line=50)
         agent.record(unrewarded, bandwidth_high=False)
-        agent.record(EqEntry(state=(1, 2), action=0), bandwidth_high=False)
-        assert unrewarded.reward == cfg.rewards.inaccurate_low_bw
+        evicted = agent.record(EqEntry(state=(1, 2), action=0), bandwidth_high=False)
+        assert evicted.prefetch_line == 50
+        assert evicted.reward == cfg.rewards.inaccurate_low_bw
 
     def test_eviction_respects_bandwidth(self):
         cfg = small_config(eq_size=1)
         agent = SarsaAgent(cfg)
         unrewarded = EqEntry(state=(1, 2), action=0, prefetch_line=50)
         agent.record(unrewarded, bandwidth_high=True)
-        agent.record(EqEntry(state=(1, 2), action=0), bandwidth_high=True)
-        assert unrewarded.reward == cfg.rewards.inaccurate_high_bw
+        evicted = agent.record(EqEntry(state=(1, 2), action=0), bandwidth_high=True)
+        assert evicted.prefetch_line == 50
+        assert evicted.reward == cfg.rewards.inaccurate_high_bw
 
     def test_eviction_triggers_update(self):
         cfg = small_config(eq_size=1)

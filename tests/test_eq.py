@@ -25,18 +25,18 @@ def test_fifo_eviction_order():
     assert eq.insert(second) is None
     third = entry(line=30)
     evicted = eq.insert(third)
-    assert evicted is first
+    assert evicted == first
     assert len(eq) == 2
-    assert eq.head is second
+    assert eq.head == second
 
 
 def test_search_finds_most_recent():
     eq = EvaluationQueue(4)
-    old = entry(line=10)
-    new = entry(line=10)
+    old = entry(line=10, action=1)
+    new = entry(line=10, action=2)
     eq.insert(old)
     eq.insert(new)
-    assert eq.search(10) is new
+    assert eq.search(10) == new
 
 
 def test_search_miss():
@@ -56,7 +56,7 @@ def test_mark_filled():
     e = entry(line=10)
     eq.insert(e)
     assert eq.mark_filled(10)
-    assert e.filled
+    assert eq.search(10).filled
     assert not eq.mark_filled(99)
 
 
@@ -78,7 +78,7 @@ def test_eviction_keeps_newer_duplicate_in_index():
     new = entry(line=10)
     eq.insert(new)
     eq.insert(entry(line=30))  # evicts old
-    assert eq.search(10) is new
+    assert eq.search(10) == new
 
 
 def test_clear():
@@ -118,9 +118,44 @@ def test_size_never_exceeds_capacity(capacity, lines):
 def test_resident_entries_always_searchable(lines):
     eq = EvaluationQueue(64)
     inserted = {}
-    for line in lines:
-        e = entry(line=line)
+    for i, line in enumerate(lines):
+        e = entry(line=line, action=i)
         eq.insert(e)
         inserted[line] = e
     for line, e in inserted.items():
-        assert eq.search(line) is e
+        assert eq.search(line) == e
+
+
+def test_iteration_yields_fifo_order_copies():
+    eq = EvaluationQueue(2)
+    for line in (10, 20, 30):
+        e = entry(line=line, action=line)
+        e.reward = 1.0
+        eq.insert(e)
+    assert [e.prefetch_line for e in eq] == [20, 30]
+    next(iter(eq)).reward = 5.0
+    assert eq.head.reward == 1.0
+
+
+def test_state_width_must_match():
+    eq = EvaluationQueue(4, num_features=3)
+    with pytest.raises(ValueError):
+        eq.insert(entry(line=10))
+    eq.insert(EqEntry(state=(1, 2, 3), action=0, prefetch_line=10))
+    assert eq.head.state == (1, 2, 3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    capacity=st.integers(min_value=1, max_value=8),
+    lines=st.lists(st.integers(min_value=-1, max_value=12), min_size=1, max_size=40),
+)
+def test_index_rebuilt_from_the_ring_matches_the_live_one(capacity, lines):
+    """After the ring is written from outside (the native kernel), the
+    line index rebuilt from it equals the one inserts maintained."""
+    eq = EvaluationQueue(capacity)
+    for i, line in enumerate(lines):
+        eq.insert(entry(line=None if line < 0 else line, action=i))
+    live = dict(eq.by_line())
+    eq.drop_index()
+    assert eq.by_line() == live

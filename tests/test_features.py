@@ -127,3 +127,18 @@ def test_encoded_values_are_32bit_nonnegative(pc, page, offset):
     for spec in all_feature_specs():
         value = encode_feature(spec, obs)
         assert 0 <= value < 2**32
+
+
+def test_page_index_rebuilt_from_the_lru_order():
+    """The LRU order handed to the native kernel (``pt_order``) and back
+    rebuilds the same page index, slot for slot and in order."""
+    extractor = FeatureExtractor(page_table_size=8)
+    for i in range(40):
+        extractor.observe(ctx(1, (i * 7) % 13, i % 64))
+    live = list(extractor.page_index().items())
+    assert extractor.ptab_count == 8
+    extractor.lru_order()
+    extractor.drop_index()
+    assert list(extractor.page_index().items()) == live
+    obs = extractor.observe(ctx(1, live[-1][0], 5))
+    assert obs.last4_offsets[-1] == 5

@@ -37,6 +37,7 @@ from repro.core.config import PythiaConfig
 from repro.sim.config import CacheGeometry, SystemConfig
 from repro.core.features import (
     BASIC_FEATURES,
+    HISTORY,
     FeatureExtractor,
     compile_encoder,
     encode_feature,
@@ -597,6 +598,23 @@ def _cache_state(cache) -> tuple:
     )
 
 
+def _page_table(extractor) -> list:
+    """Resident pages in LRU order: (page, last offset, deltas, offsets)."""
+    rows = []
+    for page, slot in extractor.page_index().items():
+        assert extractor.pt_page[slot] == page
+        base = slot * HISTORY
+        rows.append(
+            (
+                page,
+                extractor.pt_lastoff[slot],
+                extractor.pt_deltas[base : base + extractor.pt_dlen[slot]].tolist(),
+                extractor.pt_offsets[base : base + extractor.pt_olen[slot]].tolist(),
+            )
+        )
+    return rows
+
+
 def _core_state(hierarchy, core) -> dict:
     """One core's private state: L1/L2, MSHR, fill queues, counters, core
     model and (for Pythia) the agent, with float/int types visible."""
@@ -625,17 +643,15 @@ def _core_state(hierarchy, core) -> dict:
     prefetcher = hierarchy.prefetcher
     if hasattr(prefetcher, "agent"):
         agent = prefetcher.agent
+        extractor = prefetcher.extractor
         state["agent"] = (
-            agent.qvstore.export_table().tolist(),
+            agent.qvstore._cells.tolist(),
             [
                 (e.state, e.action, e.prefetch_line, e.reward, e.filled)
-                for e in agent.eq._fifo
+                for e in agent.eq
             ],
-            [
-                (page, h.last_offset, list(h.deltas), list(h.offsets))
-                for page, h in prefetcher.extractor._pages.items()
-            ],
-            list(prefetcher.extractor._last_pcs),
+            _page_table(extractor),
+            extractor.last_pcs[: extractor.lastpc_count].tolist(),
             agent._rng.getstate(),
             agent.updates,
             agent.explorations,

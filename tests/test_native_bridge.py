@@ -29,7 +29,7 @@ from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.stride import StridePrefetcher
 from repro.sim import _native
 from repro.sim._native import bridge
-from repro.sim.config import SystemConfig
+from repro.sim.config import CacheGeometry, SystemConfig
 from repro.sim.system import simulate
 
 pytestmark = pytest.mark.quick
@@ -177,6 +177,174 @@ def test_kernel_replays_on_the_caches_own_buffers(monkeypatch):
             for s in range(cache.num_sets)
         ]
         assert cache.occupancy > 0
+
+
+#: (owner, attribute, kernel element type) of every Pythia buffer the
+#: kernel replays on in place, by its ``_CoreArgs`` field.
+_AGENT_BUFFERS = {
+    "qcells": ("qvstore", "_cells", np.float64),
+    "eq_state": ("eq", "state", np.int64),
+    "eq_action": ("eq", "action", np.int64),
+    "eq_line": ("eq", "line", np.int64),
+    "eq_reward": ("eq", "reward", np.float64),
+    "eq_flags": ("eq", "flags", np.uint8),
+    "pt_page": ("extractor", "pt_page", np.int64),
+    "pt_lastoff": ("extractor", "pt_lastoff", np.int64),
+    "pt_deltas": ("extractor", "pt_deltas", np.int64),
+    "pt_offsets": ("extractor", "pt_offsets", np.int64),
+    "pt_dlen": ("extractor", "pt_dlen", np.uint8),
+    "pt_olen": ("extractor", "pt_olen", np.uint8),
+    "pt_order": ("extractor", "pt_order", np.int64),
+    "last_pcs": ("extractor", "last_pcs", np.int64),
+}
+
+
+def test_kernel_replays_on_the_agents_own_buffers(monkeypatch):
+    """Pythia lends the kernel its own Q-table, EQ ring, page table and
+    PC history: each agent pointer the bridge stores is the address of
+    the agent's own buffer, the buffers survive the span, and the
+    EQ's line index and the page index rebuilt afterwards agree with
+    the buffers."""
+    from repro.sim.engine import SimulationEngine
+
+    seen = []
+    real_import = bridge._import_agent
+
+    def recording(c, bufs, prefetcher):
+        real_import(c, bufs, prefetcher)
+        seen.append({field: getattr(c, field) for field in _AGENT_BUFFERS})
+
+    monkeypatch.setattr(bridge, "_import_agent", recording)
+    trace = registry.cached_trace("spec06/lbm-1", 2000)
+    engine = SimulationEngine(
+        trace, config=_config("native"), prefetcher=registry.create("pythia")
+    )
+    pythia = engine.hierarchy.prefetcher
+    agent = pythia.agent
+
+    def buffers():
+        owners = {"qvstore": agent.qvstore, "eq": agent.eq, "extractor": pythia.extractor}
+        return {
+            field: getattr(owners[owner], name)
+            for field, (owner, name, _) in _AGENT_BUFFERS.items()
+        }
+
+    before = buffers()
+    initial_q = agent.qvstore._cells.tolist()
+    engine.run()
+    assert len(seen) == 2  # the warmup span and the measured span
+    for pointers in seen:
+        for field, buf in buffers().items():
+            dtype = _AGENT_BUFFERS[field][2]
+            assert pointers[field] == np.frombuffer(buf, dtype).ctypes.data, field
+    assert all(buf is before[field] for field, buf in buffers().items())
+    assert agent.updates > 0 and agent.qvstore._cells.tolist() != initial_q
+
+    eq = agent.eq
+    assert eq.count == eq.capacity
+    by_line = {}
+    for i in range(eq.count):  # oldest to newest: the most recent wins
+        slot = (eq.head_slot + i) % eq.capacity
+        if eq.line[slot] >= 0:
+            by_line[eq.line[slot]] = slot
+    assert by_line and eq.by_line() == by_line
+
+    extractor = pythia.extractor
+    pages = extractor.page_index()
+    assert list(pages.values()) == extractor.pt_order[: extractor.ptab_count].tolist()
+    assert sorted(pages.values()) == list(range(extractor.ptab_count))
+    assert all(extractor.pt_page[slot] == page for page, slot in pages.items())
+    assert len(pages) > 1
+    assert extractor.lastpc_count == 3
+
+
+def _rebuilt_index(cache) -> tuple:
+    """``(_where, _filled)`` rebuilt from scratch from the cache's tags."""
+    tags = cache._tag
+    where = {tag: slot for slot, tag in enumerate(tags) if tag != -1}
+    filled = [
+        sum(tag != -1 for tag in tags[s * cache.ways : (s + 1) * cache.ways])
+        for s in range(cache.num_sets)
+    ]
+    return where, filled
+
+
+@pytest.fixture
+def checked_exports(monkeypatch):
+    """Assert after every native span that each cache's residency index,
+    patched by tag diff, equals a from-scratch rebuild; yields the names
+    of the caches checked."""
+    checked = []
+    real = bridge._export_cache
+
+    def checking(k, cache, bufs):
+        real(k, cache, bufs)
+        assert (cache._where, cache._filled) == _rebuilt_index(cache), cache.name
+        checked.append(cache.name)
+
+    monkeypatch.setattr(bridge, "_export_cache", checking)
+    return checked
+
+
+#: Few-line SHiP caches: every fill past the first evicts, so lines move
+#: between slots within one span.
+_TINY = dataclasses.replace(
+    SystemConfig(),
+    l1=CacheGeometry(4 * 64, 2, 4, 2, "ship"),
+    l2=CacheGeometry(8 * 64, 2, 14, 2, "ship"),
+    llc=CacheGeometry(16 * 64, 2, 34, 2, "ship"),
+    max_prefetch_degree=2,
+)
+
+
+@pytest.mark.parametrize("system", ["1c", "tiny"])
+def test_residency_index_patched_by_diff(system, checked_exports):
+    """A 1c run in four spans (warmup, then telemetry windows): after
+    each, ``_where`` and ``_filled`` match a rebuild from the tags."""
+    from repro.sim.engine import SimulationEngine
+
+    config = SystemConfig() if system == "1c" else _TINY
+    engine = SimulationEngine(
+        registry.cached_trace("ligra/cc-1", 2000),
+        config=dataclasses.replace(config, replay_backend="native"),
+        prefetcher=registry.create("pythia"),
+        telemetry_window=600,
+    )
+    engine.run()
+    assert len(checked_exports) >= 3 * 4
+    assert engine.hierarchy.llc.occupancy > 0
+
+
+def test_residency_index_patched_by_diff_in_a_mix(checked_exports):
+    """The same after one lockstep call over a 4-core mix and its shared
+    LLC, against the Python loop's final indexes.  The private caches
+    start full, so the call evicts lines resident at import."""
+    from repro.sim.engine import MultiCoreEngine
+    from repro.workloads.mixes import heterogeneous_mix_names
+
+    names = heterogeneous_mix_names(4, 1, seed=1)[0][1]
+    traces = [registry.cached_trace(name, 2500) for name in names]
+    engines = {
+        backend: MultiCoreEngine(
+            traces,
+            dataclasses.replace(registry.system("4c"), replay_backend=backend),
+            lambda: registry.create("pythia"),
+            warmup_fraction=0.2,
+        )
+        for backend in ("native", "scalar")
+    }
+    for engine in engines.values():
+        for k, hierarchy in enumerate(engine.hierarchies):
+            for cache in (hierarchy.l1, hierarchy.l2):
+                for line in range(k << 30, (k << 30) + cache.capacity_lines):
+                    cache.fill(line, 0, False)
+        engine.run()
+    assert len(checked_exports) == 4 * 2 + 1
+    native, scalar = engines["native"], engines["scalar"]
+    assert native.llc._where == scalar.llc._where
+    assert native.llc._filled == scalar.llc._filled
+    for mine, theirs in zip(native.hierarchies, scalar.hierarchies):
+        assert mine.l2._where == theirs.l2._where
 
 
 @pytest.mark.parametrize("pf_name", ["pythia", "none"])
