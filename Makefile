@@ -22,7 +22,7 @@
 #                    PROFILE_ARGS="--prefetcher spp --length 50000".
 #   make lint      - the invariant checker (python -m repro.analysis):
 #                    per-file rules (determinism, layering, hygiene,
-#                    batching, exceptions), whole-program rules
+#                    batching, exceptions, native), whole-program rules
 #                    (concurrency, hotpath), and introspection rules
 #                    (fingerprint, checkpoint) over src/repro,
 #                    benchmarks/, scripts/, and tests/; per-line
@@ -31,10 +31,12 @@
 #   make sanitize  - the native single-core and lockstep suites against an
 #                    AddressSanitizer + UndefinedBehaviorSanitizer build of
 #                    kernel.c (scripts/sanitize.py; needs libasan/libubsan).
-#   make coverage  - line coverage of src/repro/api + src/repro/workloads
-#                    (stdlib tracer, term-missing report) checked against
-#                    the floor in scripts/coverage_floor.json; re-record
-#                    with `python scripts/coverage.py --update-floor`.
+#   make coverage  - line coverage (stdlib tracer, term-missing report)
+#                    of every path in scripts/coverage_floor.json (today
+#                    src/repro/analysis, api, core, sim, sim/engine.py
+#                    and workloads), each checked against its floor;
+#                    re-record with `python scripts/coverage.py
+#                    --update-floor`.
 #   make all       - everything pytest collects (tier-1 verify).
 
 PY ?= python

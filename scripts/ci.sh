@@ -30,7 +30,7 @@
 #
 # After the resume smoke the invariant checker (python -m
 # repro.analysis, `make lint`) gates the tree: the per-file rules
-# (determinism, layering, hygiene, batching, exceptions), the
+# (determinism, layering, hygiene, batching, exceptions, native), the
 # whole-program rules (concurrency, hotpath), and the introspection
 # rules (fingerprint, checkpoint) must all come back clean over
 # src/repro + benchmarks + scripts + tests, modulo per-line pragmas.
@@ -41,10 +41,15 @@
 # single-core, lockstep and hook suites against an ASan + UBSan build of
 # kernel.c; otherwise it prints a NOTICE and is skipped.
 #
-# The final step re-runs the API/workloads-facing suites under the
-# stdlib coverage tracer (scripts/coverage.py) and fails the build if
-# line coverage of src/repro/api or src/repro/workloads drops below the
-# floor recorded in scripts/coverage_floor.json.
+# After the unit suite, the benchmark's own self-test (perfbench/
+# test_perfbench.py) runs, so a library change that breaks the perf
+# bench's tracer or workloads fails here rather than at benchmark time.
+#
+# The final step re-runs a fixed test selection under the stdlib
+# coverage tracer (scripts/coverage.py) and fails the build if line
+# coverage of any path gated in scripts/coverage_floor.json (today
+# src/repro/analysis, api, core, sim, sim/engine.py and workloads)
+# drops below its recorded floor.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -61,6 +66,7 @@ python -m pytest tests/test_store_concurrency.py -q
 python -m repro.analysis src/repro benchmarks scripts tests
 python -m pytest -m quick -q --ignore=benchmarks/test_sweep_smoke.py --ignore=benchmarks/test_resume_smoke.py --ignore=tests/test_store_concurrency.py
 python -m pytest tests -q -m "not quick"
+python -m pytest perfbench -q
 python -m pytest benchmarks/test_perf_throughput.py -q -m "not quick"
 if [ -f "$(gcc -print-file-name=libasan.so 2>/dev/null)" ]; then
     python scripts/sanitize.py

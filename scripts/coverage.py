@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Line coverage for the API + workloads surface, stdlib-only.
+"""Line coverage for the gated packages (``TARGET_PACKAGES``), stdlib-only.
 
 The container has no ``pytest-cov``/``coverage`` wheel, so this is a
 small self-contained tracer with the same report shape: per-file
 ``Stmts / Miss / Cover / Missing`` (term-missing style) plus per-package
-totals.  It runs a fixed, fast test selection (the suites that exercise
-``repro.api`` and ``repro.workloads``) in-process under ``sys.settrace``
-and compares the package percentages against the recorded floor in
+totals.  It runs a fixed, fast test selection (``COVERAGE_TESTS``)
+in-process under ``sys.settrace`` and compares the package percentages
+against the recorded floor in
 ``scripts/coverage_floor.json`` — CI fails when coverage drops below the
 floor (see ``scripts/ci.sh`` / ``make coverage``).
 

@@ -11,11 +11,6 @@ Only *module-level* imports are checked: a function-scoped import is
 the sanctioned escape hatch for runtime-only upward references (the
 ``Cell.execute`` → registry hop), because it neither creates an import
 cycle nor taxes workers that never call it.
-
-Independently of rank, the legacy deep path
-``repro.prefetchers.registry`` is banned everywhere (module level or
-not) except in the shim module itself: it survives only for external
-callers and will be deleted with the next deprecation window.
 """
 
 from __future__ import annotations
@@ -44,10 +39,6 @@ LAYER_RANKS: dict[str, int] = {
     "analysis": 8,
 }
 
-#: Deprecated deep path: everything must go through ``repro.registry``.
-LEGACY_DEEP_PATH = "repro.prefetchers.registry"
-
-
 def _layer_of(module: str) -> str | None:
     """Layer key for a dotted ``repro...`` module name.
 
@@ -66,10 +57,7 @@ def _layer_of(module: str) -> str | None:
 @register
 class LayeringRule(AstRule):
     name = "layering"
-    description = (
-        "enforce the core→sim→api→harness dependency DAG and ban the "
-        "legacy repro.prefetchers.registry deep path"
-    )
+    description = "enforce the core→sim→api→harness dependency DAG"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.module is None:
@@ -91,16 +79,6 @@ class LayeringRule(AstRule):
     def _check_target(
         self, ctx: FileContext, node: ast.AST, target: str, own_rank: int
     ) -> Iterator[Finding]:
-        if target == LEGACY_DEEP_PATH or target.startswith(LEGACY_DEEP_PATH + "."):
-            if ctx.module != LEGACY_DEEP_PATH:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"deep import of legacy {LEGACY_DEEP_PATH!r}; use "
-                    "repro.registry (the shim exists only for external "
-                    "callers)",
-                )
-            return
         target_layer = _layer_of(target)
         if target_layer is None:
             return

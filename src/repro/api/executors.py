@@ -33,7 +33,7 @@ import os
 from concurrent import futures
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
-from repro.api.experiment import Cell, WorkCell
+from repro.api.experiment import WorkCell, checkpointable
 from repro.sim.system import SimulationResult
 
 #: Worker-global checkpoint plumbing, set up by :func:`_init_worker` when
@@ -42,13 +42,6 @@ from repro.sim.system import SimulationResult
 #: :func:`execute_cell` behaves exactly as before there.
 _WORKER_STORE = None
 _WORKER_CHECKPOINT_EVERY = 0
-
-
-def _cell_checkpointable(cell: WorkCell) -> bool:
-    """Mirror of ``Session._checkpointable``'s cell-shape half: only
-    single-core cells have a resumable prefix, and only with telemetry
-    off (a resumed run cannot reconstruct skipped windows' rows)."""
-    return isinstance(cell, Cell) and cell.telemetry_window == 0
 
 
 def execute_cell(cell: WorkCell) -> SimulationResult:
@@ -61,7 +54,7 @@ def execute_cell(cell: WorkCell) -> SimulationResult:
     namespace, just as the serial in-session path does.
     """
     store = _WORKER_STORE
-    if store is not None and _WORKER_CHECKPOINT_EVERY > 0 and _cell_checkpointable(cell):
+    if store is not None and _WORKER_CHECKPOINT_EVERY > 0 and checkpointable(cell):
         # Checkpoint adoption tolerates concurrent eviction: a snapshot
         # listed by the namespace may vanish before load() (another
         # worker's size-cap eviction), and the engine then falls back
@@ -174,7 +167,7 @@ class ProcessPoolExecutor:
         store = ResultStore(path=self.store_path)
         results = []
         for cell in cells:
-            if _cell_checkpointable(cell):
+            if checkpointable(cell):
                 results.append(
                     cell.execute(
                         checkpoints=store.checkpoints(cell.prefix_fingerprint()),

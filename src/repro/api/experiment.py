@@ -31,23 +31,6 @@ from typing import Any, Iterable, Sequence
 from repro.api.fingerprint import canonical, fingerprint
 from repro.sim.config import SystemConfig, baseline_single_core
 
-#: Override keys with no effect on simulation results (implementation
-#: selectors whose variants are pinned bit-identical by tests).  They
-#: are stripped from fingerprinted override dicts, mirroring the
-#: ``metadata={"semantic": False}`` dataclass-field mechanism in
-#: :func:`repro.api.fingerprint.canonical`, so e.g.
-#: ``("pythia", {"qvstore_impl": "python"})`` shares its cache entries
-#: with plain ``"pythia"``.
-NON_SEMANTIC_OVERRIDES = frozenset({"qvstore_impl"})
-
-
-def fingerprint_overrides(overrides: "tuple[tuple[str, Any], ...]") -> Any:
-    """Canonical override dict with non-semantic keys stripped."""
-    return canonical(
-        {k: v for k, v in overrides if k not in NON_SEMANTIC_OVERRIDES}
-    )
-
-
 @dataclass(frozen=True)
 class PrefetcherSpec:
     """Declarative prefetcher: registry name plus factory overrides.
@@ -149,7 +132,7 @@ class Cell:
         return {
             "prefetcher": {
                 "name": self.prefetcher.name,
-                "overrides": fingerprint_overrides(self.prefetcher.overrides),
+                "overrides": canonical(dict(self.prefetcher.overrides)),
                 "resolved": registry.resolved_prefetcher_config(
                     self.prefetcher.name, **dict(self.prefetcher.overrides)
                 ),
@@ -158,7 +141,7 @@ class Cell:
             if self.l1_prefetcher is None
             else {
                 "name": self.l1_prefetcher.name,
-                "overrides": fingerprint_overrides(self.l1_prefetcher.overrides),
+                "overrides": canonical(dict(self.l1_prefetcher.overrides)),
                 "resolved": registry.resolved_prefetcher_config(
                     self.l1_prefetcher.name, **dict(self.l1_prefetcher.overrides)
                 ),
@@ -367,7 +350,7 @@ class MixCell:
                 ],
                 "prefetcher": {
                     "name": self.prefetcher.name,
-                    "overrides": fingerprint_overrides(self.prefetcher.overrides),
+                    "overrides": canonical(dict(self.prefetcher.overrides)),
                     "resolved": registry.resolved_prefetcher_config(
                         self.prefetcher.name, **dict(self.prefetcher.overrides)
                     ),
@@ -432,6 +415,13 @@ class MixCell:
 
 #: Either kind of declarative work unit an experiment expands into.
 WorkCell = Cell | MixCell
+
+
+def checkpointable(cell: WorkCell) -> bool:
+    """Whether *cell*'s shape allows checkpoint/resume: single-core cells
+    only (a mix has no resumable prefix), and only with telemetry off (a
+    resumed run cannot reconstruct the skipped windows' rows)."""
+    return isinstance(cell, Cell) and cell.telemetry_window == 0
 
 
 def _trace_name(trace) -> str:

@@ -47,7 +47,7 @@ def canonical(obj: Any) -> Any:
 
     Dataclass fields declared with ``metadata={"semantic": False}`` are
     *excluded*: they flag knobs that cannot affect simulation results
-    (e.g. :attr:`PythiaConfig.qvstore_impl`, whose implementations are
+    (e.g. :attr:`SystemConfig.replay_backend`, whose backends are
     pinned bit-identical by tests), so equivalent work keeps one cache
     entry regardless of how it is executed.
     """

@@ -49,6 +49,7 @@ from repro.api.experiment import (
     SystemSpec,
     WorkCell,
     _trace_name,
+    checkpointable,
 )
 from repro.api.fingerprint import canonical
 from repro.api.resultset import CellResult, ResultSet
@@ -419,17 +420,10 @@ class Session:
         ).result
 
     def _checkpointable(self, cell: WorkCell) -> bool:
-        """Whether this cell's execution should checkpoint/resume.
-
-        Single-core cells only (mixes have no resumable prefix), and
-        only with telemetry off — a resumed run cannot reconstruct the
-        skipped windows' telemetry rows.
-        """
-        return (
-            self.checkpoint_every > 0
-            and isinstance(cell, Cell)
-            and cell.telemetry_window == 0
-        )
+        """Whether this cell's execution should checkpoint/resume:
+        session checkpointing is on and the cell's shape allows it
+        (:func:`repro.api.experiment.checkpointable`)."""
+        return self.checkpoint_every > 0 and checkpointable(cell)
 
     def _run_cell(self, cell: WorkCell) -> SimulationResult:
         """Fetch-or-simulate one cell without executor overhead.

@@ -7,7 +7,7 @@ prefetcher tying them together (Algorithm 1).
 
 from repro.core.agent import SarsaAgent
 from repro.core.config import BASIC_ACTIONS, PythiaConfig
-from repro.core.eq import EqEntry, EvaluationQueue
+from repro.core.eq import EvaluationQueue
 from repro.core.features import (
     BASIC_FEATURES,
     ControlFlow,
@@ -20,7 +20,7 @@ from repro.core.features import (
 )
 from repro.core.pipeline import PIPELINE_STAGES, SearchTiming, prediction_latency, search_timing
 from repro.core.pythia import Pythia
-from repro.core.qvstore import NumpyQVStore, QVStore, Vault, make_qvstore
+from repro.core.qvstore import NumpyQVStore, QVStore, Vault
 from repro.core.rewards import (
     BASIC_REWARDS,
     BW_OBLIVIOUS_REWARDS,
@@ -32,7 +32,6 @@ __all__ = [
     "SarsaAgent",
     "BASIC_ACTIONS",
     "PythiaConfig",
-    "EqEntry",
     "EvaluationQueue",
     "BASIC_FEATURES",
     "ControlFlow",
@@ -50,7 +49,6 @@ __all__ = [
     "NumpyQVStore",
     "QVStore",
     "Vault",
-    "make_qvstore",
     "BASIC_REWARDS",
     "BW_OBLIVIOUS_REWARDS",
     "STRICT_REWARDS",

@@ -3,7 +3,8 @@
 This class is the RL half of Pythia, separated from the prefetcher
 plumbing so it can be unit-tested (and reused) without a simulator:
 given observations and reward events it maintains the Q-values and
-selects actions ε-greedily.
+selects actions ε-greedily.  :meth:`repro.core.pythia.Pythia.train_cols`
+drives it once per trained record.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import random
 
 from repro.core.config import PythiaConfig
-from repro.core.eq import EqEntry, EvaluationQueue
-from repro.core.qvstore import StateValues, make_qvstore
+from repro.core.eq import HAS_REWARD, EvaluationQueue
+from repro.core.qvstore import NumpyQVStore, StateValues
 
 
 class SarsaAgent:
@@ -20,7 +21,7 @@ class SarsaAgent:
 
     def __init__(self, config: PythiaConfig) -> None:
         self.config = config
-        self.qvstore = make_qvstore(config)
+        self.qvstore = NumpyQVStore(config)
         self.eq = EvaluationQueue(config.eq_size, len(config.features))
         self._rng = random.Random(config.seed)
         self._rng_random = self._rng.random  # bound-method hoist (hot path)
@@ -36,37 +37,45 @@ class SarsaAgent:
         action, _ = self.qvstore.best_action(state)
         return action
 
-    def record(self, entry: EqEntry, bandwidth_high: bool = False) -> EqEntry | None:
-        """Insert a taken action into the EQ; learn from the eviction.
+    def record(
+        self,
+        state: StateValues,
+        action: int,
+        line: int,
+        reward: float,
+        flags: int,
+        bandwidth_high: bool,
+    ) -> bool:
+        """Push a taken action into the EQ; learn from the eviction.
 
-        If the EQ evicts an entry that never earned a reward, the
-        prefetch was inaccurate: assign R_IN for the *current* bandwidth
-        condition, then run the SARSA update against the EQ head
-        (Algorithm 1, lines 23-29).  Returns the evicted entry with the
-        reward it was updated with, or ``None``.
+        The entry is given on raw fields (:meth:`EvaluationQueue.push`).
+        When the EQ is full its oldest entry is evicted first; one that
+        never earned a reward was an inaccurate prefetch and gets R_IN
+        for the *current* bandwidth condition.  The evicted entry's
+        (state, action, reward) then takes one SARSA step against the
+        EQ head after the push (Algorithm 1, lines 23-29).  Returns
+        whether R_IN was assigned.
         """
-        evicted = self.eq.insert(entry)
-        if evicted is None:
-            return None
-        if evicted.reward is None:
-            evicted.reward = self.config.rewards.inaccurate(bandwidth_high)
-        head = self.eq.head
-        if head is None:  # capacity 1: degenerate, bootstrap on itself
-            next_state, next_action = evicted.state, evicted.action
+        eq = self.eq
+        if eq.count < eq.capacity:
+            eq.push(state, action, line, reward, flags)
+            return False
+        evicted = eq.evict()
+        evicted_state = eq.state_at(evicted)
+        evicted_action = eq.action[evicted]
+        inaccurate = not eq.flags[evicted] & HAS_REWARD
+        if inaccurate:
+            evicted_reward = self.config.rewards.inaccurate(bandwidth_high)
         else:
-            next_state, next_action = head.state, head.action
+            evicted_reward = eq.reward[evicted]
+        eq.push(state, action, line, reward, flags)
+        head = eq.head_slot
         self.qvstore.sarsa_update(
-            evicted.state,
-            evicted.action,
-            evicted.reward,
-            next_state,
-            next_action,
+            evicted_state,
+            evicted_action,
+            evicted_reward,
+            eq.state_at(head),
+            eq.action[head],
         )
         self.updates += 1
-        return evicted
-
-    def next_eviction(self) -> EqEntry | None:
-        """The entry that will be evicted by the next insert, if full."""
-        if len(self.eq) < self.config.eq_size:
-            return None
-        return self.eq.head
+        return inaccurate

@@ -54,11 +54,6 @@ class PythiaConfig:
     plane_shifts: tuple[int, ...] = DEFAULT_PLANE_SHIFTS
     #: RNG seed for ε-greedy exploration (hardware LFSR stand-in).
     seed: int = 1
-    #: Q-store implementation: ``auto`` (= ``numpy``) | ``numpy`` |
-    #: ``python``.  Both implementations are pinned bit-identical by
-    #: tests, so this knob is non-semantic (``metadata``) and excluded
-    #: from result fingerprints.
-    qvstore_impl: str = field(default="auto", metadata={"semantic": False})
 
     @property
     def num_actions(self) -> int:

@@ -18,43 +18,12 @@ at the EQ *head* form the SARSA update pair.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 from repro.core.qvstore import StateValues
 
 #: ``EvaluationQueue.flags`` bits.
 HAS_REWARD = 1
 FILLED = 2
-
-
-@dataclass(slots=True)
-class EqEntry:
-    """One recently-taken action awaiting its Q-value update.
-
-    The value type at the queue's public edges (:meth:`EvaluationQueue.
-    insert`, :attr:`~EvaluationQueue.head`, :meth:`~EvaluationQueue.
-    search`): the queue stores fields, not entries, so an entry it
-    returns is a copy.
-
-    Attributes:
-        state: feature values observed when the action was taken.
-        action: action index into the config's action list.
-        prefetch_line: the generated prefetch address (None for
-            no-prefetch / out-of-page actions).
-        reward: assigned reward, or None while still pending.
-        filled: True once the prefetch fill completed.
-    """
-
-    state: StateValues
-    action: int
-    prefetch_line: int | None = None
-    reward: float | None = None
-    filled: bool = False
-
-    @property
-    def has_reward(self) -> bool:
-        """Whether a reward level has been assigned yet."""
-        return self.reward is not None
 
 
 class EvaluationQueue:
@@ -73,9 +42,9 @@ class EvaluationQueue:
 
     with the oldest entry at slot ``head_slot`` and ``count`` entries
     resident.  :meth:`by_line` maps each prefetch line to the slot of its
-    most recent resident entry.  The hot path (:meth:`repro.core.pythia.
-    Pythia.train_cols`) works on slots through :meth:`evict` and
-    :meth:`push`.
+    most recent resident entry.  Entries are read and written by slot:
+    :meth:`repro.core.agent.SarsaAgent.record` inserts through
+    :meth:`evict` and :meth:`push`.
     """
 
     def __init__(self, capacity: int, num_features: int = 2) -> None:
@@ -100,23 +69,6 @@ class EvaluationQueue:
         base = slot * self.num_features
         return tuple(self.state[base : base + self.num_features])
 
-    def entry_at(self, slot: int) -> EqEntry:
-        """A copy of *slot*'s entry."""
-        line = self.line[slot]
-        flags = self.flags[slot]
-        return EqEntry(
-            self.state_at(slot),
-            self.action[slot],
-            prefetch_line=line if line >= 0 else None,
-            reward=self.reward[slot] if flags & HAS_REWARD else None,
-            filled=bool(flags & FILLED),
-        )
-
-    @property
-    def head(self) -> EqEntry | None:
-        """Oldest resident entry (the SARSA (S2, A2) source)."""
-        return self.entry_at(self.head_slot) if self.count else None
-
     def by_line(self) -> dict[int, int]:
         """``line -> slot`` of the most recent resident entry per prefetch
         line.  After :meth:`drop_index` it is rebuilt from the ring on
@@ -140,11 +92,6 @@ class EvaluationQueue:
         state = self.__dict__.copy()
         state["_by_line"] = None
         return state
-
-    def search(self, line: int) -> EqEntry | None:
-        """Find the most recent resident entry prefetching *line*."""
-        slot = self.by_line().get(line)
-        return None if slot is None else self.entry_at(slot)
 
     def mark_filled(self, line: int) -> bool:
         """Set the filled bit for *line*'s entry (Algorithm 1 line 32)."""
@@ -188,35 +135,6 @@ class EvaluationQueue:
         self.count += 1
         if line >= 0:
             self.by_line()[line] = slot
-
-    def insert(self, entry: EqEntry) -> EqEntry | None:
-        """Append *entry*; returns (a copy of) the evicted entry if the EQ
-        was full."""
-        if len(entry.state) != self.num_features:
-            raise ValueError(
-                f"state has {len(entry.state)} features; the EQ holds {self.num_features}"
-            )
-        evicted = self.entry_at(self.evict()) if self.count >= self.capacity else None
-        line = entry.prefetch_line
-        reward = entry.reward
-        self.push(
-            entry.state,
-            entry.action,
-            -1 if line is None else line,
-            0.0 if reward is None else reward,
-            (HAS_REWARD if reward is not None else 0) | (FILLED if entry.filled else 0),
-        )
-        return evicted
-
-    def clear(self) -> None:
-        """Drop all entries (Algorithm 1 line 3)."""
-        self.head_slot = 0
-        self.count = 0
-        self._by_line = {}
-
-    def __iter__(self):
-        """Copies of the resident entries, oldest first."""
-        return map(self.entry_at, self._ring())
 
     def _ring(self) -> list[int]:
         """The resident slots, oldest first."""

@@ -327,24 +327,16 @@ class FeatureExtractor:
             last_pcs[2] = pc
         return base, n, delta
 
-    def observe_basic(self, ctx: DemandContext) -> tuple[int, int]:
+    def observe_basic_cols(self, pc: int, page: int, offset: int) -> tuple[int, int]:
         """Fused observe+encode for the paper's basic state-vector.
 
         Returns ``(encode(PC_DELTA), encode(LAST4_DELTAS))`` directly,
         skipping the intermediate :class:`Observation` and the encoder
         dispatch.  All extractor state (page histories *and* the PC
         path) advances exactly as :meth:`observe` would, so interleaving
-        the two paths is safe; equivalence is pinned by tests.
-        """
-        return self.observe_basic_cols(ctx.pc, ctx.page, ctx.offset)
-
-    def observe_basic_cols(self, pc: int, page: int, offset: int) -> tuple[int, int]:
-        """:meth:`observe_basic` on decoded scalars (the columnar path).
-
-        The batched replay kernel decodes page/offset vectorized per
-        epoch (:class:`repro.sim.trace.TraceColumns`), so this variant
-        takes them as arguments instead of re-deriving them from a
-        context object.  Same state advance, same encoding, same result.
+        the two paths is safe; equivalence is pinned by tests.  Takes
+        decoded scalars: the replay loops decode page/offset vectorized
+        per epoch (:class:`repro.sim.trace.TraceColumns`).
         """
         base, n, delta = self._touch(page, offset, pc)
         # encode_feature(PC_DELTA): _mix(pc, delta & 0x7F), unrolled.

@@ -96,11 +96,9 @@ class Pythia(Prefetcher):
         The batched replay kernel calls this directly with each record's
         column values; the scalar path's :meth:`train` unpacks its
         :class:`DemandContext` into the same arguments, so both backends
-        run byte-for-byte the same algorithm.  The ε-greedy selection and
-        the eviction-time SARSA step are inlined from
-        :meth:`SarsaAgent.select_action` / :meth:`SarsaAgent.record`
-        (keep in sync) — together they run once per trained record, and
-        the call overhead alone was a measurable slice of the profile.
+        run byte-for-byte the same algorithm.  Action selection and the
+        eviction-time R_IN + SARSA step are the agent's
+        (:meth:`SarsaAgent.select_action`, :meth:`SarsaAgent.record`).
         """
         config = self.config
         rewards = config.rewards
@@ -137,12 +135,8 @@ class Pythia(Prefetcher):
                 )
             )
 
-        # (3) Select an action (SarsaAgent.select_action, inlined).
-        if agent._rng_random() <= agent._epsilon:
-            agent.explorations += 1
-            action = agent._rng.randrange(config.num_actions)
-        else:
-            action = agent.qvstore.best_action(state)[0]
+        # (3) Select an action.
+        action = agent.select_action(state)
         self.action_counts[action] += 1
         offset_delta = config.actions[action]
 
@@ -163,28 +157,11 @@ class Pythia(Prefetcher):
             new_flags = 0
             prefetches.append(prefetch_line)
 
-        # (5) Insert; eviction assigns R_IN + the SARSA update against
-        # the head after the insert (SarsaAgent.record, inlined).
-        if eq.count < eq.capacity:
-            eq.push(state, action, prefetch_line, reward, new_flags)
-            return prefetches
-        evicted = eq.evict()
-        evicted_state = eq.state_at(evicted)
-        evicted_action = eq.action[evicted]
-        if flags[evicted] & HAS_REWARD:
-            evicted_reward = eq.reward[evicted]
-        else:
-            evicted_reward = rewards.inaccurate(bandwidth_high)
-        eq.push(state, action, prefetch_line, reward, new_flags)
-        head = eq.head_slot
-        agent.qvstore.sarsa_update(
-            evicted_state,
-            evicted_action,
-            evicted_reward,
-            eq.state_at(head),
-            eq.action[head],
-        )
-        agent.updates += 1
+        # (5) Insert; the eviction assigns R_IN if needed and learns.
+        if agent.record(
+            state, action, prefetch_line, reward, new_flags, bandwidth_high
+        ):
+            rewards_assigned["inaccurate"] += 1
         return prefetches
 
     def _encode_state(self, obs: Observation) -> StateValues:

@@ -21,14 +21,11 @@ Two interchangeable implementations live here:
   layout for the whole store, scalar hot-path reads/updates, and a
   per-state Q-row cache invalidated by per-row version counters (one
   row reduction serves every action-select between learning updates).
-  This is the simulator's hot path: the two implementations produce
-  bit-identical Q-values by construction (same summation order, same
-  update arithmetic), and checkpoints serialize through the same NumPy
-  ``(features, planes, entries, actions)`` table as before.
-
-:func:`make_qvstore` selects between them via
-``PythiaConfig.qvstore_impl`` (``"auto"`` means NumPy, a declared
-dependency).
+  This is the store :class:`repro.core.agent.SarsaAgent` builds: the
+  two implementations produce bit-identical Q-values by construction
+  (same summation order, same update arithmetic), and checkpoints
+  serialize through the same NumPy ``(features, planes, entries,
+  actions)`` table as before.
 """
 
 from __future__ import annotations
@@ -163,46 +160,6 @@ class QVStore:
         return sum(v.storage_entries for v in self.vaults)
 
 
-class _NumpyVault:
-    """Per-feature view over a :class:`NumpyQVStore`'s shared table.
-
-    Mirrors :class:`Vault`'s introspection/update API (tests and the
-    Fig 13 case study poke individual vaults) while writing through to
-    the store so version counters stay coherent.
-    """
-
-    def __init__(self, store: "NumpyQVStore", feature: int) -> None:
-        self._store = store
-        self._feature = feature
-
-    def indices(self, value: int) -> tuple[int, ...]:
-        """Plane row indices for a feature *value* (memoized in the store)."""
-        return self._store._plane_indices(value)
-
-    def q_row(self, value: int) -> list[float]:
-        """Q(φ, A) for all actions: the sum of partial rows (Fig 5b)."""
-        store = self._store
-        cells = store._cells
-        num_actions = store._num_actions
-        rows = store._vault_rows(self._feature, value)
-        base = rows[0] * num_actions
-        total = cells[base : base + num_actions].tolist()
-        for r in rows[1:]:
-            base = r * num_actions
-            for a in range(num_actions):
-                total[a] += cells[base + a]
-        return total
-
-    def update(self, value: int, action: int, step: float) -> None:
-        """Apply a TD step to every plane's partial Q for (value, action)."""
-        self._store._apply_step(self._store._vault_rows(self._feature, value), action, step)
-
-    @property
-    def storage_entries(self) -> int:
-        store = self._store
-        return store._num_planes * store._entries * store._num_actions
-
-
 class NumpyQVStore:
     """Array-layout tile-coded Q-store: the simulator's fast path.
 
@@ -263,7 +220,6 @@ class NumpyQVStore:
         #:           version key at reduce time (None = stale),
         #:           reduced Q-row, memoized argmax (-1 = unknown)]
         self._state_cache: dict[StateValues, list] = {}
-        self.vaults = [_NumpyVault(self, f) for f in range(self._num_features)]
 
     # -- indexing ----------------------------------------------------------
 
@@ -357,22 +313,6 @@ class NumpyQVStore:
             if best is None or q > best:
                 best = q
         return best
-
-    # -- mutation ----------------------------------------------------------
-
-    def _apply_step(self, rows: list[int], action: int, step: float) -> None:
-        """In-place TD step on *rows* (distinct by construction).
-
-        Scalar read-modify-writes on the flat cell list: exactly
-        features·planes ≈ 6 touched elements per SARSA step.
-        """
-        cells = self._cells
-        num_actions = self._num_actions
-        versions = self._versions
-        for r in rows:
-            e = r * num_actions + action
-            cells[e] = cells[e] + step
-            versions[r] += 1
 
     # -- queries -----------------------------------------------------------
 
@@ -481,18 +421,3 @@ class NumpyQVStore:
         self.__init__(state["config"])
         self._cells = array("d", _np.asarray(state["table"], _np.float64).tobytes())
 
-
-def make_qvstore(config: PythiaConfig):
-    """Instantiate the Q-store implementation the config selects.
-
-    ``qvstore_impl``: ``"auto"`` or ``"numpy"`` (the NumPy store), or
-    ``"python"`` (the pure-Python reference the tests pin it against).
-    Both produce bit-identical Q-values; the choice is purely a speed
-    knob, so it is excluded from result fingerprints.
-    """
-    impl = getattr(config, "qvstore_impl", "auto")
-    if impl == "python":
-        return QVStore(config)
-    if impl in ("auto", "numpy"):
-        return NumpyQVStore(config)
-    raise ValueError(f"unknown qvstore_impl {impl!r}; use auto|numpy|python")

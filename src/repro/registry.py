@@ -1,8 +1,8 @@
 """Unified string-addressable registries: prefetchers, workloads, systems.
 
 This module is the single name → object map for the whole system.  Every
-layer that previously kept its own registry (``repro.prefetchers.registry``
-for prefetchers, ``repro.workloads.generators``/``repro.workloads.cvp``
+layer that previously kept its own registry (a prefetcher table in
+``repro.prefetchers``, ``repro.workloads.generators``/``repro.workloads.cvp``
 for traces, ad-hoc helpers in ``repro.sim.config`` for systems) is
 addressable from here, so the declarative :class:`repro.api.Experiment`
 layer can be built entirely from strings:

@@ -4,9 +4,11 @@
  * MSHRs and prefetchers in front of a shared LLC and DRAM exactly like
  * repro.sim.batch.replay_span (one core) and MultiCoreEngine.run (the
  * lockstep loop) -- same operations, on the same state, in the same
- * order -- with every Python structure imported into flat arrays by
- * repro.sim._native.bridge before the call and exported back after it
- * (the caches' per-slot lists map one to one onto CacheArgs' arrays).
+ * order.  The caches and basic Pythia's agent (Q-table, EQ ring, page
+ * table, PC history) lend the kernel their own typed buffers, which it
+ * replays on in place; repro.sim._native.bridge copies the rest (MSHR,
+ * fill queues, DRAM, the core model, counters and RNG words) into flat
+ * arrays before the call and back after it.
  * Bit-identity with the Python loops is the hard invariant: every double
  * below is computed with the exact operand order of the matching Python
  * expression (IEEE-754 doubles == Python floats when op order matches;
@@ -37,6 +39,7 @@
  *   repro/sim/dram.py         -- _Channel.service, Dram.access/utilization
  *   repro/sim/core.py         -- advance / issue_load / _enforce_rob
  *   repro/core/pythia.py      -- train_cols (Algorithm 1)
+ *   repro/core/agent.py       -- SarsaAgent.select_action / record
  *   repro/core/features.py    -- observe_basic_cols
  *   repro/core/qvstore.py     -- q_one / best_action / sarsa_update
  *   repro/core/eq.py          -- EvaluationQueue
@@ -47,11 +50,11 @@
  * heaps; keys are unique, so pop order is content-determined either way.
  *
  * Entry points (both return 0 when done, 1 when a capacity ran out --
- * state is exported at a record boundary; the bridge grows the arrays
- * and re-enters -- and negative on an internal invariant violation or
- * a hook abort, with state NOT exported, so the bridge raises and the
- * simulator objects keep their pre-call state; a hooked prefetcher has
- * advanced by then):
+ * the copied state is exported at a record boundary; the bridge grows
+ * the arrays and re-enters -- and negative on an internal invariant
+ * violation or a hook abort, with the copied state NOT exported, so the
+ * bridge raises; the lent buffers hold the kernel's partial writes by
+ * then and a hooked prefetcher has advanced, so the engine is unusable):
  *   repro_replay_span(CoreArgs *, SharedArgs *)  records [start, stop)
  *       of one core;
  *   repro_replay_lockstep(LockstepArgs *)  MultiCoreEngine's lockstep
@@ -1052,8 +1055,8 @@ static void eq_mark_filled(Ctx *x, int64_t line) {
 
 /* FeatureExtractor.observe_basic_cols: page-history advance + the two
  * basic feature encodings.  Writes (pc_delta, last4_deltas_fold). */
-static int observe_basic(Ctx *x, int64_t pc, int64_t page, int64_t offset,
-                         int64_t *s_out) {
+static int observe_basic_cols(Ctx *x, int64_t pc, int64_t page,
+                              int64_t offset, int64_t *s_out) {
     CoreArgs *c = x->c;
     int64_t slot = map_get(&x->pages, page);
     if (slot < 0) {
@@ -1173,11 +1176,11 @@ static int64_t train_cols(Ctx *x, int64_t pc, int64_t line, int64_t page,
 
     /* (2) Extract the state-vector. */
     int64_t state[2];
-    if (observe_basic(x, pc, page, offset, state) != 0) {
+    if (observe_basic_cols(x, pc, page, offset, state) != 0) {
         return RC_NOMEM;
     }
 
-    /* (3) Select an action (SarsaAgent.select_action, inlined). */
+    /* (3) Select an action (SarsaAgent.select_action). */
     int64_t *bases = x->bases_scratch; /* current state's bases */
     state_bases(c, state, bases);
     int64_t action;
@@ -1207,7 +1210,8 @@ static int64_t train_cols(Ctx *x, int64_t pc, int64_t line, int64_t page,
         prefetch_line = (page << c->page_shift) | target_offset;
     }
 
-    /* (5) Insert; eviction assigns R_IN + the SARSA update. */
+    /* (5) Insert; eviction assigns R_IN + the SARSA update
+     * (SarsaAgent.record). */
     int have_evicted = 0;
     int64_t ev_action = 0;
     double ev_reward = 0.0;
@@ -1224,6 +1228,7 @@ static int64_t train_cols(Ctx *x, int64_t pc, int64_t line, int64_t page,
             ev_reward = c->eq_reward[slot_e];
         } else {
             ev_reward = bw_high ? c->rw[RW_IN_HI] : c->rw[RW_IN_LO];
+            c->rw_assigned[RA_IN]++;
         }
         if (ev_line >= 0 && map_get(&x->byline, ev_line) == slot_e) {
             map_del(&x->byline, ev_line);

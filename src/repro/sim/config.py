@@ -123,8 +123,8 @@ class SystemConfig:
     #: one, and every other value the native one when it can apply (see
     #: :class:`repro.sim.engine.MultiCoreEngine`).  All of them are
     #: bit-identical (pinned by ``tests/test_hotpath_equivalence.py``),
-    #: so the toggle is excluded from result fingerprints — like
-    #: ``PythiaConfig.qvstore_impl``, it is purely a speed knob.
+    #: so the toggle is excluded from result fingerprints: it is purely
+    #: a speed knob.
     replay_backend: str = field(default="native", metadata={"semantic": False})
 
     def __post_init__(self) -> None:

@@ -25,9 +25,9 @@ Bit-identity rules the design.  Three invariants matter:
    control-chunk boundaries only read counters, so chunked and
    unchunked replay are bit-identical.  They are not free: each
    boundary ends one replay span, and on the default native backend
-   every span pays one state round trip across the FFI — a few
-   milliseconds on the default hierarchy (1-record spans on a 2-vCPU
-   host: ~2.5 ms for ``none``, ~6 ms for Pythia; see
+   every span pays one state round trip across the FFI — under a
+   millisecond on the default hierarchy (1-record spans on a 2-vCPU
+   host: ~0.4 ms for ``none``, ~0.6 ms for Pythia; see
    :mod:`repro.sim._native.bridge`).  With telemetry, checkpointing,
    progress and cancellation all off, a single-core run is at most two
    spans: warmup and measured.
@@ -423,8 +423,8 @@ def _run_core(
 #: layout change that keeps results bit-identical keeps every stored
 #: result.  Layout 2: flat per-slot cache lists (layout 1 held per-way
 #: line and SHiP metadata objects).  Layout 3: Pythia's EQ and page
-#: table as per-slot typed buffers (layout 2 held ``EqEntry`` and
-#: per-page history objects).
+#: table as per-slot typed buffers (layout 2 held per-entry EQ objects
+#: and per-page history objects).
 STATE_LAYOUT = 3
 
 

@@ -15,8 +15,8 @@ default — per-window telemetry (:class:`repro.sim.engine.Timeline`),
 checkpoint/resume against a store namespace, and progress/cancellation
 hooks.  Their boundaries only read counters, so results are
 bit-identical with every option on or off; each boundary does cost one
-more replay span (a native span's state round trip is a few
-milliseconds, see :mod:`repro.sim.engine`).
+more replay span (a native span's state round trip is under a
+millisecond, see :mod:`repro.sim.engine`).
 """
 
 from __future__ import annotations

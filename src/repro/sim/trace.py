@@ -87,15 +87,20 @@ class TraceColumns:
         self.offset = line & (LINES_PER_PAGE - 1)
 
 
+#: Records per :func:`prefix_crc_bulk` call when stamping a whole trace,
+#: so no whole-trace byte blob is ever built.
+_STAMP_CHUNK = 16_384
+
+
 def prefix_crc_bulk(
     records: Sequence[TraceRecord], stop: int, crc: int = 0, start: int = 0
 ) -> int:
     """CRC32 over ``records[start:stop]`` from one joined byte blob.
 
-    Byte-compatible with :attr:`Trace.content_stamp` (CRC32 is a
+    The one byte encoding of trace records: :attr:`Trace.content_stamp`
+    and the engine's checkpoint prefix stamps both chain it (CRC32 is a
     streaming checksum: feeding the concatenation equals feeding the
-    chunks), but one ``zlib.crc32`` call per epoch instead of one per
-    record — the batched engine's checkpoint-stamp path.
+    chunks), one ``zlib.crc32`` call per chunk instead of one per record.
     """
     blob = b"".join(
         b"%x %x %d %d;" % (r.pc, r.line, r.is_load, r.gap)
@@ -173,11 +178,10 @@ class Trace:
         file) must never share cache entries.
         """
         if self._content_stamp is None:
+            records = self._records
             crc = 0
-            for r in self._records:
-                crc = zlib.crc32(
-                    b"%x %x %d %d;" % (r.pc, r.line, r.is_load, r.gap), crc
-                )
+            for start in range(0, len(records), _STAMP_CHUNK):
+                crc = prefix_crc_bulk(records, start + _STAMP_CHUNK, crc, start)
             self._content_stamp = crc
         return self._content_stamp
 

@@ -1,7 +1,6 @@
 """Fixture: layering inversions (analyzed as a repro.sim module)."""
 
 from repro.api import Session
-from repro.prefetchers.registry import create
 
 import repro.harness
 

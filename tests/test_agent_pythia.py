@@ -6,7 +6,8 @@ import pytest
 
 from repro.core import Pythia, PythiaConfig
 from repro.core.agent import SarsaAgent
-from repro.core.eq import EqEntry
+from repro.core.eq import HAS_REWARD
+from repro.core.qvstore import NumpyQVStore, QVStore
 from repro.core.rewards import STRICT_REWARDS
 from repro.prefetchers.base import DemandContext
 from repro.types import LINES_PER_PAGE, make_line
@@ -27,7 +28,7 @@ class TestSarsaAgent:
         cfg = small_config(epsilon=0.0)
         agent = SarsaAgent(cfg)
         state = (1, 2)
-        agent.qvstore.vaults[0].update(1, action=7, step=10.0)
+        agent.qvstore.sarsa_update(state, 7, 100.0, state, 7)
         assert agent.select_action(state) == 7
 
     def test_epsilon_one_explores(self):
@@ -37,32 +38,46 @@ class TestSarsaAgent:
         assert len(actions) > 4
         assert agent.explorations == 200
 
-    def test_eviction_assigns_inaccurate_reward(self):
+    @staticmethod
+    def _learned_like(cfg, *steps):
+        """A fresh store after the given SARSA steps."""
+        store = NumpyQVStore(cfg)
+        for step in steps:
+            store.sarsa_update(*step)
+        return store
+
+    def test_no_update_until_full(self):
+        agent = SarsaAgent(small_config(eq_size=2))
+        assert not agent.record((1, 2), 0, 50, 0.0, 0, False)
+        assert not agent.record((3, 4), 1, -1, 5.0, HAS_REWARD, False)
+        assert agent.updates == 0 and len(agent.eq) == 2
+
+    @pytest.mark.parametrize("bandwidth_high", [False, True])
+    def test_eviction_assigns_inaccurate_reward(self, bandwidth_high):
         cfg = small_config(eq_size=1, epsilon=0.0)
         agent = SarsaAgent(cfg)
-        unrewarded = EqEntry(state=(1, 2), action=0, prefetch_line=50)
-        agent.record(unrewarded, bandwidth_high=False)
-        evicted = agent.record(EqEntry(state=(1, 2), action=0), bandwidth_high=False)
-        assert evicted.prefetch_line == 50
-        assert evicted.reward == cfg.rewards.inaccurate_low_bw
-
-    def test_eviction_respects_bandwidth(self):
-        cfg = small_config(eq_size=1)
-        agent = SarsaAgent(cfg)
-        unrewarded = EqEntry(state=(1, 2), action=0, prefetch_line=50)
-        agent.record(unrewarded, bandwidth_high=True)
-        evicted = agent.record(EqEntry(state=(1, 2), action=0), bandwidth_high=True)
-        assert evicted.prefetch_line == 50
-        assert evicted.reward == cfg.rewards.inaccurate_high_bw
-
-    def test_eviction_triggers_update(self):
-        cfg = small_config(eq_size=1)
-        agent = SarsaAgent(cfg)
-        e = EqEntry(state=(1, 2), action=0)
-        e.reward = 5.0
-        agent.record(e)
-        agent.record(EqEntry(state=(1, 2), action=0))
+        state = (1, 2)
+        # An unrewarded prefetch of line 50, then any insert evicts it.
+        agent.record(state, 0, 50, 0.0, 0, bandwidth_high)
+        assert agent.record(state, 3, -1, -1.0, HAS_REWARD, bandwidth_high)
+        assert 50 not in agent.eq.by_line()
+        r_in = cfg.rewards.inaccurate(bandwidth_high)
+        expected = self._learned_like(cfg, (state, 0, r_in, state, 3))
+        assert agent.qvstore.q_values(state) == expected.q_values(state)
         assert agent.updates == 1
+
+    def test_eviction_learns_its_reward_against_the_head(self):
+        cfg = small_config(eq_size=2)
+        agent = SarsaAgent(cfg)
+        agent.record((1, 1), 0, -1, 5.0, HAS_REWARD, False)
+        agent.record((2, 2), 1, -1, 6.0, HAS_REWARD, False)
+        # A rewarded eviction keeps its reward (no R_IN) and bootstraps
+        # on the head after the push.
+        assert not agent.record((3, 3), 2, -1, 7.0, HAS_REWARD, False)
+        assert agent.updates == 1
+        expected = self._learned_like(cfg, ((1, 1), 0, 5.0, (2, 2), 1))
+        for state in ((1, 1), (2, 2), (3, 3)):
+            assert agent.qvstore.q_values(state) == expected.q_values(state)
 
 
 class TestPythia:
@@ -77,6 +92,7 @@ class TestPythia:
     def test_out_of_page_action_gets_coverage_loss(self):
         cfg = small_config(actions=(0, 32), epsilon=0.0, eq_size=4)
         pythia = Pythia(cfg)
+        pythia.agent.qvstore = QVStore(cfg)  # the store with vault pokes
         # Make +32 attractive, then demand at offset 40: 40+32 > 63.
         pythia.agent.qvstore.vaults[0].update(
             pythia._encode_state(pythia.extractor.observe(ctx(1, 10, 40)))[0],
@@ -96,6 +112,7 @@ class TestPythia:
     def test_demand_hit_assigns_accurate_late_without_fill(self):
         cfg = small_config(actions=(0, 1), epsilon=0.0, eq_size=16)
         pythia = Pythia(cfg)
+        pythia.agent.qvstore = QVStore(cfg)
         pythia.agent.qvstore.vaults[0].update(
             pythia._encode_state(pythia.extractor.observe(ctx(1, 10, 0)))[0],
             action=1,
@@ -110,6 +127,7 @@ class TestPythia:
     def test_fill_then_demand_assigns_accurate_timely(self):
         cfg = small_config(actions=(0, 1), epsilon=0.0, eq_size=16)
         pythia = Pythia(cfg)
+        pythia.agent.qvstore = QVStore(cfg)
         # Seed Q so that +1 is chosen for every state.
         for vault in pythia.agent.qvstore.vaults:
             for row_value in range(200):

@@ -30,6 +30,8 @@ import pytest
 
 from repro import registry
 from repro.api.store import ResultStore
+from repro.core.config import PythiaConfig
+from repro.core.qvstore import QVStore
 from repro.sim.cache import Cache
 from repro.sim.engine import (
     STATE_LAYOUT,
@@ -76,9 +78,11 @@ def result_dict(result):
 
 def make_prefetcher(spec: str):
     if spec == "pythia-python":
-        return registry.create("pythia", qvstore_impl="python")
+        prefetcher = registry.create("pythia")
+        prefetcher.agent.qvstore = QVStore(prefetcher.config)
+        return prefetcher
     if spec == "pythia-numpy":
-        return registry.create("pythia", qvstore_impl="numpy")
+        return registry.create("pythia")
     return registry.create(spec)
 
 
@@ -266,7 +270,7 @@ class TestEngineStateRoundTrip:
 
     def test_numpy_qvstore_views_survive_pickling(self):
         """The restored Q-store must keep table/flat/ravel aliased."""
-        prefetcher = registry.create("pythia", qvstore_impl="numpy")
+        prefetcher = registry.create("pythia")
         store = pickle.loads(pickle.dumps(prefetcher)).agent.qvstore
         state = (3, 7)
         before = list(store.q_values(state))
@@ -352,6 +356,45 @@ class TestStateLayout:
         ship = fresh.hierarchy.llc._policy
         assert type(ship.meta_b) is array and type(ship._shct) is array
         assert type(ship.meta_c) is bytearray
+        assert result_dict(fresh.run()) == result_dict(expected)
+
+
+    def test_snapshot_with_qvstore_impl_config_restores(self, monkeypatch):
+        """A layout-3 snapshot whose ``PythiaConfig`` still carries the
+        removed ``qvstore_impl`` field, pickled as a config holding that
+        field pickles (its ``__dict__``), restores and finishes the run
+        bit-identically: the stale key is inert."""
+        trace = registry.cached_trace(TRACE, LENGTH)
+        expected = simulate(
+            trace, prefetcher=registry.create("pythia"), warmup_records=600
+        )
+        stop_at = 1_500
+        engine = SimulationEngine(
+            trace,
+            prefetcher=registry.create("pythia"),
+            warmup_records=600,
+            checkpoint_every=stop_at,
+            checkpoints=MemorySink(),
+        )
+        engine.cancel = lambda: engine.position >= stop_at
+        with pytest.raises(SimulationCancelled):
+            engine.run()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                PythiaConfig,
+                "__getstate__",
+                lambda config: {**config.__dict__, "qvstore_impl": "auto"},
+                raising=False,
+            )
+            state = pickle.loads(pickle.dumps(engine.capture_state()))
+
+        fresh = SimulationEngine(
+            trace, prefetcher=registry.create("pythia"), warmup_records=600
+        )
+        fresh.adopt_state(state)
+        pythia = fresh.hierarchy.prefetcher
+        assert pythia.config.__dict__["qvstore_impl"] == "auto"
+        assert pythia.agent.qvstore.config.__dict__["qvstore_impl"] == "auto"
         assert result_dict(fresh.run()) == result_dict(expected)
 
 

@@ -3,11 +3,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.eq import EqEntry, EvaluationQueue
+from repro.core.eq import FILLED, HAS_REWARD, EvaluationQueue
 
 
-def entry(line=None, action=0):
-    return EqEntry(state=(1, 2), action=action, prefetch_line=line)
+def put(eq, line=-1, action=0, reward=0.0, flags=0, state=(1, 2)):
+    """Insert the way ``SarsaAgent.record`` does: evict the oldest entry
+    first when the queue is full.  Returns the evicted slot, or None."""
+    evicted = eq.evict() if eq.count == eq.capacity else None
+    eq.push(state, action, line, reward, flags)
+    return evicted
+
+
+def fifo(eq):
+    """Resident slots, oldest first, derived from the ring positions."""
+    return [(eq.head_slot + i) % eq.capacity for i in range(eq.count)]
 
 
 def test_capacity_positive():
@@ -17,86 +26,65 @@ def test_capacity_positive():
 
 def test_fifo_eviction_order():
     eq = EvaluationQueue(2)
-    first = entry(line=10)
-    first.reward = 1.0
-    second = entry(line=20)
-    second.reward = 1.0
-    assert eq.insert(first) is None
-    assert eq.insert(second) is None
-    third = entry(line=30)
-    evicted = eq.insert(third)
-    assert evicted == first
+    assert put(eq, line=10, action=1, reward=1.0, flags=HAS_REWARD) is None
+    assert put(eq, line=20, action=2, reward=1.0, flags=HAS_REWARD) is None
+    evicted = put(eq, line=30, action=3)
+    assert evicted == 0  # the first entry's slot, now reused by the third
     assert len(eq) == 2
-    assert eq.head == second
+    assert eq.line[eq.head_slot] == 20 and eq.action[eq.head_slot] == 2
+
+
+def test_evicted_slot_readable_until_push():
+    eq = EvaluationQueue(1)
+    put(eq, line=10, action=4, reward=-3.0, flags=HAS_REWARD, state=(5, 6))
+    slot = eq.evict()
+    assert len(eq) == 0
+    assert eq.state_at(slot) == (5, 6)
+    assert (eq.action[slot], eq.line[slot], eq.reward[slot]) == (4, 10, -3.0)
+    assert eq.flags[slot] == HAS_REWARD
 
 
 def test_search_finds_most_recent():
     eq = EvaluationQueue(4)
-    old = entry(line=10, action=1)
-    new = entry(line=10, action=2)
-    eq.insert(old)
-    eq.insert(new)
-    assert eq.search(10) == new
+    put(eq, line=10, action=1)
+    put(eq, line=10, action=2)
+    assert eq.action[eq.by_line()[10]] == 2
 
 
 def test_search_miss():
     eq = EvaluationQueue(4)
-    eq.insert(entry(line=10))
-    assert eq.search(99) is None
+    put(eq, line=10)
+    assert 99 not in eq.by_line()
 
 
 def test_no_prefetch_entries_not_searchable():
     eq = EvaluationQueue(4)
-    eq.insert(entry(line=None))
-    assert eq.search(0) is None
+    put(eq, line=-1)
+    assert eq.by_line() == {}
 
 
 def test_mark_filled():
     eq = EvaluationQueue(4)
-    e = entry(line=10)
-    eq.insert(e)
+    put(eq, line=10)
     assert eq.mark_filled(10)
-    assert eq.search(10).filled
+    assert eq.flags[eq.by_line()[10]] & FILLED
     assert not eq.mark_filled(99)
 
 
 def test_eviction_cleans_lookup_index():
     eq = EvaluationQueue(1)
-    first = entry(line=10)
-    first.reward = 0.0
-    eq.insert(first)
-    eq.insert(entry(line=20))
-    assert eq.search(10) is None
-    assert eq.search(20) is not None
+    put(eq, line=10, flags=HAS_REWARD)
+    put(eq, line=20)
+    assert 10 not in eq.by_line()
+    assert 20 in eq.by_line()
 
 
 def test_eviction_keeps_newer_duplicate_in_index():
     eq = EvaluationQueue(2)
-    old = entry(line=10)
-    old.reward = 0.0
-    eq.insert(old)
-    new = entry(line=10)
-    eq.insert(new)
-    eq.insert(entry(line=30))  # evicts old
-    assert eq.search(10) == new
-
-
-def test_clear():
-    eq = EvaluationQueue(4)
-    eq.insert(entry(line=10))
-    eq.clear()
-    assert len(eq) == 0
-    assert eq.head is None
-    assert eq.search(10) is None
-
-
-def test_has_reward():
-    e = entry()
-    assert not e.has_reward
-    e.reward = -8.0
-    assert e.has_reward
-    e.reward = 0.0
-    assert e.has_reward  # zero is a real reward
+    put(eq, line=10, action=1, flags=HAS_REWARD)
+    put(eq, line=10, action=2)
+    put(eq, line=30)  # evicts the older line-10 entry
+    assert eq.action[eq.by_line()[10]] == 2
 
 
 @settings(max_examples=50, deadline=None)
@@ -107,9 +95,7 @@ def test_has_reward():
 def test_size_never_exceeds_capacity(capacity, lines):
     eq = EvaluationQueue(capacity)
     for line in lines:
-        e = entry(line=line)
-        e.reward = 0.0
-        eq.insert(e)
+        put(eq, line=line, flags=HAS_REWARD)
         assert len(eq) <= capacity
 
 
@@ -119,30 +105,24 @@ def test_resident_entries_always_searchable(lines):
     eq = EvaluationQueue(64)
     inserted = {}
     for i, line in enumerate(lines):
-        e = entry(line=line, action=i)
-        eq.insert(e)
-        inserted[line] = e
-    for line, e in inserted.items():
-        assert eq.search(line) == e
+        put(eq, line=line, action=i)
+        inserted[line] = i
+    for line, action in inserted.items():
+        assert eq.action[eq.by_line()[line]] == action
 
 
-def test_iteration_yields_fifo_order_copies():
+def test_ring_holds_fifo_order():
     eq = EvaluationQueue(2)
     for line in (10, 20, 30):
-        e = entry(line=line, action=line)
-        e.reward = 1.0
-        eq.insert(e)
-    assert [e.prefetch_line for e in eq] == [20, 30]
-    next(iter(eq)).reward = 5.0
-    assert eq.head.reward == 1.0
+        put(eq, line=line, action=line, reward=1.0, flags=HAS_REWARD)
+    assert [eq.line[slot] for slot in fifo(eq)] == [20, 30]
 
 
-def test_state_width_must_match():
+def test_state_width_follows_num_features():
     eq = EvaluationQueue(4, num_features=3)
-    with pytest.raises(ValueError):
-        eq.insert(entry(line=10))
-    eq.insert(EqEntry(state=(1, 2, 3), action=0, prefetch_line=10))
-    assert eq.head.state == (1, 2, 3)
+    put(eq, line=10, state=(1, 2, 3))
+    put(eq, line=11, state=(4, 5, 6))
+    assert [eq.state_at(slot) for slot in fifo(eq)] == [(1, 2, 3), (4, 5, 6)]
 
 
 @settings(max_examples=50, deadline=None)
@@ -155,7 +135,7 @@ def test_index_rebuilt_from_the_ring_matches_the_live_one(capacity, lines):
     line index rebuilt from it equals the one inserts maintained."""
     eq = EvaluationQueue(capacity)
     for i, line in enumerate(lines):
-        eq.insert(entry(line=None if line < 0 else line, action=i))
+        put(eq, line=line, action=i)
     live = dict(eq.by_line())
     eq.drop_index()
     assert eq.by_line() == live

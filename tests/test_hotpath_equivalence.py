@@ -7,7 +7,7 @@ that, at three levels:
 
 1. Q-store: the NumPy and pure-Python implementations produce identical
    action selections and Q-updates on scripted and randomized episodes.
-2. Feature path: the fused ``observe_basic`` equals observe+encode for
+2. Feature path: the fused ``observe_basic_cols`` equals observe+encode for
    the paper's basic state-vector, including interleaved calls.
 3. End to end: full ``SimulationResult`` stats match across store
    implementations, and the quick-smoke matrix matches the
@@ -33,7 +33,9 @@ from pathlib import Path
 import pytest
 
 from repro import registry
+from repro.core.agent import SarsaAgent
 from repro.core.config import PythiaConfig
+from repro.core.eq import FILLED, HAS_REWARD
 from repro.sim.config import CacheGeometry, SystemConfig
 from repro.core.features import (
     BASIC_FEATURES,
@@ -42,7 +44,7 @@ from repro.core.features import (
     compile_encoder,
     encode_feature,
 )
-from repro.core.qvstore import NumpyQVStore, QVStore, make_qvstore
+from repro.core.qvstore import NumpyQVStore, QVStore
 from repro.prefetchers.base import DemandContext, Prefetcher
 from repro.sim.system import simulate, simulate_multi
 from repro.types import make_line
@@ -63,12 +65,8 @@ def assert_q_equal(py_store, np_store, state):
 
 
 class TestStoreEquivalence:
-    def test_make_qvstore_selects_implementation(self):
-        assert isinstance(make_qvstore(PythiaConfig(qvstore_impl="python")), QVStore)
-        assert isinstance(make_qvstore(PythiaConfig(qvstore_impl="numpy")), NumpyQVStore)
-        assert isinstance(make_qvstore(PythiaConfig()), (QVStore, NumpyQVStore))
-        with pytest.raises(ValueError):
-            make_qvstore(PythiaConfig(qvstore_impl="fortran"))
+    def test_agent_builds_the_flat_store(self):
+        assert type(SarsaAgent(PythiaConfig()).qvstore) is NumpyQVStore
 
     def test_initial_rows_identical(self):
         py_store, np_store = both_stores()
@@ -91,15 +89,6 @@ class TestStoreEquivalence:
             assert td_py == td_np
             for state in states:
                 assert_q_equal(py_store, np_store, state)
-
-    def test_vault_updates_identical(self):
-        """Direct vault pokes (the introspection API) stay in sync."""
-        py_store, np_store = both_stores()
-        for store in (py_store, np_store):
-            store.vaults[0].update(7, action=5, step=2.0)
-            store.vaults[1].update(9, action=5, step=-2.0)
-        assert_q_equal(py_store, np_store, (7, 9))
-        assert list(py_store.vaults[0].q_row(7)) == list(np_store.vaults[0].q_row(7))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_randomized_episode_identical(self, seed):
@@ -149,7 +138,7 @@ class TestFeaturePathEquivalence:
         fused = FeatureExtractor()
         generic = FeatureExtractor()
         for ctx in self._contexts():
-            state_fused = fused.observe_basic(ctx)
+            state_fused = fused.observe_basic_cols(ctx.pc, ctx.page, ctx.offset)
             obs = generic.observe(ctx)
             state_generic = tuple(
                 encode_feature(spec, obs) for spec in BASIC_FEATURES
@@ -164,7 +153,7 @@ class TestFeaturePathEquivalence:
             obs = generic.observe(ctx)
             expected = tuple(encode_feature(spec, obs) for spec in BASIC_FEATURES)
             if i % 2 == 0:
-                assert mixed.observe_basic(ctx) == expected
+                assert mixed.observe_basic_cols(ctx.pc, ctx.page, ctx.offset) == expected
             else:
                 obs_mixed = mixed.observe(ctx)
                 assert obs_mixed == obs
@@ -208,7 +197,9 @@ class TestSimulationEquivalence:
         trace = registry.cached_trace(trace_name, 2000)
         results = {}
         for impl in ("python", "numpy"):
-            pf = registry.create("pythia", qvstore_impl=impl)
+            pf = registry.create("pythia")
+            if impl == "python":
+                pf.agent.qvstore = QVStore(pf.config)
             results[impl] = dataclasses.asdict(
                 simulate(trace, prefetcher=pf, warmup_fraction=0.2)
             )
@@ -615,6 +606,26 @@ def _page_table(extractor) -> list:
     return rows
 
 
+def _eq_slots(eq) -> list[int]:
+    """Resident EQ slots, oldest first."""
+    return [(eq.head_slot + i) % eq.capacity for i in range(eq.count)]
+
+
+def _eq_entries(eq) -> list:
+    """Resident EQ entries in FIFO order: (state, action, line, reward or
+    None while unrewarded, filled bit)."""
+    return [
+        (
+            eq.state_at(slot),
+            eq.action[slot],
+            eq.line[slot],
+            eq.reward[slot] if eq.flags[slot] & HAS_REWARD else None,
+            bool(eq.flags[slot] & FILLED),
+        )
+        for slot in _eq_slots(eq)
+    ]
+
+
 def _core_state(hierarchy, core) -> dict:
     """One core's private state: L1/L2, MSHR, fill queues, counters, core
     model and (for Pythia) the agent, with float/int types visible."""
@@ -646,16 +657,14 @@ def _core_state(hierarchy, core) -> dict:
         extractor = prefetcher.extractor
         state["agent"] = (
             agent.qvstore._cells.tolist(),
-            [
-                (e.state, e.action, e.prefetch_line, e.reward, e.filled)
-                for e in agent.eq
-            ],
+            _eq_entries(agent.eq),
             _page_table(extractor),
             extractor.last_pcs[: extractor.lastpc_count].tolist(),
             agent._rng.getstate(),
             agent.updates,
             agent.explorations,
             prefetcher.action_counts,
+            prefetcher.rewards_assigned,
         )
     return state
 
@@ -1174,3 +1183,38 @@ class TestNativeHookEquivalence:
         log = native.hierarchy.prefetcher.log
         assert log == scalar.hierarchy.prefetcher.log
         assert {kind for kind, _ in log} == {"train", "fill", "hit", "dropped", "useless"}
+
+
+class TestRewardAccounting:
+    """Every selected action has its reward counted exactly once in
+    ``rewards_assigned``: at insert (no prefetch, out of page), while
+    resident (R_AT / R_AL) or when the EQ evicts it unrewarded (R_IN).
+    Only resident entries still awaiting a reward are uncounted, on the
+    scalar loop and in the C kernel alike."""
+
+    @pytest.mark.parametrize("backend", ["scalar", "native"])
+    def test_every_action_is_rewarded_once(self, backend):
+        from repro.sim import _native
+        from repro.sim._native import bridge
+        from repro.sim.engine import SimulationEngine
+
+        if backend == "native" and not _native.available():
+            pytest.skip("no C compiler: native replay backend unavailable")
+        engine = SimulationEngine(
+            registry.cached_trace("spec06/lbm-1", 2000),
+            config=dataclasses.replace(SystemConfig(), replay_backend=backend),
+            prefetcher=registry.create("pythia"),
+            warmup_fraction=0.2,
+        )
+        engine.run()
+        if backend == "native":
+            assert engine._use_native
+            assert bridge.training_mode(engine.hierarchy) == bridge.TRAIN_PYTHIA
+        pythia = engine.hierarchy.prefetcher
+        eq = pythia.agent.eq
+        assert pythia.agent.updates > 0  # the EQ has evicted
+        assert pythia.rewards_assigned["inaccurate"] > 0
+        pending = sum(not eq.flags[slot] & HAS_REWARD for slot in _eq_slots(eq))
+        assert sum(pythia.rewards_assigned.values()) == (
+            sum(pythia.action_counts) - pending
+        )

@@ -52,13 +52,6 @@ def test_register_prefetcher_extension():
         registry._EXTRA_PREFETCHERS.pop("custom-test")
 
 
-def test_legacy_registry_module_still_works():
-    from repro.prefetchers.registry import available, create
-
-    assert "pythia" in available()
-    assert create("none").name == "none"
-
-
 def test_make_trace_handles_cvp_namespace():
     trace = registry.make_trace("cvp/fp-stencil-1", length=500)
     assert trace.suite == "CVP-FP"

@@ -1,8 +1,10 @@
 """Tests for the trace format: records, slicing, serialization."""
 
+import zlib
+
 from hypothesis import given, strategies as st
 
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import Trace, TraceRecord, prefix_crc_bulk
 
 
 def _record_strategy():
@@ -28,6 +30,21 @@ def test_trace_basics():
     assert trace.suite == "S"
     assert trace.total_instructions == 5 * 4
     assert [r.pc for r in trace] == list(range(5))
+
+
+def test_content_stamp_is_the_bulk_prefix_crc():
+    """The whole-trace stamp chains the checkpoint-prefix encoding over
+    bounded chunks; the result is the per-record CRC of that encoding."""
+    records = [
+        TraceRecord(pc=0x400 + i % 7, line=(i * 37) % 5000, is_load=i % 3 != 0, gap=i % 11)
+        for i in range(40_000)  # spans three stamping chunks
+    ]
+    crc = 0
+    for r in records:
+        crc = zlib.crc32(b"%x %x %d %d;" % (r.pc, r.line, r.is_load, r.gap), crc)
+    stamp = Trace("t", records).content_stamp
+    assert stamp == prefix_crc_bulk(records, len(records)) == crc
+    assert Trace("empty", []).content_stamp == 0
 
 
 def test_trace_slice():
