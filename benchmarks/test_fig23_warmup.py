@@ -5,7 +5,7 @@ from repro.harness.rollup import format_table
 from repro.sim.config import baseline_single_core
 from repro.sim.metrics import geomean, speedup
 from repro.sim.system import simulate
-from repro.prefetchers import create
+from repro.registry import create
 
 TRACES = ["spec06/lbm-1", "spec06/gemsfdtd-1"]
 WARMUPS = [0.0, 0.1, 0.3]

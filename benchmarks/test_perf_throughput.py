@@ -19,7 +19,10 @@ own ``train`` runs in Python, everything around it in C.  Schema 4 adds
 ``lockstep_records_per_s``: a fixed homogeneous four-core
 ``spec06/lbm`` pythia mix (``MultiCoreEngine``, every core replaying
 ``MIX_RECORDS`` records) on the Python lockstep loop and on the native
-one.
+one.  Schema 5 adds ``trace_prep_records_per_s``: preparing the 100k
+cell's trace without any cache — ``registry.make_trace``, the content
+stamp and ``columns()``, the work a cold fingerprint and replay pay
+before any record is simulated.
 
 The ``SEED_RECORDS_PER_S`` constants are the pre-PR-2 seed throughput
 measured un-instrumented on an otherwise-idle machine (commit
@@ -120,6 +123,12 @@ LOCKSTEP_MIN_SPEEDUP = 3.0
 #: that has collapsed (e.g. an accidental O(n) re-scan) on any box.
 SANITY_FLOOR = 2_000
 
+#: Reference-runner floor for trace preparation (REPRO_PERF_STRICT=1),
+#: records/s: ~30% under the quiet number (~9.9M).  Building the trace
+#: record by record, as traces were built before they became columns,
+#: runs at ~360k records/s and fails it.
+TRACE_PREP_FLOOR = 7_000_000
+
 
 def _throughput(
     prefetcher: str, length: int, repeats: int = 2, backend: str = "batched"
@@ -146,6 +155,19 @@ def _measure(backend: str, repeats: int) -> dict[str, float]:
         "pythia", PYTHIA_200K_LENGTH, repeats=repeats, backend=backend
     )
     return rates
+
+
+def _trace_prep_throughput(repeats: int) -> float:
+    """Best-of-*repeats* records/s to prepare the cell's trace uncached:
+    generate it, stamp it and take its columns."""
+    best = 0.0
+    for _ in range(repeats):
+        start = time.perf_counter()
+        trace = registry.make_trace(TRACE, LENGTH)
+        trace.content_stamp
+        trace.columns()
+        best = max(best, LENGTH / (time.perf_counter() - start))
+    return best
 
 
 def _lockstep_throughput(backend: str, repeats: int) -> float:
@@ -181,6 +203,7 @@ def test_perf_throughput() -> None:
     """Measure the tracked cells; write BENCH_perf.json under perfbench."""
     from repro.sim import _native
 
+    trace_prep = _trace_prep_throughput(repeats=5)
     rates = _measure("batched", repeats=2)
     # Scalar rows ride along for the trajectory (and as the honest
     # denominator for the batched speedup); one repeat bounds bench time.
@@ -198,7 +221,7 @@ def test_perf_throughput() -> None:
 
     payload = {
         "bench": "perf_throughput",
-        "schema": 4,
+        "schema": 5,
         "cell": {
             "trace": TRACE,
             "length": LENGTH,
@@ -227,6 +250,8 @@ def test_perf_throughput() -> None:
             else None
         ),
         "pythia_200k_floor_records_per_s": PYTHIA_200K_FLOOR,
+        "trace_prep_records_per_s": round(trace_prep),
+        "trace_prep_floor_records_per_s": TRACE_PREP_FLOOR,
         "lockstep_cell": {
             "trace": MIX_TRACE,
             "cores": MIX_CORES,
@@ -253,6 +278,7 @@ def test_perf_throughput() -> None:
                 "scalar_records_per_s": payload["scalar_records_per_s"],
                 "native_records_per_s": payload["native_records_per_s"],
                 "lockstep_records_per_s": payload["lockstep_records_per_s"],
+                "trace_prep_records_per_s": payload["trace_prep_records_per_s"],
             },
             indent=2,
             sort_keys=True,
@@ -281,8 +307,15 @@ def test_perf_throughput() -> None:
         assert rate is None or rate > SANITY_FLOOR, (
             f"{loop} lockstep throughput collapsed: {rate:,.0f} records/s"
         )
+    assert trace_prep > SANITY_FLOOR, (
+        f"trace preparation collapsed: {trace_prep:,.0f} records/s"
+    )
 
     if os.environ.get("REPRO_PERF_STRICT"):
+        assert trace_prep > TRACE_PREP_FLOOR, (
+            f"trace preparation regressed: {trace_prep:,.0f} records/s "
+            f"(floor {TRACE_PREP_FLOOR:,})"
+        )
         for name, floor in REGRESSION_FLOORS.items():
             assert rates[name] > floor, (
                 f"{name} batched throughput regressed: {rates[name]:,.0f} "

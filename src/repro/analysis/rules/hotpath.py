@@ -51,7 +51,6 @@ from repro.analysis.rules import ProjectRule, register
 #: the measured replay path.
 HOT_FUNCTIONS: tuple[str, ...] = (
     "repro.sim.batch.replay_span",
-    "repro.sim.trace.TraceColumns.__init__",
     "repro.core.qvstore.QVStore.sarsa_update",
     "repro.core.qvstore.NumpyQVStore.sarsa_update",
     "repro.sim.dram.Dram.access",

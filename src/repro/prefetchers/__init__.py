@@ -20,24 +20,6 @@ from repro.prefetchers.streamer import StreamerPrefetcher
 from repro.prefetchers.stride import StridePrefetcher
 
 
-def available() -> list[str]:
-    """All registered prefetcher names (forwards to :mod:`repro.registry`)."""
-    from repro import registry
-
-    return registry.available_prefetchers()
-
-
-def create(name: str, **overrides) -> Prefetcher:
-    """Instantiate a fresh prefetcher by name (forwards to :mod:`repro.registry`).
-
-    The lazy function-scoped import keeps this package below the
-    registry in the layering DAG — the registry imports prefetcher
-    modules to register them, never the reverse at module level.
-    """
-    from repro import registry
-
-    return registry.create(name, **overrides)
-
 __all__ = [
     "DemandContext",
     "NoPrefetcher",
@@ -53,6 +35,4 @@ __all__ = [
     "SppPrefetcher",
     "StreamerPrefetcher",
     "StridePrefetcher",
-    "available",
-    "create",
 ]

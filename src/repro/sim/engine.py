@@ -63,7 +63,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.core import CoreModel
 from repro.sim.dram import Dram
 from repro.sim.hierarchy import CacheHierarchy
-from repro.sim.trace import Trace, TraceRecord, prefix_crc_bulk
+from repro.sim.trace import Trace, TraceRecord, prefix_crc
 from repro.types import prefetch_accuracy
 
 #: Epoch size used only to service progress/cancellation callbacks when
@@ -424,8 +424,10 @@ def _run_core(
 #: result.  Layout 2: flat per-slot cache lists (layout 1 held per-way
 #: line and SHiP metadata objects).  Layout 3: Pythia's EQ and page
 #: table as per-slot typed buffers (layout 2 held per-entry EQ objects
-#: and per-page history objects).
-STATE_LAYOUT = 3
+#: and per-page history objects).  Layout 4: prefix stamps CRC the
+#: columns' packed bytes (:func:`repro.sim.trace.prefix_crc`; layout 3
+#: stamped a text encoding of the records).
+STATE_LAYOUT = 4
 
 
 @dataclass(slots=True)
@@ -567,8 +569,6 @@ class SimulationEngine:
         self.cancel = cancel
 
         self._pick_backend()
-        self._cols = None
-        self._stamp = None
 
         self.position = 0
         self.resumed_from = 0
@@ -680,7 +680,7 @@ class SimulationEngine:
         return ((split,),)
 
     def _prefix_stamp(self, stop: int) -> int:
-        return prefix_crc_bulk(self.trace.records, stop)
+        return prefix_crc(self.trace.columns(), stop)
 
     def _try_resume(self) -> None:
         """Adopt the longest compatible stored checkpoint, if any.
@@ -788,7 +788,7 @@ class SimulationEngine:
         bit-identical, and boundaries never touch simulation state, so
         chunked and unchunked replay agree by construction either way.
         """
-        records = self.trace.records
+        cols = self.trace.columns()
         window = self.telemetry_window
         every = self.checkpoint_every
         checkpointing = self.checkpoints is not None
@@ -796,9 +796,6 @@ class SimulationEngine:
         hierarchy, core = self.hierarchy, self.core
         batched = self._use_batched
         native = self._use_native
-        if (batched or native) and self._cols is None:
-            self._cols = self.trace.columns()
-            self._stamp = self.trace.content_stamp
         while self.position < target:
             if self.cancel is not None and self.cancel():
                 raise SimulationCancelled(self.position)
@@ -812,22 +809,22 @@ class SimulationEngine:
                 boundary = min(boundary, start + _CONTROL_CHUNK)
 
             if native:
-                _native.replay_span(hierarchy, core, self._cols, start, boundary)
+                _native.replay_span(hierarchy, core, cols, start, boundary)
             elif batched:
                 batch.replay_span(
-                    hierarchy, core, self._cols, start, boundary,
-                    stamp=self._stamp,
+                    hierarchy, core, cols, start, boundary,
+                    stamp=self.trace.content_stamp,
                 )
             else:
                 advance = core.advance
                 demand_access = hierarchy.demand_access
                 issue_load = core.issue_load
-                for record in islice(records, start, boundary):
+                for record in islice(self.trace.records, start, boundary):
                     advance(record.gap)
                     issue_load(demand_access(record, int(core.cycle)))
 
             if checkpointing:
-                self._crc = prefix_crc_bulk(records, boundary, self._crc, start)
+                self._crc = prefix_crc(cols, boundary, self._crc, start)
             self.position = boundary
             if window and (
                 boundary % window == 0

@@ -1,15 +1,17 @@
 """Memory-access trace format.
 
-A :class:`Trace` is an ordered sequence of :class:`TraceRecord` objects,
-each describing one memory instruction: its PC, the cacheline it touches,
-whether it is a load or a store, and how many non-memory instructions
-precede it since the previous record (the *gap*).  The gap is what lets the
-core model recover instruction counts — and therefore IPC — from a
+A :class:`Trace` is its columns (:class:`TraceColumns`): one entry per
+memory instruction, holding its PC, the cacheline it touches, whether it
+is a load or a store, and how many non-memory instructions precede it
+since the previous record (the *gap*).  The gap is what lets the core
+model recover instruction counts — and therefore IPC — from a
 memory-only trace, exactly as ChampSim traces carry full instruction
 streams but only memory operations affect the caches.
 
-Traces can be streamed from generators (the normal path for the synthetic
-workloads) or saved to and loaded from a compact text format for
+The workload generators and the file loaders fill the columns in bulk;
+:class:`TraceRecord` objects are built only on demand, for the scalar
+reference loop and for readers that want one record at a time.  Traces
+can also be saved to and loaded from a compact text format for
 repeatable experiments.
 """
 
@@ -29,8 +31,8 @@ from repro.types import LINES_PER_PAGE, PAGE_SHIFT_LINES, line_of
 class TraceRecord:
     """One memory instruction in a trace.
 
-    Slotted: a trace holds one instance per memory instruction and the
-    simulation loop reads their fields once per replayed record.
+    Slotted: the scalar reference loop reads the fields of one instance
+    per replayed record.
 
     Attributes:
         pc: program counter of the memory instruction.
@@ -51,62 +53,75 @@ class TraceRecord:
 
 
 class TraceColumns:
-    """NumPy struct-of-arrays decode of a trace's records.
+    """A trace as struct-of-arrays: the form every trace is built in.
 
-    The batched replay backend (:mod:`repro.sim.batch`) iterates column
-    slices instead of :class:`TraceRecord` objects: the record fields are
-    decoded **once** into preallocated ``int64`` arrays, the derived
-    address math (page number, in-page offset) is vectorized here, and
-    per-epoch the kernel materializes just its slice as Python lists
-    (``ndarray.tolist`` on a contiguous slice).  Columns are pure
-    functions of the record sequence, so sharing one instance across
-    runs (via :meth:`Trace.columns`) cannot leak state between them.
+    ``pc``, ``line`` and ``gap`` are contiguous ``int64`` arrays and
+    ``is_load`` a ``bool`` array, one entry per record; ``page`` and
+    ``offset`` are derived from ``line`` in bulk.  The native kernel
+    reads the arrays in place and the batched backend slices them per
+    epoch.  They are read-only, so one instance can be shared by every
+    run of the trace without leaking state between them.
     """
 
     __slots__ = ("length", "pc", "line", "is_load", "gap", "page", "offset")
 
-    def __init__(self, records: Sequence[TraceRecord]) -> None:
-        n = len(records)
-        self.length = n
-        pc = _np.empty(n, dtype=_np.int64)
-        line = _np.empty(n, dtype=_np.int64)
-        is_load = _np.empty(n, dtype=_np.bool_)
-        gap = _np.empty(n, dtype=_np.int64)
-        for i, r in enumerate(records):
-            pc[i] = r.pc
-            line[i] = r.line
-            is_load[i] = r.is_load
-            gap[i] = r.gap
-        self.pc = pc
-        self.line = line
-        self.is_load = is_load
-        self.gap = gap
-        # Vectorized address math: one shift/mask sweep replaces two
-        # Python-level ops per record per training event.
-        self.page = line >> PAGE_SHIFT_LINES
-        self.offset = line & (LINES_PER_PAGE - 1)
+    def __init__(self, pc, line, is_load, gap) -> None:
+        self.pc = _frozen(pc, _np.int64)
+        self.line = _frozen(line, _np.int64)
+        self.is_load = _frozen(is_load, _np.bool_)
+        self.gap = _frozen(gap, _np.int64)
+        self.length = len(self.pc)
+        if not len(self.line) == len(self.is_load) == len(self.gap) == self.length:
+            raise ValueError("trace columns differ in length")
+        self.page = _frozen(self.line >> PAGE_SHIFT_LINES, _np.int64)
+        self.offset = _frozen(self.line & (LINES_PER_PAGE - 1), _np.int64)
+
+    @classmethod
+    def from_records(cls, records: Iterable[TraceRecord]) -> "TraceColumns":
+        """Columns of a record sequence (for traces built record by record)."""
+        records = list(records)
+        return cls(
+            [r.pc for r in records],
+            [r.line for r in records],
+            [r.is_load for r in records],
+            [r.gap for r in records],
+        )
 
 
-#: Records per :func:`prefix_crc_bulk` call when stamping a whole trace,
-#: so no whole-trace byte blob is ever built.
+def _frozen(values, dtype) -> _np.ndarray:
+    array = _np.ascontiguousarray(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+#: The byte encoding of one record that trace stamps CRC: packed,
+#: little-endian, record-major.
+RECORD_BYTES = _np.dtype(
+    [("pc", "<i8"), ("line", "<i8"), ("is_load", "u1"), ("gap", "<i8")]
+)
+
+#: Records encoded per ``zlib.crc32`` call, so no whole-trace byte blob
+#: is ever built.
 _STAMP_CHUNK = 16_384
 
 
-def prefix_crc_bulk(
-    records: Sequence[TraceRecord], stop: int, crc: int = 0, start: int = 0
-) -> int:
-    """CRC32 over ``records[start:stop]`` from one joined byte blob.
+def prefix_crc(cols: TraceColumns, stop: int, crc: int = 0, start: int = 0) -> int:
+    """CRC32 of records ``[start, stop)`` in :data:`RECORD_BYTES`, chained on *crc*.
 
-    The one byte encoding of trace records: :attr:`Trace.content_stamp`
-    and the engine's checkpoint prefix stamps both chain it (CRC32 is a
-    streaming checksum: feeding the concatenation equals feeding the
-    chunks), one ``zlib.crc32`` call per chunk instead of one per record.
+    The one stamp of trace content: :attr:`Trace.content_stamp` is the
+    full-length prefix, and the engine chains checkpoint prefix stamps
+    span by span (CRC32 is a streaming checksum: feeding the
+    concatenation equals feeding the chunks).
     """
-    blob = b"".join(
-        b"%x %x %d %d;" % (r.pc, r.line, r.is_load, r.gap)
-        for r in records[start:stop]
-    )
-    return zlib.crc32(blob, crc)
+    for lo in range(start, stop, _STAMP_CHUNK):
+        hi = min(lo + _STAMP_CHUNK, stop)
+        block = _np.empty(hi - lo, dtype=RECORD_BYTES)
+        block["pc"] = cols.pc[lo:hi]
+        block["line"] = cols.line[lo:hi]
+        block["is_load"] = cols.is_load[lo:hi]
+        block["gap"] = cols.gap[lo:hi]
+        crc = zlib.crc32(block, crc)
+    return crc
 
 
 class Trace:
@@ -114,60 +129,71 @@ class Trace:
 
     Args:
         name: human-readable identifier (e.g. ``"spec06/gemsfdtd-765B"``).
-        records: the access sequence.
+        records: the access sequence, as :class:`TraceColumns` (how
+            generators and loaders build traces) or as records.
         suite: the workload-suite label used by rollups.
         content_stamp: precomputed CRC32 stamp; externally-ingested
             traces (:mod:`repro.workloads.ingest`) pass the CRC of the
             source file so store fingerprints track the file's bytes.
-            When omitted, the stamp is derived lazily from the records.
+            When omitted, the stamp is :func:`prefix_crc` of the whole
+            trace, computed on first use.
     """
 
     def __init__(
         self,
         name: str,
-        records: Sequence[TraceRecord] | Iterable[TraceRecord],
+        records: TraceColumns | Sequence[TraceRecord] | Iterable[TraceRecord],
         suite: str = "unknown",
         content_stamp: int | None = None,
     ) -> None:
         self.name = name
         self.suite = suite
-        self._records: list[TraceRecord] = list(records)
+        if not isinstance(records, TraceColumns):
+            records = TraceColumns.from_records(records)
+        self._columns = records
+        self._records: list[TraceRecord] | None = None
         self._content_stamp: int | None = content_stamp
-        self._columns: TraceColumns | None = None
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._columns.length
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return iter(self.records)
 
     def __getitem__(self, index: int) -> TraceRecord:
-        return self._records[index]
+        return self.records[index]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Trace({self.name!r}, {len(self)} records, suite={self.suite!r})"
 
     @property
     def records(self) -> list[TraceRecord]:
-        """The underlying record list (not a copy; treat as read-only)."""
+        """The records as objects, built from the columns on first use.
+
+        Only the scalar reference loop and outside readers need them;
+        treat the list as read-only.
+        """
+        if self._records is None:
+            cols = self._columns
+            self._records = list(
+                map(
+                    TraceRecord,
+                    cols.pc.tolist(),
+                    cols.line.tolist(),
+                    cols.is_load.tolist(),
+                    cols.gap.tolist(),
+                )
+            )
         return self._records
 
     def columns(self) -> TraceColumns:
-        """The columnar (struct-of-arrays) decode of this trace (memoized).
-
-        Records are treated as read-only after construction, so the
-        decode is computed at most once per trace instance and shared by
-        every engine replaying it (``registry.cached_trace`` keeps traces
-        alive across runs, making repeat replays decode-free).
-        """
-        if self._columns is None:
-            self._columns = TraceColumns(self._records)
+        """The trace's columns, shared by every engine replaying it."""
         return self._columns
 
     @property
     def total_instructions(self) -> int:
         """Total instructions represented, memory and non-memory."""
-        return sum(r.instruction_count for r in self._records)
+        return int(self._columns.gap.sum()) + len(self)
 
     @property
     def content_stamp(self) -> int:
@@ -178,16 +204,17 @@ class Trace:
         file) must never share cache entries.
         """
         if self._content_stamp is None:
-            records = self._records
-            crc = 0
-            for start in range(0, len(records), _STAMP_CHUNK):
-                crc = prefix_crc_bulk(records, start + _STAMP_CHUNK, crc, start)
-            self._content_stamp = crc
+            self._content_stamp = prefix_crc(self._columns, len(self))
         return self._content_stamp
 
     def slice(self, start: int, stop: int) -> "Trace":
         """Return a sub-trace of records ``[start:stop)``."""
-        return Trace(f"{self.name}[{start}:{stop}]", self._records[start:stop], self.suite)
+        c = self._columns
+        return Trace(
+            f"{self.name}[{start}:{stop}]",
+            TraceColumns(*(col[start:stop] for col in (c.pc, c.line, c.is_load, c.gap))),
+            self.suite,
+        )
 
     @classmethod
     def from_byte_addresses(
@@ -210,7 +237,7 @@ class Trace:
         """Serialize to the compact text format (one record per line)."""
         out = io.StringIO()
         out.write(f"# trace {self.name} suite={self.suite}\n")
-        for r in self._records:
+        for r in self.records:
             kind = "L" if r.is_load else "S"
             out.write(f"{r.pc:x} {r.line:x} {kind} {r.gap}\n")
         return out.getvalue()

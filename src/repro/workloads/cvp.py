@@ -11,10 +11,7 @@ seed ranges.  Nothing in :mod:`repro.tuning` ever touches these.
 from __future__ import annotations
 
 from repro.sim.trace import Trace
-from repro.workloads.generators import WorkloadSpec, _BUILDERS, stable_seed
-import random
-
-from repro.sim.trace import TraceRecord
+from repro.workloads.generators import WorkloadSpec, build_columns, stable_seed
 
 #: Category -> list of (name, archetype, params, gap).  Parameters are
 #: deliberately off-grid from the tuned suites.
@@ -66,7 +63,4 @@ def generate_cvp_trace(name: str, length: int = 20_000) -> Trace:
         raise KeyError(f"unknown CVP trace: {name!r}")
     spec = _BY_NAME[base]
     seed = _UNSEEN_SEED_BASE + int(seed_s)
-    rng = random.Random(stable_seed(base, seed))
-    accesses = _BUILDERS[spec.archetype](spec, length, rng)
-    records = [TraceRecord(pc=pc, line=line, is_load=True, gap=gap) for pc, line, gap in accesses]
-    return Trace(name, records, spec.suite)
+    return Trace(name, build_columns(spec, length, stable_seed(base, seed)), spec.suite)

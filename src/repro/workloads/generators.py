@@ -1,10 +1,14 @@
 """Named workload generators, one per paper workload.
 
-Every workload is a :class:`WorkloadSpec` naming an archetype builder and
-its parameters.  :func:`generate_trace` instantiates a deterministic
-:class:`~repro.sim.trace.Trace` of any requested length from a seed, so
-the paper's "150 traces from 50 workloads" becomes "N seeds per
-workload": trace ``spec06/mcf-1`` is workload ``spec06/mcf`` with seed 1.
+Every workload is a declarative :class:`WorkloadSpec` naming an
+archetype and its parameters; the archetype's builder is the engine that
+turns a spec, a length and an RNG into columns, composing the streams of
+:mod:`repro.workloads.patterns`.  :func:`generate_trace` instantiates a
+deterministic :class:`~repro.sim.trace.Trace` of any requested length
+from a seed, so the paper's "150 traces from 50 workloads" becomes "N
+seeds per workload": trace ``spec06/mcf-1`` is workload ``spec06/mcf``
+with seed 1.  Traces are built as ``int64`` columns throughout; no
+per-record object exists until a reader asks for one.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.sim.trace import Trace, TraceRecord
+import numpy as np
+
+from repro.sim.trace import Trace, TraceColumns
 from repro.workloads import patterns
-from repro.workloads.patterns import Access
+from repro.workloads.patterns import Accesses
 
 
 def stable_seed(name: str, seed: int) -> int:
@@ -51,7 +57,7 @@ class WorkloadSpec:
     gap: int = 4
 
 
-def _build_stream(spec: WorkloadSpec, length: int, rng: random.Random) -> list[Access]:
+def _build_stream(spec: WorkloadSpec, length: int, rng: random.Random) -> Accesses:
     """Pure streaming workload (libquantum/bwaves-like)."""
     n = spec.params.get("streams", 2)
     replicas = spec.params.get("replicas", 4)
@@ -69,7 +75,7 @@ def _build_stream(spec: WorkloadSpec, length: int, rng: random.Random) -> list[A
     return patterns.interleave(streams, [1.0] * len(streams), length, rng)
 
 
-def _build_stride(spec: WorkloadSpec, length: int, rng: random.Random) -> list[Access]:
+def _build_stride(spec: WorkloadSpec, length: int, rng: random.Random) -> Accesses:
     """Multiple constant-stride streams (lbm/milc/wrf-like).
 
     Each logical stride is replicated over several independent arrays
@@ -92,7 +98,7 @@ def _build_stride(spec: WorkloadSpec, length: int, rng: random.Random) -> list[A
     return patterns.interleave(streams, [1.0] * len(streams), length, rng)
 
 
-def _build_delta(spec: WorkloadSpec, length: int, rng: random.Random) -> list[Access]:
+def _build_delta(spec: WorkloadSpec, length: int, rng: random.Random) -> Accesses:
     """Recurring in-page delta sequences (GemsFDTD-like)."""
     groups = spec.params.get("delta_groups")
     if groups is None:
@@ -116,7 +122,7 @@ def _build_delta(spec: WorkloadSpec, length: int, rng: random.Random) -> list[Ac
     return patterns.interleave(streams, [1.0] * len(streams), length, rng)
 
 
-def _build_region(spec: WorkloadSpec, length: int, rng: random.Random) -> list[Access]:
+def _build_region(spec: WorkloadSpec, length: int, rng: random.Random) -> Accesses:
     """Per-PC spatial region footprints (sphinx3/canneal/facesim-like)."""
     footprints = spec.params.get(
         "footprints", [[0, 2, 5, 9, 14], [0, 1, 3, 7]]
@@ -139,7 +145,7 @@ def _build_region(spec: WorkloadSpec, length: int, rng: random.Random) -> list[A
     return patterns.interleave(streams, [1.0] * len(streams), length, rng)
 
 
-def _build_irregular(spec: WorkloadSpec, length: int, rng: random.Random) -> list[Access]:
+def _build_irregular(spec: WorkloadSpec, length: int, rng: random.Random) -> Accesses:
     """Unpredictable hops (mcf/omnetpp-like)."""
     pages = spec.params.get("working_set_pages", 4096)
     locality = spec.params.get("locality", 0.1)
@@ -161,7 +167,7 @@ def _build_irregular(spec: WorkloadSpec, length: int, rng: random.Random) -> lis
     return patterns.interleave(streams, weights, length, rng)
 
 
-def _build_pointer(spec: WorkloadSpec, length: int, rng: random.Random) -> list[Access]:
+def _build_pointer(spec: WorkloadSpec, length: int, rng: random.Random) -> Accesses:
     """Linked-structure walks (astar/xalancbmk-like)."""
     nodes = spec.params.get("nodes", 50_000)
     streams = [
@@ -177,7 +183,7 @@ def _build_pointer(spec: WorkloadSpec, length: int, rng: random.Random) -> list[
     return patterns.interleave(streams, [3.0, 1.0], length, rng)
 
 
-def _build_graph(spec: WorkloadSpec, length: int, rng: random.Random) -> list[Access]:
+def _build_graph(spec: WorkloadSpec, length: int, rng: random.Random) -> Accesses:
     """Graph-processing kernels (Ligra-like): frontier scans + random
     neighbour gathers at high memory intensity.
 
@@ -203,7 +209,7 @@ def _build_graph(spec: WorkloadSpec, length: int, rng: random.Random) -> list[Ac
     return patterns.interleave(streams, [1.0, 1.0, irregular_weight], length, rng)
 
 
-def _build_server(spec: WorkloadSpec, length: int, rng: random.Random) -> list[Access]:
+def _build_server(spec: WorkloadSpec, length: int, rng: random.Random) -> Accesses:
     """Server workloads (Cloudsuite-like): many PCs, shallow patterns."""
     num_ctx = spec.params.get("contexts", 8)
     streams: list = []
@@ -244,7 +250,7 @@ def _build_server(spec: WorkloadSpec, length: int, rng: random.Random) -> list[A
     return patterns.interleave(streams, weights, length, rng)
 
 
-def _build_mixed(spec: WorkloadSpec, length: int, rng: random.Random) -> list[Access]:
+def _build_mixed(spec: WorkloadSpec, length: int, rng: random.Random) -> Accesses:
     """A blend of stride + delta + irregular (gcc/soplex-like)."""
     streams: list = [
         patterns.strided(pc=0x409000, start_page=30_000, stride=2, gap=spec.gap),
@@ -267,7 +273,7 @@ def _build_mixed(spec: WorkloadSpec, length: int, rng: random.Random) -> list[Ac
     return patterns.interleave(streams, w, length, rng)
 
 
-def _build_llist(spec: WorkloadSpec, length: int, rng: random.Random) -> list[Access]:
+def _build_llist(spec: WorkloadSpec, length: int, rng: random.Random) -> Accesses:
     """Linked lists with multi-line node payloads (health/mcf-like).
 
     Several independent lists are walked concurrently, optionally beside
@@ -298,7 +304,7 @@ def _build_llist(spec: WorkloadSpec, length: int, rng: random.Random) -> list[Ac
     return patterns.interleave(streams, weights, length, rng)
 
 
-def _build_phase(spec: WorkloadSpec, length: int, rng: random.Random) -> list[Access]:
+def _build_phase(spec: WorkloadSpec, length: int, rng: random.Random) -> Accesses:
     """Phase-switching mixed-pattern workload (gcc/xz-like program phases).
 
     The access stream runs one pattern regime at a time — ``phases``
@@ -350,19 +356,24 @@ def _build_phase(spec: WorkloadSpec, length: int, rng: random.Random) -> list[Ac
             )
         else:
             raise KeyError(f"unknown phase kind {kind!r} in {spec.name}")
-    out: list[Access] = []
+    empty = np.empty(0, dtype=np.int64)
+    pcs, lines, gaps = [empty], [empty], [empty]
+    produced = 0
     index = 0
-    while len(out) < length:
-        jitter = phase_length // 4
+    jitter = phase_length // 4
+    while produced < length:
         span = phase_length + (rng.randrange(-jitter, jitter + 1) if jitter else 0)
         active = streams[index % len(streams)]
-        for _ in range(min(span, length - len(out))):
-            out.append(next(active))
+        pc, line = active.take(min(span, length - produced))
+        pcs.append(pc)
+        lines.append(line)
+        gaps.append(np.full(len(line), active.gap, dtype=np.int64))
+        produced += len(line)
         index += 1
-    return out
+    return np.concatenate(pcs), np.concatenate(lines), np.concatenate(gaps)
 
 
-_BUILDERS: dict[str, Callable[[WorkloadSpec, int, random.Random], list[Access]]] = {
+_BUILDERS: dict[str, Callable[[WorkloadSpec, int, random.Random], Accesses]] = {
     "stream": _build_stream,
     "stride": _build_stride,
     "delta": _build_delta,
@@ -538,10 +549,15 @@ def generate_trace(name: str, length: int = 20_000, seed: int = 1) -> Trace:
     if base not in WORKLOADS:
         raise KeyError(f"unknown workload: {name!r}")
     spec = WORKLOADS[base]
-    rng = random.Random(stable_seed(base, seed))
-    accesses = _BUILDERS[spec.archetype](spec, length, rng)
-    records = [
-        TraceRecord(pc=pc, line=line, is_load=True, gap=gap)
-        for pc, line, gap in accesses
-    ]
-    return Trace(f"{base}-{seed}", records, spec.suite)
+    return Trace(
+        f"{base}-{seed}", build_columns(spec, length, stable_seed(base, seed)), spec.suite
+    )
+
+
+def build_columns(spec: WorkloadSpec, length: int, seed: int) -> TraceColumns:
+    """The columns of *spec* at *length*, drawn from ``random.Random(seed)``.
+
+    Every generated access is a load.
+    """
+    pc, line, gap = _BUILDERS[spec.archetype](spec, length, random.Random(seed))
+    return TraceColumns(pc, line, np.ones(len(pc), dtype=np.bool_), gap)

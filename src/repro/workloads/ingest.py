@@ -16,14 +16,17 @@ understood, both transparently gzip-decompressed when the path ends in
   record stream: little-endian ``u64 pc, u64 addr, u8 is_write``
   (17 bytes per record), no header.
 
-Both loaders are streaming: records are decoded chunk by chunk, never
-materializing the file as one string, and loading stops early once the
-requested record budget is met (the remaining bytes are still consumed
-for the content stamp).  The CRC32 **content stamp** is computed over the
-decompressed byte stream and attached to the returned
+Both loaders are streaming: bytes are decoded chunk by chunk straight
+into ``int64`` columns, never materializing the file as one string or a
+record per object, and loading stops early once the requested record
+budget is met (the remaining bytes are still consumed for the content
+stamp).  The CRC32 **content stamp** is computed over the decompressed
+byte stream and attached to the returned
 :class:`~repro.sim.trace.Trace`, which is what lets
 :meth:`repro.api.experiment.Cell.fingerprint` self-invalidate store
-entries when the file's bytes change.
+entries when the file's bytes change.  A PC must fit the signed 64-bit
+column (below ``2**63``); a record whose PC does not is rejected with
+:class:`TraceIngestError` naming the file and the record.
 
 Traces loaded here are addressable through :mod:`repro.registry` under
 the ``file/`` namespace — ``file/<path>`` directly, or ``file/<alias>``
@@ -38,8 +41,10 @@ import zlib
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
-from repro.sim.trace import Trace, TraceRecord
-from repro.types import line_of
+import numpy as np
+
+from repro.sim.trace import Trace, TraceColumns, TraceRecord
+from repro.types import LINE_SIZE, line_of
 
 #: Default non-memory instruction gap for ingested records (the formats
 #: above carry no gap; real ChampSim traces interleave non-memory
@@ -48,6 +53,12 @@ DEFAULT_GAP = 4
 
 #: Little-endian ChampSim-like record: u64 pc, u64 addr, u8 is_write.
 BINARY_RECORD = struct.Struct("<QQB")
+
+#: :data:`BINARY_RECORD` as a NumPy record, for decoding whole chunks.
+_BINARY_DTYPE = np.dtype([("pc", "<u8"), ("addr", "<u8"), ("is_write", "u1")])
+
+#: The largest PC a trace's signed 64-bit ``pc`` column holds.
+MAX_PC = 2**63 - 1
 
 #: Path suffixes understood as the text format.
 TEXT_SUFFIXES = {".csv", ".txt", ".trace"}
@@ -142,8 +153,8 @@ def _parse_int(token: str) -> int:
 _WRITE_TOKENS = {"1": True, "w": True, "true": True, "0": False, "r": False, "false": False}
 
 
-def parse_text_line(line: str) -> TraceRecord | None:
-    """One ``pc,addr[,is_write]`` line → record (``None`` for non-data).
+def _parse_fields(line: str) -> tuple[int, int, bool] | None:
+    """One ``pc,addr[,is_write]`` line → its fields (``None`` for non-data).
 
     Raises :class:`TraceIngestError` on malformed data lines; the caller
     adds file/line context.
@@ -171,63 +182,99 @@ def parse_text_line(line: str) -> TraceRecord | None:
             ) from None
     if pc < 0 or addr < 0:
         raise TraceIngestError("pc/addr must be non-negative")
+    if addr >= 2**64:
+        raise TraceIngestError(f"addr {addr:#x} does not fit in 64 bits")
+    return pc, addr, is_write
+
+
+def parse_text_line(line: str) -> TraceRecord | None:
+    """One ``pc,addr[,is_write]`` line → record (``None`` for non-data).
+
+    Raises :class:`TraceIngestError` on malformed data lines.
+    """
+    fields = _parse_fields(line)
+    if fields is None:
+        return None
+    pc, addr, is_write = fields
     return TraceRecord(pc=pc, line=line_of(addr), is_load=not is_write, gap=DEFAULT_GAP)
 
 
-def _iter_text(stream: BinaryIO, path: Path) -> Iterator[TraceRecord]:
+def _pc_too_large(path: Path, where: str, index: int, pc: int) -> TraceIngestError:
+    return TraceIngestError(
+        f"{path}{where}: record {index}: pc {pc:#x} does not fit a signed "
+        f"64-bit column (must be below 2**63)"
+    )
+
+
+#: Per decoded chunk: ``(pc, line, is_load)`` columns.
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _text_columns(stream: BinaryIO, path: Path, budget: int) -> Iterator[Columns]:
+    """The records of a text trace, chunk by chunk, up to *budget*."""
     buffer = b""
-    lineno = 0
-    for chunk in _chunks(stream):
-        buffer += chunk
+    lineno = records = 0
+    eof = False
+    while not eof and records < budget:
+        chunk = stream.read(_CHUNK)
+        eof = not chunk
+        buffer += chunk if chunk else b"\n"  # the last line may lack one
         *lines, buffer = buffer.split(b"\n")
+        pcs: list[int] = []
+        addrs: list[int] = []
+        loads: list[bool] = []
         for raw in lines:
             lineno += 1
-            yield from _decode_text_line(raw, path, lineno)
-    if buffer:
-        yield from _decode_text_line(buffer, path, lineno + 1)
+            try:
+                fields = _parse_fields(raw.decode("utf-8"))
+            except (TraceIngestError, UnicodeDecodeError) as exc:
+                raise TraceIngestError(f"{path}:{lineno}: {exc}") from None
+            if fields is None:
+                continue
+            pc, addr, is_write = fields
+            if pc > MAX_PC:
+                raise _pc_too_large(path, f":{lineno}", records, pc)
+            pcs.append(pc)
+            addrs.append(addr // LINE_SIZE)
+            loads.append(not is_write)
+            records += 1
+            if records == budget:
+                break
+        yield (
+            np.array(pcs, dtype=np.int64),
+            np.array(addrs, dtype=np.int64),
+            np.array(loads, dtype=np.bool_),
+        )
 
 
-def _decode_text_line(raw: bytes, path: Path, lineno: int) -> Iterator[TraceRecord]:
-    try:
-        record = parse_text_line(raw.decode("utf-8"))
-    except (TraceIngestError, UnicodeDecodeError) as exc:
-        raise TraceIngestError(f"{path}:{lineno}: {exc}") from None
-    if record is not None:
-        yield record
-
-
-def _iter_binary(stream: BinaryIO, path: Path) -> Iterator[TraceRecord]:
+def _binary_columns(stream: BinaryIO, path: Path, budget: int) -> Iterator[Columns]:
+    """The records of a binary trace, chunk by chunk, up to *budget*."""
     size = BINARY_RECORD.size
     buffer = b""
+    records = 0
     for chunk in _chunks(stream):
         buffer += chunk
-        whole = len(buffer) - len(buffer) % size
-        for pc, addr, is_write in BINARY_RECORD.iter_unpack(buffer[:whole]):
-            yield TraceRecord(
-                pc=pc, line=line_of(addr), is_load=not is_write, gap=DEFAULT_GAP
-            )
-        buffer = buffer[whole:]
+        whole = len(buffer) // size
+        count = min(whole, budget - records)
+        block = np.frombuffer(buffer, dtype=_BINARY_DTYPE, count=count)
+        too_large = np.flatnonzero(block["pc"] > MAX_PC)
+        if too_large.size:
+            first = int(too_large[0])
+            raise _pc_too_large(path, "", records + first, int(block["pc"][first]))
+        yield (
+            block["pc"].astype(np.int64),
+            (block["addr"] // LINE_SIZE).astype(np.int64),
+            block["is_write"] == 0,
+        )
+        records += len(block)
+        if records == budget:
+            return
+        buffer = buffer[whole * size :]
     if buffer:
         raise TraceIngestError(
             f"{path}: truncated binary trace — {len(buffer)} trailing byte(s) "
             f"do not form a whole {size}-byte record"
         )
-
-
-def iter_trace_records(
-    path: str | Path, fmt: str | None = None
-) -> Iterator[TraceRecord]:
-    """Stream every record of the trace file at *path*."""
-    path = Path(path)
-    fmt = fmt or detect_format(path)
-    if fmt not in ("text", "binary"):
-        raise TraceIngestError(f"unknown trace format {fmt!r} (want text/binary)")
-    try:
-        with _open_stream(path) as stream:
-            reader = _iter_text if fmt == "text" else _iter_binary
-            yield from reader(stream, path)
-    except OSError as exc:
-        raise TraceIngestError(f"cannot read trace file {str(path)!r}: {exc}") from exc
 
 
 def load_trace_file(
@@ -262,27 +309,24 @@ def load_trace_file(
     fmt = fmt or detect_format(path)
     if fmt not in ("text", "binary"):
         raise TraceIngestError(f"unknown trace format {fmt!r} (want text/binary)")
-    reader = _iter_text if fmt == "text" else _iter_binary
-    records: list[TraceRecord] = []
+    reader = _text_columns if fmt == "text" else _binary_columns
+    budget = length if length is not None else float("inf")
+    chunks: list[Columns] = []
     try:
         with _open_stream(path) as stream:
             tee = _Crc32Stream(stream)
-            for record in reader(tee, path):
-                if gap is not None and record.gap != gap:
-                    record = TraceRecord(
-                        pc=record.pc, line=record.line, is_load=record.is_load, gap=gap
-                    )
-                records.append(record)
-                if length is not None and len(records) >= length:
-                    break
+            if budget > 0:
+                chunks = list(reader(tee, path, budget))
             tee.drain()  # the stamp covers the whole file, budget or not
     except OSError as exc:
         raise TraceIngestError(f"cannot read trace file {str(path)!r}: {exc}") from exc
-    if not records:
+    if not sum(len(pc) for pc, _, _ in chunks):
         raise TraceIngestError(f"{path}: trace file holds no records")
+    pc, line, is_load = (np.concatenate(column) for column in zip(*chunks))
+    gaps = np.full(len(pc), DEFAULT_GAP if gap is None else gap, dtype=np.int64)
     return Trace(
         name if name is not None else f"file/{path}",
-        records,
+        TraceColumns(pc, line, is_load, gaps),
         suite,
         content_stamp=tee.crc,
     )

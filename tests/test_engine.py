@@ -295,12 +295,13 @@ class TestStateLayout:
         assert state.size_bytes < 1_000_000
 
     def test_snapshot_with_list_caches_restores(self, monkeypatch):
-        """A layout-3 snapshot pickled while the caches held plain lists
+        """A snapshot pickled while the caches held plain lists
         (``Cache._meta_a`` aliasing the policy's list; layout 3 changed
-        only the Pythia agent's form) restores into typed buffers and
-        finishes the run bit-identically on the default backend, which
-        hands those buffers to the native kernel."""
-        assert STATE_LAYOUT == 3
+        only the Pythia agent's form, layout 4 only the prefix stamp's
+        encoding) restores into typed buffers and finishes the run
+        bit-identically on the default backend, which hands those
+        buffers to the native kernel."""
+        assert STATE_LAYOUT == 4
         trace = registry.cached_trace(TRACE, LENGTH)
         expected = simulate(
             trace, prefetcher=registry.create("pythia"), warmup_records=600

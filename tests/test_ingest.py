@@ -152,6 +152,40 @@ def test_truncated_binary_rejected(tmp_path):
         load_trace_file(path)
 
 
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_pc_beyond_63_bits_rejected_at_load(tmp_path, fmt):
+    """A kernel-space PC such as 0xffffffff81000000 does not fit the
+    signed 64-bit column: loading names the file and the record instead
+    of letting replay fail (or a bulk cast wrap the PC negative)."""
+    pcs = [0x400, 0x404, 0xFFFFFFFF81000000, 0x408]
+    if fmt == "text":
+        lines = ["# pc,addr"] + [f"{pc:#x},{64 * i}" for i, pc in enumerate(pcs)]
+        path = _write_text(tmp_path / "kernel.csv", lines)
+        where = r"kernel\.csv:4: record 2: pc 0xffffffff81000000"
+    else:
+        path = tmp_path / "kernel.bin"
+        path.write_bytes(
+            b"".join(BINARY_RECORD.pack(pc, 64 * i, 0) for i, pc in enumerate(pcs))
+        )
+        where = r"kernel\.bin: record 2: pc 0xffffffff81000000"
+    with pytest.raises(TraceIngestError, match=where):
+        load_trace_file(path)
+    with pytest.raises(TraceIngestError, match=where):
+        registry.make_trace(f"file/{path}", 100)
+    # A budget that stops before the bad record loads the records
+    # before it, and the largest PC that fits loads unchanged.
+    assert load_trace_file(path, length=2)[1].pc == 0x404
+    edge = tmp_path / "edge.csv"
+    _write_text(edge, [f"{2**63 - 1:#x},64"])
+    assert load_trace_file(edge)[0].pc == 2**63 - 1
+
+
+def test_text_addr_beyond_64_bits_rejected(tmp_path):
+    path = _write_text(tmp_path / "wide.csv", ["0x400,64", f"0x400,{2**64:#x}"])
+    with pytest.raises(TraceIngestError, match=r"wide\.csv:2: addr"):
+        load_trace_file(path)
+
+
 def test_empty_and_missing_files_rejected(tmp_path):
     empty = _write_text(tmp_path / "empty.csv", ["# only comments"])
     with pytest.raises(TraceIngestError, match="no records"):

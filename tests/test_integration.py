@@ -8,7 +8,7 @@ import pytest
 
 from repro.api import ResultStore, Session
 from repro.core import Pythia, PythiaConfig
-from repro.prefetchers import create
+from repro.registry import create
 from repro.sim import baseline_multi_core, baseline_single_core, simulate, simulate_multi
 from repro.sim.metrics import coverage, overprediction, speedup
 from repro.workloads import generate_trace, homogeneous_mix

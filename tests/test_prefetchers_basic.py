@@ -7,9 +7,8 @@ from repro.prefetchers import (
     NoPrefetcher,
     StridePrefetcher,
     StreamerPrefetcher,
-    available,
-    create,
 )
+from repro.registry import available_prefetchers, create
 from repro.prefetchers.base import DemandContext
 from repro.types import make_line
 
@@ -130,7 +129,7 @@ class TestComposite:
 
 class TestRegistry:
     def test_available_contains_paper_prefetchers(self):
-        names = available()
+        names = available_prefetchers()
         for expected in [
             "spp", "bingo", "mlop", "dspatch", "spp_ppf", "pythia",
             "pythia_strict", "pythia_bw_oblivious", "stride", "streamer",

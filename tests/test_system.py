@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.prefetchers import create
+from repro.registry import create
 from repro.sim import baseline_multi_core, baseline_single_core, simulate, simulate_multi
 from repro.sim.config import SystemConfig
 from repro.sim.trace import Trace, TraceRecord

@@ -1,10 +1,12 @@
 """Tests for the trace format: records, slicing, serialization."""
 
+import dataclasses
 import zlib
 
+import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.sim.trace import Trace, TraceRecord, prefix_crc_bulk
+from repro.sim.trace import RECORD_BYTES, Trace, TraceRecord, prefix_crc
 
 
 def _record_strategy():
@@ -32,19 +34,36 @@ def test_trace_basics():
     assert [r.pc for r in trace] == list(range(5))
 
 
-def test_content_stamp_is_the_bulk_prefix_crc():
-    """The whole-trace stamp chains the checkpoint-prefix encoding over
-    bounded chunks; the result is the per-record CRC of that encoding."""
+def test_content_stamp_is_the_full_length_prefix_stamp():
+    """The whole-trace stamp is the checkpoint prefix stamp at full
+    length: one CRC32 over the packed record-major column bytes, chained
+    over bounded chunks, and over any span split the engine makes."""
     records = [
         TraceRecord(pc=0x400 + i % 7, line=(i * 37) % 5000, is_load=i % 3 != 0, gap=i % 11)
         for i in range(40_000)  # spans three stamping chunks
     ]
+    trace = Trace("t", records)
+    cols = trace.columns()
+    stamp = trace.content_stamp
+    assert stamp == prefix_crc(cols, len(trace))
     crc = 0
-    for r in records:
-        crc = zlib.crc32(b"%x %x %d %d;" % (r.pc, r.line, r.is_load, r.gap), crc)
-    stamp = Trace("t", records).content_stamp
-    assert stamp == prefix_crc_bulk(records, len(records)) == crc
+    for start, stop in ((0, 7), (7, 16_390), (16_390, 32_768), (32_768, 40_000)):
+        crc = prefix_crc(cols, stop, crc, start)
+    assert crc == stamp
+    block = np.empty(len(trace), dtype=RECORD_BYTES)
+    for field in ("pc", "line", "is_load", "gap"):
+        block[field] = [getattr(r, field) for r in records]
+    assert zlib.crc32(block.tobytes()) == stamp
     assert Trace("empty", []).content_stamp == 0
+
+
+def test_content_stamp_covers_every_field():
+    records = [TraceRecord(pc=0x400 + i, line=3 * i, is_load=True, gap=4) for i in range(50)]
+    stamp = Trace("t", records).content_stamp
+    for change in ({"pc": 1}, {"line": 1}, {"is_load": False}, {"gap": 5}):
+        edited = list(records)
+        edited[17] = dataclasses.replace(records[17], **change)
+        assert Trace("t", edited).content_stamp != stamp, change
 
 
 def test_trace_slice():
